@@ -1,0 +1,54 @@
+"""Byte-for-byte comparison of CLI outputs against a committed golden corpus.
+
+Every other determinism test compares a run with a second run of the same
+code, so a refactor that changes bits passes them all. These files pin the
+bytes themselves.
+
+How the files were made: each ``tests/golden/<case>/`` directory holds a
+hand-written ``config.cfg``; the other four files in it were written by
+``synattn run --config <case>/config.cfg --out <case>`` with the code as it
+stood before the config-schema refactor (one hand-written parser, renderer
+and manifest echo per key). The two files in ``tests/golden/maps/`` were
+written by ``synattn map`` with the arguments listed in ``MAPS`` below, by
+the same code. Writing them with 1 and with 2 OpenBLAS threads gave the same
+bytes. All cases are toy width; at FLUX width the bytes depend on the BLAS
+thread count, so such a case could not be pinned.
+
+Nothing here regenerates the files: a mismatch means the program changed
+its output.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from synattn.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = ("adaptive", "w_zero", "w_one", "grid_3x5", "no_shared", "mixed")
+RUN_FILES = ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json")
+MAPS = {
+    "prompts": [
+        "--config", str(GOLDEN / "grid_3x5" / "config.cfg"),
+        "--cell", "2,4", "--w", "0.7", "--block", "3",
+    ],
+    "constant_field": [
+        "--config", str(GOLDEN / "adaptive" / "config.cfg"),
+        "--cell", "1,2", "--w", "0.5", "--probe", "constant-field",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_outputs_match_golden(case, tmp_path):
+    out = tmp_path / case
+    assert main(["run", "--config", str(GOLDEN / case / "config.cfg"), "--out", str(out)]) == 0
+    for name in RUN_FILES:
+        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("probe", sorted(MAPS))
+def test_map_output_matches_golden(probe, tmp_path):
+    out = tmp_path / f"{probe}.txt"
+    assert main(["map", *MAPS[probe], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "maps" / f"{probe}.txt").read_bytes()
