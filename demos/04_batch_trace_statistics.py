@@ -31,7 +31,7 @@ def batch_for(override):
         )
         for i, (src, tgt) in enumerate(PAIRS)
     ]
-    return run_batch(configs, jobs=4)
+    return run_batch(configs)
 
 
 for label, override in (("adaptive", None), ("w = 1 ablation", 1.0), ("w = 0 ablation", 0.0)):

@@ -12,6 +12,7 @@ from .attention import (
     BlockProjection,
     TokenStream,
     attention_map,
+    attention_weights,
     grid_position_ids,
     merge_heads,
     self_attention,
@@ -19,8 +20,6 @@ from .attention import (
     split_heads,
 )
 from .backbone import (
-    FLUX_DEFAULT_GUIDANCE,
-    FLUX_DEFAULT_STEPS,
     FLUX_SHARED_BLOCKS,
     BackboneConfig,
     BackboneParams,
@@ -42,8 +41,6 @@ from .measurement import (
     adaptive_weight,
     block_similarity,
     editing_measurement,
-    image_similarity,
-    text_similarity,
 )
 from .numerics import ShapeError, cosine_similarity, matmul, softmax_rows
 from .pipeline import (
@@ -82,6 +79,7 @@ __all__ = [
     "grid_position_ids",
     "split_heads",
     "merge_heads",
+    "attention_weights",
     "self_attention",
     "shared_attention",
     "attention_map",
@@ -90,8 +88,6 @@ __all__ = [
     "StepRecord",
     "DegenerateSimilarityError",
     "block_similarity",
-    "text_similarity",
-    "image_similarity",
     "editing_measurement",
     "adaptive_weight",
     "BackboneConfig",
@@ -101,8 +97,6 @@ __all__ = [
     "derive_seed",
     "fnv1a64",
     "FLUX_SHARED_BLOCKS",
-    "FLUX_DEFAULT_STEPS",
-    "FLUX_DEFAULT_GUIDANCE",
     "init_backbone",
     "encode_prompt",
     "initial_noise",

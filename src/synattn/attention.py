@@ -34,6 +34,7 @@ __all__ = [
     "grid_position_ids",
     "split_heads",
     "merge_heads",
+    "attention_weights",
     "self_attention",
     "shared_attention",
     "attention_map",
@@ -176,13 +177,23 @@ def _projected_qkv(
     return q, k, v, n_txt
 
 
+def attention_weights(q_head: np.ndarray, k_head: np.ndarray, scale: float) -> np.ndarray:
+    """Post-softmax weights of one head: row i is query i's distribution over the keys.
+
+    The only place attention logits are formed and normalized; the forward
+    pass and :func:`attention_map` both call it, so a dumped map is the
+    forward pass's own arithmetic.
+    """
+    return softmax_rows(matmul(q_head, k_head.T) * scale)
+
+
 def _multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, rope: RopeConfig) -> np.ndarray:
     scale = 1.0 / math.sqrt(rope.head_dim)
     qh = split_heads(q, rope.num_heads)
     kh = split_heads(k, rope.num_heads)
     vh = split_heads(v, rope.num_heads)
     outs = [
-        matmul(softmax_rows(matmul(qh[h], kh[h].T) * scale), vh[h])
+        matmul(attention_weights(qh[h], kh[h], scale), vh[h])
         for h in range(rope.num_heads)
     ]
     return merge_heads(np.stack(outs))
@@ -241,8 +252,9 @@ def attention_map(
     kh = split_heads(k, rope.num_heads)
     acc = np.zeros(h * wid, dtype=np.float64)
     for head in range(rope.num_heads):
-        logits = matmul(qh[head][query_row : query_row + 1], kh[head].T) * scale
-        weights = softmax_rows(logits)[0]
+        # one query row, not a row sliced from the full matrix: a gemv and a
+        # gemm row need not agree in the last bit
+        weights = attention_weights(qh[head][query_row : query_row + 1], kh[head], scale)[0]
         acc += weights[n_txt:]
     acc /= rope.num_heads
     total = acc.sum()

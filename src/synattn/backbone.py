@@ -37,8 +37,6 @@ __all__ = [
     "BlockParams",
     "BackboneParams",
     "FLUX_SHARED_BLOCKS",
-    "FLUX_DEFAULT_STEPS",
-    "FLUX_DEFAULT_GUIDANCE",
     "WEIGHT_SCALE",
     "init_backbone",
     "encode_prompt",
@@ -55,10 +53,6 @@ _MIX2 = 0x94D049BB133111EB
 # Block set used for sharing at full scale (57-block models); only valid for
 # configs with n_blocks >= 57. The toy default lives in BackboneConfig.
 FLUX_SHARED_BLOCKS = frozenset({0, 7, 8, 9, 10, 18, 25, 28, 37, 42, 45, 50, 56})
-# Full-scale sampler defaults, carried for config parity. The toy denoiser
-# has no guidance path, so the scale is informational only.
-FLUX_DEFAULT_STEPS = 50
-FLUX_DEFAULT_GUIDANCE = 3.5
 
 # Entry bound for the uniform weight initializer.
 WEIGHT_SCALE = 0.05

@@ -5,7 +5,7 @@ Subcommands
 run    Run one or more edit configs; per config writes trace.txt,
        src_final.txt, tgt_final.txt and manifest.json into the output
        directory (one case_NNN subdirectory per config when several are
-       given). Independent cases may run in parallel with --jobs.
+       given). Cases run one after another; --jobs is accepted and ignored.
 stats  Aggregate several trace files: per timestep the mean, population
        standard deviation, and nearest-rank 20th/80th percentiles of the
        editing measurement across traces.
@@ -29,7 +29,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .pipeline import EditingTrace, NumericalAbortError, PipelineConfig, run_edi
 
 __all__ = [
     "ConfigError",
+    "CONFIG_FIELDS",
     "parse_config_text",
     "render_config",
     "config_to_dict",
@@ -68,24 +71,6 @@ __all__ = [
 # enough that full-strength rotation suppression at two cells' displacement
 # beats it, large enough to win outright when rotation is off.
 PROBE_BUMP_SCALE = 1.2
-
-_CONFIG_KEYS = {
-    "src_prompt": "source prompt (required)",
-    "tgt_prompt": "target prompt (required)",
-    "seed": "backbone seed, integer (default 0)",
-    "steps": "denoising steps T (default 10)",
-    "grid": "image token grid HxW (default 4x4)",
-    "blocks": "number of transformer blocks (default 8)",
-    "shared_blocks": "comma-separated block indices that share attention (default 0,2,5)",
-    "m_min": "lower measurement threshold (default 0.9)",
-    "m_max": "upper measurement threshold (default 1.0)",
-    "w_override": "fixed rotary weight in [0,1] instead of the adaptive schedule (default unset)",
-    "num_heads": "attention heads (default 4)",
-    "head_dim": "per-head dimension (default 16)",
-    "axis_dims": "comma-separated even axis splits summing to head_dim (default 4,6,6)",
-    "n_txt_tokens": "text tokens per prompt (default 4)",
-    "theta_base": "rotary frequency base (default 10000)",
-}
 
 
 class ConfigError(ValueError):
@@ -125,6 +110,85 @@ def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
     return tuple(_parse_int(key, part.strip()) for part in raw.split(","))
 
 
+def _parse_grid(key: str, raw: str) -> tuple[int, int]:
+    parts = raw.lower().split("x")
+    if len(parts) != 2:
+        raise ConfigError(f"key '{key}': expected HxW, got '{raw}'", key)
+    return _parse_int(key, parts[0]), _parse_int(key, parts[1])
+
+
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+class _Kind(NamedTuple):
+    parse: Callable[[str, str], Any]  # (key, raw text) -> value
+    render: Callable[[Any], str]  # value -> config-file text
+    echo: Callable[[Any], Any]  # value -> JSON-ready value for the manifest
+
+
+_KINDS = {
+    "text": _Kind(lambda key, raw: raw, str, lambda v: v),
+    "int": _Kind(_parse_int, str, lambda v: v),
+    "float": _Kind(_parse_float, _fmt, lambda v: v),
+    "int-list": _Kind(_parse_int_list, _join, list),
+    "int-set": _Kind(lambda key, raw: frozenset(_parse_int_list(key, raw)), lambda v: _join(sorted(v)), sorted),
+    "grid": _Kind(_parse_grid, lambda v: f"{v[0]}x{v[1]}", list),
+}
+
+
+class ConfigField(NamedTuple):
+    """One config key: where its value lives in a :class:`PipelineConfig` and how it is spelled."""
+
+    key: str
+    owner: str  # "pipeline", "backbone" or "thresholds"
+    attr: str
+    kind: str  # a key of _KINDS
+    help: str
+
+
+# The single source of truth for config keys, in render order. ``w_override``
+# stays last because rendering omits it when unset.
+CONFIG_FIELDS = (
+    ConfigField("src_prompt", "pipeline", "src_prompt", "text", "source prompt"),
+    ConfigField("tgt_prompt", "pipeline", "tgt_prompt", "text", "target prompt"),
+    ConfigField("seed", "backbone", "seed", "int", "backbone seed, integer"),
+    ConfigField("steps", "backbone", "n_steps", "int", "denoising steps T"),
+    ConfigField("grid", "backbone", "grid", "grid", "image token grid HxW"),
+    ConfigField("blocks", "backbone", "n_blocks", "int", "number of transformer blocks"),
+    ConfigField(
+        "shared_blocks", "backbone", "shared_blocks", "int-set",
+        "comma-separated block indices that share attention",
+    ),
+    ConfigField("m_min", "thresholds", "m_min", "float", "lower measurement threshold"),
+    ConfigField("m_max", "thresholds", "m_max", "float", "upper measurement threshold"),
+    ConfigField("num_heads", "backbone", "num_heads", "int", "attention heads"),
+    ConfigField("head_dim", "backbone", "head_dim", "int", "per-head dimension"),
+    ConfigField(
+        "axis_dims", "backbone", "axis_dims", "int-list",
+        "comma-separated even axis splits summing to head_dim",
+    ),
+    ConfigField("n_txt_tokens", "backbone", "n_txt_tokens", "int", "text tokens per prompt"),
+    ConfigField("theta_base", "backbone", "theta_base", "float", "rotary frequency base"),
+    ConfigField(
+        "w_override", "pipeline", "w_override", "float",
+        "fixed rotary weight in [0,1] instead of the adaptive schedule",
+    ),
+)
+_OWNER_DEFAULTS = {
+    "pipeline": {d.name: d.default for d in fields(PipelineConfig)},
+    "backbone": vars(BackboneConfig()),
+    "thresholds": vars(Thresholds()),
+}
+# Dataclass default per key; ``MISSING`` marks a required key.
+_DEFAULTS = {f.key: _OWNER_DEFAULTS[f.owner][f.attr] for f in CONFIG_FIELDS}
+
+
+def _value(config: PipelineConfig, f: ConfigField):
+    owner = config if f.owner == "pipeline" else getattr(config, f.owner)
+    return getattr(owner, f.attr)
+
+
 def parse_config_text(text: str) -> PipelineConfig:
     """Parse the flat key-value config grammar into a :class:`PipelineConfig`."""
     values: dict[str, str] = {}
@@ -136,106 +200,56 @@ def parse_config_text(text: str) -> PipelineConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{stripped}'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'", key)
         if key in values:
             raise ConfigError(f"line {lineno}: key '{key}' given twice", key)
         values[key] = raw.strip()
 
-    for required in ("src_prompt", "tgt_prompt"):
-        if required not in values or not values[required]:
-            raise ConfigError(f"missing required key '{required}'", required)
+    for f in CONFIG_FIELDS:
+        if _DEFAULTS[f.key] is MISSING and not values.get(f.key):
+            raise ConfigError(f"missing required key '{f.key}'", f.key)
 
-    grid_raw = values.get("grid", "4x4")
-    parts = grid_raw.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"key 'grid': expected HxW, got '{grid_raw}'", "grid")
-    grid = (_parse_int("grid", parts[0]), _parse_int("grid", parts[1]))
-
-    num_heads = _parse_int("num_heads", values.get("num_heads", "4"))
-    head_dim = _parse_int("head_dim", values.get("head_dim", "16"))
+    kwargs: dict[str, dict] = {"pipeline": {}, "backbone": {}, "thresholds": {}}
+    for f in CONFIG_FIELDS:
+        if f.key in values:
+            kwargs[f.owner][f.attr] = _KINDS[f.kind].parse(f.key, values[f.key])
+    bb = {**_OWNER_DEFAULTS["backbone"], **kwargs["backbone"]}
+    bb["d_model"] = bb["num_heads"] * bb["head_dim"]
     try:
-        backbone = BackboneConfig(
-            num_heads=num_heads,
-            head_dim=head_dim,
-            d_model=num_heads * head_dim,
-            axis_dims=_parse_int_list("axis_dims", values.get("axis_dims", "4,6,6")),
-            n_blocks=_parse_int("blocks", values.get("blocks", "8")),
-            shared_blocks=frozenset(
-                _parse_int_list("shared_blocks", values.get("shared_blocks", "0,2,5"))
-            ),
-            n_txt_tokens=_parse_int("n_txt_tokens", values.get("n_txt_tokens", "4")),
-            grid=grid,
-            seed=_parse_int("seed", values.get("seed", "0")),
-            n_steps=_parse_int("steps", values.get("steps", "10")),
-            theta_base=_parse_float("theta_base", values.get("theta_base", "10000")),
-        )
-        thresholds = Thresholds(
-            m_min=_parse_float("m_min", values.get("m_min", "0.9")),
-            m_max=_parse_float("m_max", values.get("m_max", "1.0")),
-        )
-        override = (
-            _parse_float("w_override", values["w_override"])
-            if "w_override" in values
-            else None
-        )
         return PipelineConfig(
-            src_prompt=values["src_prompt"],
-            tgt_prompt=values["tgt_prompt"],
-            backbone=backbone,
-            thresholds=thresholds,
-            w_override=override,
+            backbone=BackboneConfig(**bb),
+            thresholds=Thresholds(**kwargs["thresholds"]),
+            **kwargs["pipeline"],
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def render_config(config: PipelineConfig) -> str:
     """Canonical text form of a config; parses back to an equal config."""
-    bb = config.backbone
-    lines = [
-        f"src_prompt = {config.src_prompt}",
-        f"tgt_prompt = {config.tgt_prompt}",
-        f"seed = {bb.seed}",
-        f"steps = {bb.n_steps}",
-        f"grid = {bb.grid[0]}x{bb.grid[1]}",
-        f"blocks = {bb.n_blocks}",
-        f"shared_blocks = {','.join(str(b) for b in sorted(bb.shared_blocks))}",
-        f"m_min = {_fmt(config.thresholds.m_min)}",
-        f"m_max = {_fmt(config.thresholds.m_max)}",
-        f"num_heads = {bb.num_heads}",
-        f"head_dim = {bb.head_dim}",
-        f"axis_dims = {','.join(str(d) for d in bb.axis_dims)}",
-        f"n_txt_tokens = {bb.n_txt_tokens}",
-        f"theta_base = {_fmt(bb.theta_base)}",
-    ]
-    if config.w_override is not None:
-        lines.append(f"w_override = {_fmt(config.w_override)}")
-    return "\n".join(lines) + "\n"
+    values = ((f, _value(config, f)) for f in CONFIG_FIELDS)
+    return "".join(f"{f.key} = {_KINDS[f.kind].render(v)}\n" for f, v in values if v is not None)
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    """JSON-ready echo of a config (for the run manifest)."""
-    bb = config.backbone
-    return {
-        "src_prompt": config.src_prompt,
-        "tgt_prompt": config.tgt_prompt,
-        "seed": bb.seed,
-        "steps": bb.n_steps,
-        "grid": list(bb.grid),
-        "blocks": bb.n_blocks,
-        "shared_blocks": sorted(bb.shared_blocks),
-        "m_min": config.thresholds.m_min,
-        "m_max": config.thresholds.m_max,
-        "num_heads": bb.num_heads,
-        "head_dim": bb.head_dim,
-        "axis_dims": list(bb.axis_dims),
-        "n_txt_tokens": bb.n_txt_tokens,
-        "theta_base": bb.theta_base,
-        "w_override": config.w_override,
-    }
+    """JSON-ready echo of a config (for the run manifest); an unset key echoes as None."""
+    return {f.key: _KINDS[f.kind].echo(_value(config, f)) for f in CONFIG_FIELDS}
+
+
+def _key_help() -> str:
+    rows = []
+    for f in CONFIG_FIELDS:
+        default = _DEFAULTS[f.key]
+        if default is MISSING:
+            note = "required"
+        elif default is None:
+            note = "default unset"
+        else:
+            shown = repr(default) if f.kind == "float" else _KINDS[f.kind].render(default)
+            note = f"default {shown}"
+        rows.append(f"  {f.key:<14} {f.help} ({note})")
+    return "\n".join(rows)
 
 
 # ----------------------------------------------------------------------
@@ -261,40 +275,63 @@ def write_trace(trace: EditingTrace) -> str:
 
 
 def parse_trace(text: str) -> EditingTrace:
-    """Inverse of :func:`write_trace`; exact for round-trips."""
+    """Inverse of :func:`write_trace`; exact for round-trips.
+
+    Refuses a trace that contradicts itself: a ``# blocks per step`` header
+    that differs from the config's ``blocks``, a block ratio that is not
+    ``s_img / s_txt``, an ``m_mean`` that is not the in-order mean of its
+    block ratios, or timesteps that do not run from the record count down
+    to 1.
+    """
     config_lines = []
+    header_blocks = None
     records = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("# config:"):
             config_lines.append(stripped[len("# config:") :].strip())
-            continue
-        if stripped.startswith("#"):
-            continue
-        records.append(stripped)
+        elif stripped.startswith("# blocks per step:"):
+            header_blocks = (lineno, stripped[len("# blocks per step:") :].strip())
+        elif not stripped.startswith("#"):
+            records.append((lineno, stripped))
     if not config_lines:
         raise ConfigError("trace file has no config echo")
     config = parse_config_text("\n".join(config_lines))
     n_blocks = config.backbone.n_blocks
+    if header_blocks is not None and header_blocks[1] != str(n_blocks):
+        raise ConfigError(
+            f"line {header_blocks[0]}: {header_blocks[1]} blocks per step, "
+            f"but the config echo has blocks = {n_blocks}"
+        )
 
     steps = []
-    for line in records:
-        fields = line.split()
-        if len(fields) != 3 + 3 * n_blocks:
+    for row, (lineno, line) in enumerate(records):
+        values = line.split()
+        if len(values) != 3 + 3 * n_blocks:
             raise ConfigError(
-                f"trace record has {len(fields)} fields, expected {3 + 3 * n_blocks}"
+                f"line {lineno}: trace record has {len(values)} fields, "
+                f"expected {3 + 3 * n_blocks}"
             )
-        timestep = int(fields[0])
-        m_mean = float(fields[1])
-        weight = float(fields[2])
+        timestep = int(values[0])
+        m_mean = float(values[1])
+        weight = float(values[2])
+        if timestep != len(records) - row:
+            raise ConfigError(
+                f"line {lineno}: timestep {timestep}, expected {len(records) - row} "
+                f"(timesteps run from {len(records)} down to 1)"
+            )
         blocks = []
         for b in range(n_blocks):
-            s_txt, s_img, ratio = (float(x) for x in fields[3 + 3 * b : 6 + 3 * b])
+            s_txt, s_img, ratio = (float(x) for x in values[3 + 3 * b : 6 + 3 * b])
+            if s_txt == 0.0 or ratio != s_img / s_txt:
+                raise ConfigError(f"line {lineno}: block {b} ratio is not s_img / s_txt")
             blocks.append(
                 BlockSimilarity(block_index=b, s_txt=s_txt, s_img=s_img, ratio=ratio)
             )
+        if not blocks or m_mean != sum(blk.ratio for blk in blocks) / len(blocks):
+            raise ConfigError(f"line {lineno}: m_mean is not the mean of the block ratios")
         steps.append(
             StepRecord(
                 timestep=timestep,
@@ -470,43 +507,25 @@ def _run_one_case(config_path: Path, out_dir: Path) -> None:
     )
 
 
-def _case_exit_code(exc: Exception) -> int:
-    if isinstance(exc, (NumericalAbortError, DegenerateSimilarityError)):
-        return 2
-    return 1
+def _exit_code(exc: Exception) -> int:
+    """2 for a numerical abort, 1 for any other failure."""
+    return 2 if isinstance(exc, (NumericalAbortError, DegenerateSimilarityError)) else 1
 
 
-def cmd_run(config_paths: list[str], out_dir: str, jobs: int = 1) -> int:
-    """Run each config; one output directory per case when several are given."""
-    paths = [Path(p) for p in config_paths]
+def cmd_run(config_paths: list[str], out_dir: str) -> int:
+    """Run each config in turn; one output directory per case when several are given.
+
+    A failing case is reported on stderr by index and the batch continues.
+    """
     root = Path(out_dir)
-    targets = (
-        [root]
-        if len(paths) == 1
-        else [root / f"case_{i:03d}" for i in range(len(paths))]
-    )
-
-    def one(pair) -> Exception | None:
-        path, target = pair
+    code = 0
+    for i, path in enumerate(Path(p) for p in config_paths):
+        target = root if len(config_paths) == 1 else root / f"case_{i:03d}"
         try:
             _run_one_case(path, target)
-            return None
-        except Exception as exc:  # noqa: BLE001 - reported per index below
-            return exc
-
-    if jobs > 1 and len(paths) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, zip(paths, targets)))
-    else:
-        outcomes = [one(pair) for pair in zip(paths, targets)]
-
-    code = 0
-    for i, (path, outcome) in enumerate(zip(paths, outcomes)):
-        if outcome is not None:
-            print(f"case {i} ({path}): {outcome}", file=sys.stderr)
-            code = max(code, _case_exit_code(outcome))
+        except Exception as exc:  # noqa: BLE001 - reported per index by contract
+            print(f"case {i} ({path}): {exc}", file=sys.stderr)
+            code = max(code, _exit_code(exc))
     return code
 
 
@@ -563,14 +582,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    key_help = "\n".join(f"  {k:<14} {v}" for k, v in _CONFIG_KEYS.items())
     run_p = sub.add_parser(
         "run",
         help="run edit configs and write traces, final states, and manifests",
         description=(
             "Config grammar: one 'key = value' per line; blank lines and lines "
             "starting with '#' are ignored; unknown or repeated keys are "
-            "rejected.\n\nKeys:\n" + key_help
+            "rejected.\n\nKeys:\n" + _key_help()
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -587,9 +605,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="worker threads for batches; outputs are identical for any N (default 1)",
+        help="accepted for compatibility and ignored: cases always run one after another",
     )
-    run_p.set_defaults(func=lambda a: cmd_run(a.config, a.out, a.jobs))
+    run_p.set_defaults(func=lambda a: cmd_run(a.config, a.out))
 
     stats_p = sub.add_parser(
         "stats",
@@ -641,15 +659,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalAbortError, DegenerateSimilarityError) as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (NumericalAbortError, OSError, ValueError) as exc:
+        code = _exit_code(exc)
+        print(f"{'numerical abort' if code == 2 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

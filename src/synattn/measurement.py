@@ -16,11 +16,10 @@ the weight interpolates linearly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import cosine_similarity
 
 __all__ = [
     "DegenerateSimilarityError",
@@ -28,8 +27,6 @@ __all__ = [
     "BlockSimilarity",
     "StepRecord",
     "block_similarity",
-    "text_similarity",
-    "image_similarity",
     "editing_measurement",
     "adaptive_weight",
 ]
@@ -51,6 +48,9 @@ class Thresholds:
     m_max: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("m_min", "m_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.m_min < self.m_max:
             raise ValueError(f"m_min {self.m_min} must be below m_max {self.m_max}")
 
@@ -75,12 +75,16 @@ class StepRecord:
     weight_applied: float
 
 
-def block_similarity(block_index: int, s_txt: float, s_img: float) -> BlockSimilarity:
-    """Build a block record, guarding against a degenerate text similarity."""
+def _check_s_txt(block_index: int, s_txt: float) -> None:
     if abs(s_txt) < DEGENERATE_S_TXT:
         raise DegenerateSimilarityError(
             f"block {block_index}: |s_txt| = {abs(s_txt):.3e} is below {DEGENERATE_S_TXT:.0e}"
         )
+
+
+def block_similarity(block_index: int, s_txt: float, s_img: float) -> BlockSimilarity:
+    """Build a block record, guarding against a degenerate text similarity."""
+    _check_s_txt(block_index, s_txt)
     return BlockSimilarity(
         block_index=int(block_index),
         s_txt=float(s_txt),
@@ -89,27 +93,13 @@ def block_similarity(block_index: int, s_txt: float, s_img: float) -> BlockSimil
     )
 
 
-def text_similarity(src_txt, tgt_txt) -> float:
-    """Cosine similarity of the two branches' text-token attention outputs."""
-    return cosine_similarity(src_txt, tgt_txt)
-
-
-def image_similarity(src_img, tgt_img) -> float:
-    """Cosine similarity of the two branches' image-token attention outputs."""
-    return cosine_similarity(src_img, tgt_img)
-
-
 def editing_measurement(records) -> float:
     """Mean of ``s_img / s_txt`` over all block records of one step."""
     records = list(records)
     if not records:
         raise ValueError("editing measurement needs at least one block record")
     for rec in records:
-        if abs(rec.s_txt) < DEGENERATE_S_TXT:
-            raise DegenerateSimilarityError(
-                f"block {rec.block_index}: |s_txt| = {abs(rec.s_txt):.3e} "
-                f"is below {DEGENERATE_S_TXT:.0e}"
-            )
+        _check_s_txt(rec.block_index, rec.s_txt)
     return sum(rec.ratio for rec in records) / len(records)
 
 

@@ -37,9 +37,8 @@ from .measurement import (
     adaptive_weight,
     block_similarity,
     editing_measurement,
-    image_similarity,
-    text_similarity,
 )
+from .numerics import cosine_similarity
 
 __all__ = [
     "PipelineConfig",
@@ -120,8 +119,8 @@ def run_edit(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, EditingTra
             tgt_stream, tgt_attn = block_forward(tgt_stream, l, params, w, shared)
             _finite_or_abort(src_stream, t, l, "source")
             _finite_or_abort(tgt_stream, t, l, "target")
-            s_txt = text_similarity(src_attn.txt, tgt_attn.txt)
-            s_img = image_similarity(src_attn.img, tgt_attn.img)
+            s_txt = cosine_similarity(src_attn.txt, tgt_attn.txt)
+            s_img = cosine_similarity(src_attn.img, tgt_attn.img)
             block_records.append(block_similarity(l, s_txt, s_img))
 
         m_t = editing_measurement(block_records)
@@ -140,27 +139,19 @@ def run_edit(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, EditingTra
     return x_src, x_tgt, EditingTrace(steps=tuple(records), config=config)
 
 
-def run_batch(configs: Sequence[PipelineConfig], jobs: int = 1) -> list[EditingTrace | Exception]:
-    """Independent :func:`run_edit` per config, traces in input order.
+def run_batch(configs: Sequence[PipelineConfig]) -> list[EditingTrace | Exception]:
+    """Independent :func:`run_edit` per config, run in turn, traces in input order.
 
     A failing case stores its exception at that index and the batch
-    continues. ``jobs`` > 1 runs cases in a thread pool; results do not
-    depend on scheduling because every case is a pure function of its
-    config.
+    continues.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("run_batch needs at least one config")
-
-    def one(cfg: PipelineConfig) -> EditingTrace | Exception:
+    results: list[EditingTrace | Exception] = []
+    for cfg in configs:
         try:
-            return run_edit(cfg)[2]
+            results.append(run_edit(cfg)[2])
         except Exception as exc:  # noqa: BLE001 - reported per index by contract
-            return exc
-
-    if jobs <= 1 or len(configs) == 1:
-        return [one(cfg) for cfg in configs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, configs))
+            results.append(exc)
+    return results

@@ -60,8 +60,8 @@ class RopeConfig:
             )
         if any(d <= 0 or d % 2 for d in self.axis_dims):
             raise ValueError(f"every axis dim must be positive and even, got {self.axis_dims}")
-        if not self.theta_base > 1.0:
-            raise ValueError(f"theta_base must exceed 1, got {self.theta_base}")
+        if not (math.isfinite(self.theta_base) and self.theta_base > 1.0):
+            raise ValueError(f"theta_base must be finite and exceed 1, got {self.theta_base}")
         if self.num_heads < 1:
             raise ValueError(f"num_heads must be positive, got {self.num_heads}")
 

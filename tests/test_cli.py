@@ -2,19 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import percentile_nearest_rank
 from synattn import (
+    BackboneConfig,
     BlockSimilarity,
     EditingTrace,
     NumericalAbortError,
+    PipelineConfig,
     StepRecord,
+    Thresholds,
     run_edit,
 )
 from synattn.cli import (
+    CONFIG_FIELDS,
     ConfigError,
     build_map_inputs,
     compute_stats,
+    config_to_dict,
     main,
     nearest_rank_percentile,
     parse_config_text,
@@ -100,6 +107,85 @@ class TestConfigParsing:
             parse_config_text(MINIMAL + "axis_dims = 2,2,2\n")
 
 
+NON_FINITE = ("m_max = inf", "m_min = -inf", "m_min = nan", "theta_base = inf")
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("line", NON_FINITE)
+    def test_rejected_at_parse_naming_key(self, line):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(MINIMAL + line + "\n")
+        assert line.split()[0] in str(exc.value)
+
+    @pytest.mark.parametrize("line", NON_FINITE)
+    def test_run_exits_one_without_case_directory(self, line, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(MINIMAL + line + "\n")
+        good = tmp_path / "good.cfg"
+        good.write_text(MINIMAL + "steps = 1\nblocks = 1\nshared_blocks = 0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad), "--config", str(good), "--out", str(out)]) == 1
+        assert not (out / "case_000").exists()
+        assert (out / "case_001" / "manifest.json").exists()
+        assert "case 0" in capsys.readouterr().err
+
+
+# Valid configs drawn at small sizes; prompts carry no surrounding
+# whitespace because the grammar strips values.
+prompts = st.from_regex(r"[a-z0-9#=,.]([a-z0-9 #=,.]{0,20}[a-z0-9#=,.])?", fullmatch=True)
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def pipeline_configs(draw):
+    axis_dims = draw(st.lists(st.sampled_from((2, 4, 6)), min_size=1, max_size=3))
+    num_heads = draw(st.integers(1, 3))
+    n_blocks = draw(st.integers(1, 6))
+    m_min, m_max = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+    backbone = BackboneConfig(
+        d_model=num_heads * sum(axis_dims),
+        num_heads=num_heads,
+        head_dim=sum(axis_dims),
+        axis_dims=tuple(axis_dims),
+        n_blocks=n_blocks,
+        shared_blocks=frozenset(draw(st.sets(st.integers(0, n_blocks - 1)))),
+        n_txt_tokens=draw(st.integers(1, 5)),
+        grid=(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+        seed=draw(st.integers(-(2**40), 2**40)),
+        n_steps=draw(st.integers(1, 20)),
+        theta_base=draw(st.floats(1.0, 1e6, exclude_min=True)),
+    )
+    return PipelineConfig(
+        src_prompt=draw(prompts),
+        tgt_prompt=draw(prompts),
+        backbone=backbone,
+        thresholds=Thresholds(m_min=m_min, m_max=m_max),
+        w_override=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+
+
+class TestFieldTable:
+    @settings(max_examples=200)
+    @given(pipeline_configs())
+    def test_render_parse_round_trip(self, config):
+        assert parse_config_text(render_config(config)) == config
+
+    @given(pipeline_configs())
+    def test_manifest_echo_has_exactly_the_table_keys(self, config):
+        echo = config_to_dict(config)
+        assert list(echo) == [f.key for f in CONFIG_FIELDS]
+        assert echo["w_override"] == config.w_override
+
+    def test_run_help_lists_every_key_once(self, capsys):
+        assert main(["run", "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        first_words = [line.split()[0] for line in lines if line.strip()]
+        for f in CONFIG_FIELDS:
+            assert first_words.count(f.key) == 1, f.key
+        assert len(CONFIG_FIELDS) == 15
+        assert any(line.split()[:1] == ["m_min"] and "(default 0.9)" in line for line in lines)
+
+
 class TestTraceSerialization:
     def test_real_trace_round_trips_exactly(self):
         _, _, trace = run_edit(parse_config_text(MINIMAL))
@@ -123,6 +209,46 @@ class TestTraceSerialization:
         m = rng.normal(size=(5, 7)) * 1e3
         got = parse_matrix(write_matrix(m))
         assert np.array_equal(got, m)
+
+
+def mutate_record(text, row, col, value):
+    """Replace field ``col`` of body record ``row``; returns the text and its 1-based line."""
+    lines = text.splitlines()
+    body = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    fields = lines[body[row]].split()
+    fields[col] = value
+    lines[body[row]] = " ".join(fields)
+    return "\n".join(lines) + "\n", body[row] + 1
+
+
+class TestTraceConsistency:
+    TEXT = write_trace(fabricated_trace([1.0, 0.9, 1.1]))
+
+    def test_blocks_header_must_match_config(self):
+        text = self.TEXT.replace("# blocks per step: 1", "# blocks per step: 2")
+        with pytest.raises(ConfigError, match="line 3:"):
+            parse_trace(text)
+
+    def test_ratio_must_be_s_img_over_s_txt(self):
+        text, lineno = mutate_record(self.TEXT, 1, 5, "0.5")
+        with pytest.raises(ConfigError, match=f"line {lineno}: block 0 ratio"):
+            parse_trace(text)
+
+    def test_m_mean_must_be_mean_of_ratios(self):
+        text, lineno = mutate_record(self.TEXT, 2, 1, "1.0999999999999999")
+        with pytest.raises(ConfigError, match=f"line {lineno}: m_mean"):
+            parse_trace(text)
+
+    def test_timesteps_must_run_down_to_one(self):
+        text, lineno = mutate_record(self.TEXT, 1, 0, "3")
+        with pytest.raises(ConfigError, match=f"line {lineno}: timestep 3"):
+            parse_trace(text)
+
+    def test_stats_refuses_contradicting_trace(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text(mutate_record(self.TEXT, 0, 1, "0.5")[0])
+        assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
+        assert "m_mean" in capsys.readouterr().err
 
 
 class TestStats:

@@ -11,40 +11,39 @@ from synattn import (
     Thresholds,
     adaptive_weight,
     block_similarity,
+    cosine_similarity,
     editing_measurement,
-    image_similarity,
-    text_similarity,
 )
 
 TH = Thresholds(m_min=0.9, m_max=1.0)
 
 
 class TestSimilarities:
+    """The block similarities s_txt and s_img, both computed by cosine_similarity."""
+
     def test_identical_matrices(self):
         m = np.random.default_rng(70).normal(size=(4, 8))
-        assert text_similarity(m, m) == 1.0
-        assert image_similarity(m, m) == 1.0
+        assert cosine_similarity(m, m) == 1.0
 
     def test_negated_matrices(self):
         m = np.random.default_rng(71).normal(size=(4, 8))
-        assert text_similarity(m, -m) == -1.0
+        assert cosine_similarity(m, -m) == -1.0
 
     def test_orthogonal_rows(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0]])
         b = np.array([[0.0, 3.0], [4.0, 0.0]])
-        assert image_similarity(a, b) == 0.0
+        assert cosine_similarity(a, b) == 0.0
 
     def test_random_pair_vs_oracle(self):
         rng = np.random.default_rng(72)
         a = rng.normal(size=(5, 7))
         b = rng.normal(size=(5, 7))
         want = cosine_rows_mean(a, b)
-        assert text_similarity(a, b) == pytest.approx(want, abs=1e-12)
-        assert image_similarity(a, b) == pytest.approx(want, abs=1e-12)
+        assert cosine_similarity(a, b) == pytest.approx(want, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            text_similarity(np.ones((2, 3)), np.ones((2, 4)))
+            cosine_similarity(np.ones((2, 3)), np.ones((2, 4)))
 
 
 class TestEditingMeasurement:
@@ -114,3 +113,8 @@ class TestAdaptiveWeight:
             Thresholds(m_min=1.0, m_max=0.9)
         with pytest.raises(ValueError):
             Thresholds(m_min=1.0, m_max=1.0)
+
+    def test_thresholds_must_be_finite(self):
+        for m_min, m_max in ((0.9, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0)):
+            with pytest.raises(ValueError):
+                Thresholds(m_min=m_min, m_max=m_max)

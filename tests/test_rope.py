@@ -43,6 +43,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             RopeConfig(head_dim=16, axis_dims=(4, 6, 6), theta_base=1.0)
 
+    def test_theta_base_must_be_finite(self):
+        with pytest.raises(ValueError):
+            RopeConfig(head_dim=16, axis_dims=(4, 6, 6), theta_base=float("inf"))
+
 
 class TestFrequencies:
     def test_first_frequency_is_one(self):
