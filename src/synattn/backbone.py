@@ -133,6 +133,8 @@ class BackboneConfig:
                 f"d_model {self.d_model} != num_heads {self.num_heads} "
                 f"* head_dim {self.head_dim}"
             )
+        if self.n_blocks < 1:
+            raise ValueError(f"n_blocks must be positive, got {self.n_blocks}")
         if not all(0 <= b < self.n_blocks for b in self.shared_blocks):
             raise ValueError(
                 f"shared_blocks {sorted(self.shared_blocks)} outside "
@@ -269,8 +271,6 @@ def block_forward(
 
 def denoise_step(x: np.ndarray, f_out: np.ndarray, t: int, n_steps: int) -> np.ndarray:
     """Euler update toward the backbone output: x + (f_out - x) / n_steps."""
-    if n_steps == 0:
-        raise ValueError("n_steps must be nonzero")
     if not 1 <= t <= n_steps:
         raise ValueError(f"timestep {t} outside [1, {n_steps}]")
     x = np.asarray(x, dtype=np.float64)

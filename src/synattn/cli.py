@@ -89,18 +89,20 @@ def _fmt(x: float) -> str:
 # config files
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_number(kind: type, raw: str, where: str, key: str | None = None):
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}': expected integer, got '{raw}'", key) from None
+        expected = "integer" if kind is int else "number"
+        raise ConfigError(f"{where}: expected {expected}, got '{raw}'", key) from None
+
+
+def _parse_int(key: str, raw: str) -> int:
+    return _parse_number(int, raw, f"key '{key}'", key)
 
 
 def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}': expected number, got '{raw}'", key) from None
+    return _parse_number(float, raw, f"key '{key}'", key)
 
 
 def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
@@ -281,7 +283,7 @@ def parse_trace(text: str) -> EditingTrace:
     that differs from the config's ``blocks``, a block ratio that is not
     ``s_img / s_txt``, an ``m_mean`` that is not the in-order mean of its
     block ratios, or timesteps that do not run from the record count down
-    to 1.
+    to 1. A malformed number is refused naming its line and field.
     """
     config_lines = []
     header_blocks = None
@@ -314,9 +316,9 @@ def parse_trace(text: str) -> EditingTrace:
                 f"line {lineno}: trace record has {len(values)} fields, "
                 f"expected {3 + 3 * n_blocks}"
             )
-        timestep = int(values[0])
-        m_mean = float(values[1])
-        weight = float(values[2])
+        timestep = _parse_number(int, values[0], f"line {lineno}: timestep")
+        m_mean = _parse_number(float, values[1], f"line {lineno}: m_mean")
+        weight = _parse_number(float, values[2], f"line {lineno}: weight_applied")
         if timestep != len(records) - row:
             raise ConfigError(
                 f"line {lineno}: timestep {timestep}, expected {len(records) - row} "
@@ -324,7 +326,10 @@ def parse_trace(text: str) -> EditingTrace:
             )
         blocks = []
         for b in range(n_blocks):
-            s_txt, s_img, ratio = (float(x) for x in values[3 + 3 * b : 6 + 3 * b])
+            s_txt, s_img, ratio = (
+                _parse_number(float, raw, f"line {lineno}: block {b} {name}")
+                for name, raw in zip(("s_txt", "s_img", "ratio"), values[3 + 3 * b : 6 + 3 * b])
+            )
             if s_txt == 0.0 or ratio != s_img / s_txt:
                 raise ConfigError(f"line {lineno}: block {b} ratio is not s_img / s_txt")
             blocks.append(

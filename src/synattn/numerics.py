@@ -4,6 +4,12 @@ Everything here is a pure function over 2-D float64 arrays. The only
 aggregation convention worth knowing: :func:`cosine_similarity` is the
 unweighted mean of per-row cosines, and rows with zero norm contribute 0
 instead of NaN.
+
+Nothing here checks finiteness; inf and NaN propagate as numpy propagates
+them. Finiteness is checked once, where values enter: config values
+(``Thresholds``, ``RopeConfig``), weights (``BlockProjection``), positions
+(``rope._as_position``), the measurement (``adaptive_weight``), and in the
+loop by ``pipeline._finite_or_abort``, once per block per branch.
 """
 
 from __future__ import annotations
@@ -24,12 +30,11 @@ class ShapeError(ValueError):
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce ``values`` to a finite 2-D float64 array (row-major)."""
+    """Coerce ``values`` to a 2-D float64 array (row-major)."""
+    # The contiguous copy picks the BLAS call path; np.asarray changes output bytes.
     m = np.ascontiguousarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
@@ -58,7 +63,8 @@ def cosine_similarity(a, b) -> float:
 
     The denominator is computed as sqrt(|a_r|^2 * |b_r|^2), which makes the
     similarity of a matrix with itself exactly 1.0. Zero-norm rows contribute
-    similarity 0. The result is clipped into [-1, 1].
+    similarity 0; a row with a NaN or inf makes the result NaN. The result is
+    clipped into [-1, 1].
     """
     a = as_matrix(a, "first argument")
     b = as_matrix(b, "second argument")
@@ -70,5 +76,5 @@ def cosine_similarity(a, b) -> float:
     sq_a = np.einsum("ij,ij->i", a, a)
     sq_b = np.einsum("ij,ij->i", b, b)
     denom = np.sqrt(sq_a * sq_b)
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0.0)
+    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
     return float(np.mean(np.clip(sims, -1.0, 1.0)))

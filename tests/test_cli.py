@@ -20,6 +20,7 @@ from synattn.cli import (
     CONFIG_FIELDS,
     ConfigError,
     build_map_inputs,
+    cmd_run,
     compute_stats,
     config_to_dict,
     main,
@@ -107,17 +108,24 @@ class TestConfigParsing:
             parse_config_text(MINIMAL + "axis_dims = 2,2,2\n")
 
 
-NON_FINITE = ("m_max = inf", "m_min = -inf", "m_min = nan", "theta_base = inf")
+# Values rejected when the config is parsed, before any weight is drawn.
+BAD_VALUES = (
+    "m_max = inf",
+    "m_min = -inf",
+    "m_min = nan",
+    "theta_base = inf",
+    "blocks = 0\nshared_blocks =",
+)
 
 
 class TestNonFiniteConfig:
-    @pytest.mark.parametrize("line", NON_FINITE)
+    @pytest.mark.parametrize("line", BAD_VALUES)
     def test_rejected_at_parse_naming_key(self, line):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(MINIMAL + line + "\n")
         assert line.split()[0] in str(exc.value)
 
-    @pytest.mark.parametrize("line", NON_FINITE)
+    @pytest.mark.parametrize("line", BAD_VALUES)
     def test_run_exits_one_without_case_directory(self, line, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(MINIMAL + line + "\n")
@@ -244,6 +252,14 @@ class TestTraceConsistency:
         with pytest.raises(ConfigError, match=f"line {lineno}: timestep 3"):
             parse_trace(text)
 
+    @pytest.mark.parametrize(
+        "col, field", [(0, "timestep: expected integer"), (4, "block 0 s_img: expected number")]
+    )
+    def test_malformed_number_names_line_and_field(self, col, field):
+        text, lineno = mutate_record(self.TEXT, 1, col, "2x")
+        with pytest.raises(ConfigError, match=f"line {lineno}: {field}, got '2x'"):
+            parse_trace(text)
+
     def test_stats_refuses_contradicting_trace(self, tmp_path, capsys):
         path = tmp_path / "t.txt"
         path.write_text(mutate_record(self.TEXT, 0, 1, "0.5")[0])
@@ -367,6 +383,18 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "timestep 7" in err and "block 2" in err
+
+    def test_non_finite_state_exits_two_without_case_directory(self, tmp_path, capsys, monkeypatch):
+        import synattn.pipeline as pipeline_mod
+
+        real = pipeline_mod.initial_noise
+        monkeypatch.setattr(pipeline_mod, "initial_noise", lambda bb: real(bb) * np.nan)
+        cfg_file = tmp_path / "edit.cfg"
+        cfg_file.write_text(MINIMAL)
+        out = tmp_path / "o"
+        assert cmd_run([str(cfg_file)], str(out)) == 2
+        assert not out.exists()
+        assert "timestep 10, block 0: source branch stream" in capsys.readouterr().err
 
 
 class TestStatsCommand:

@@ -43,9 +43,9 @@ class TestMatmul:
             matmul(np.ones((2, 3)), np.ones((4, 5)))
         assert "2x3" in str(exc.value) and "4x5" in str(exc.value)
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            matmul(np.array([[np.inf, 0.0]]), np.ones((2, 1)))
+    def test_propagates_non_finite(self):
+        got = matmul(np.array([[np.inf, 0.0]]), np.ones((2, 1)))
+        assert not np.isfinite(got[0, 0])
 
 
 class TestSoftmaxRows:
@@ -62,6 +62,11 @@ class TestSoftmaxRows:
     def test_log_two_row(self):
         got = softmax_rows([[math.log(2.0), 0.0]])
         np.testing.assert_allclose(got, [[2 / 3, 1 / 3]], atol=1e-15)
+
+    def test_propagates_nan(self):
+        got = softmax_rows([[0.0, np.nan], [0.0, 0.0]])
+        assert np.all(np.isnan(got[0]))
+        np.testing.assert_array_equal(got[1], [0.5, 0.5])
 
     @given(small_matrices)
     def test_rows_sum_to_one(self, m):
@@ -100,6 +105,12 @@ class TestCosineSimilarity:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             cosine_similarity(np.ones((2, 3)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_gives_nan(self, bad):
+        a = np.array([[1.0, bad], [1.0, 0.0]])
+        with np.errstate(invalid="ignore"):  # inf / inf
+            assert math.isnan(cosine_similarity(a, np.ones((2, 2))))
 
     def test_result_within_unit_interval(self):
         rng = np.random.default_rng(24)

@@ -177,6 +177,27 @@ class TestRunEdit:
         assert exc.value.block_index == 3
         assert "timestep 10" in str(exc.value) and "block 3" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "poison, branch", [("initial_noise", "source"), ("encode_prompt", "target")]
+    )
+    def test_non_finite_input_aborts_at_first_block(self, poison, branch, monkeypatch):
+        # NaN in the initial state (both branches) or in the target text only
+        config = small_config()
+        real = getattr(pipeline_mod, poison)
+
+        def poisoned(*args):
+            out = real(*args)
+            if poison == "initial_noise" or args[0] == config.tgt_prompt:
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(pipeline_mod, poison, poisoned)
+        with pytest.raises(NumericalAbortError) as exc:
+            run_edit(config)
+        assert exc.value.timestep == config.backbone.n_steps
+        assert exc.value.block_index == 0
+        assert f"{branch} branch stream" in str(exc.value)
+
 
 class TestRunBatch:
     def test_batch_of_one_equals_run_edit(self):
