@@ -14,6 +14,7 @@ from .attention import (
     attention_map,
     attention_weights,
     grid_position_ids,
+    image_kv,
     merge_heads,
     self_attention,
     shared_attention,
@@ -55,6 +56,7 @@ from .rope import (
     apply_rope,
     frequencies,
     oracle_rotation_matrix,
+    rotary_table,
     rotate_tokens,
     rotation_angles,
     scaled_inner_product,
@@ -70,6 +72,7 @@ __all__ = [
     "frequencies",
     "rotation_angles",
     "apply_rope",
+    "rotary_table",
     "rotate_tokens",
     "oracle_rotation_matrix",
     "scaled_inner_product",
@@ -80,6 +83,7 @@ __all__ = [
     "split_heads",
     "merge_heads",
     "attention_weights",
+    "image_kv",
     "self_attention",
     "shared_attention",
     "attention_map",

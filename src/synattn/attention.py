@@ -13,6 +13,12 @@ rotation is the identity and retrieval is purely semantic; with ``w = 1``
 positional proximity shapes it fully. :func:`self_attention` is the same
 computation with the stream as its own source.
 
+Both wrap :func:`joint_attention`, which attends over one branch's
+``[text; image]`` matrix with a prebuilt rotary table and, optionally,
+another branch's :func:`image_kv`. The denoising loop calls it through
+:func:`synattn.backbone.block_forward` and hands the source branch's image
+keys/values to the target instead of projecting them a second time.
+
 Outputs are returned before the output projection is applied; the block
 wrapper in :mod:`synattn.backbone` owns the projection and residuals.
 """
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import ShapeError, matmul, softmax_rows
-from .rope import RopeConfig, rotate_tokens
+from .rope import RopeConfig, RotaryTable, apply_rotary, rotary_table
 
 __all__ = [
     "TokenStream",
@@ -35,6 +41,8 @@ __all__ = [
     "split_heads",
     "merge_heads",
     "attention_weights",
+    "image_kv",
+    "joint_attention",
     "self_attention",
     "shared_attention",
     "attention_map",
@@ -147,56 +155,88 @@ def _check_stream(stream: TokenStream, rope: RopeConfig, name: str) -> None:
         )
 
 
+def image_kv(
+    image: np.ndarray, proj: BlockProjection, table: RotaryTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotated image keys and image values of one branch: what a shared block hands the target."""
+    return apply_rotary(matmul(image, proj.wk), table), matmul(image, proj.wv)
+
+
 def _projected_qkv(
-    tgt: TokenStream,
-    src: TokenStream,
+    tokens: np.ndarray,
+    n_txt: int,
     proj: BlockProjection,
-    rope: RopeConfig,
-    w: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Queries from the target, image keys/values from the source.
+    table: RotaryTable,
+    kv_img: tuple[np.ndarray, np.ndarray] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Queries over ``tokens``; keys/values of its text rows and of ``kv_img``.
 
-    Returns the full rotated query/key/value matrices over the concatenated
-    [text; image] sequence plus the text-token count.
+    Image queries are rotated by ``table``. Without ``kv_img`` the image
+    keys/values come from the image rows of ``tokens`` under the same table.
     """
-    if tgt.grid != src.grid:
-        raise ShapeError(f"grid mismatch: target {tgt.grid} vs source {src.grid}")
-    _check_stream(tgt, rope, "target")
-    _check_stream(src, rope, "source")
-    n_txt = tgt.n_txt
-
-    q = matmul(np.vstack([tgt.text, tgt.image]), proj.wq)
-    q_img = rotate_tokens(q[n_txt:], tgt.positions, w, rope)
-    q = np.vstack([q[:n_txt], q_img])
-
-    k_txt = matmul(tgt.text, proj.wk)
-    k_img = rotate_tokens(matmul(src.image, proj.wk), src.positions, w, rope)
-    k = np.vstack([k_txt, k_img])
-
-    v = np.vstack([matmul(tgt.text, proj.wv), matmul(src.image, proj.wv)])
-    return q, k, v, n_txt
+    q = matmul(tokens, proj.wq)
+    q[n_txt:] = apply_rotary(q[n_txt:], table)
+    if kv_img is None:
+        kv_img = image_kv(tokens[n_txt:], proj, table)
+    text = tokens[:n_txt]
+    k = np.vstack([matmul(text, proj.wk), kv_img[0]])
+    v = np.vstack([matmul(text, proj.wv), kv_img[1]])
+    return q, k, v, kv_img
 
 
 def attention_weights(q_head: np.ndarray, k_head: np.ndarray, scale: float) -> np.ndarray:
-    """Post-softmax weights of one head: row i is query i's distribution over the keys.
+    """Post-softmax weights: row i is query i's distribution over the keys.
 
-    The only place attention logits are formed and normalized; the forward
-    pass and :func:`attention_map` both call it, so a dumped map is the
-    forward pass's own arithmetic.
+    Takes one head, ``(n, hd)`` against ``(m, hd)``, or stacked heads,
+    ``(h, n, hd)`` against ``(h, m, hd)``. The only place attention logits
+    are formed and normalized; the forward pass and :func:`attention_map`
+    both call it, so a dumped map is the forward pass's own arithmetic.
     """
-    return softmax_rows(matmul(q_head, k_head.T) * scale)
+    if q_head.ndim == 2:
+        return softmax_rows(matmul(q_head, k_head.T) * scale)
+    # K^T as a contiguous copy: a strided transpose changes the output bytes.
+    logits = np.matmul(q_head, np.ascontiguousarray(k_head.transpose(0, 2, 1))) * scale
+    return softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
 
 
 def _multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, rope: RopeConfig) -> np.ndarray:
     scale = 1.0 / math.sqrt(rope.head_dim)
-    qh = split_heads(q, rope.num_heads)
-    kh = split_heads(k, rope.num_heads)
-    vh = split_heads(v, rope.num_heads)
-    outs = [
-        matmul(attention_weights(qh[h], kh[h], scale), vh[h])
-        for h in range(rope.num_heads)
-    ]
-    return merge_heads(np.stack(outs))
+    weights = attention_weights(
+        split_heads(q, rope.num_heads), split_heads(k, rope.num_heads), scale
+    )
+    return merge_heads(np.matmul(weights, split_heads(v, rope.num_heads)))
+
+
+def joint_attention(
+    tokens: np.ndarray,
+    n_txt: int,
+    proj: BlockProjection,
+    rope: RopeConfig,
+    table: RotaryTable,
+    kv_img: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt`` rows text.
+
+    ``table`` rotates the image queries (and the image keys this call
+    projects itself). ``kv_img`` is another branch's :func:`image_kv`, taken
+    in place of the branch's own. Returns the ``(n, d)`` output before the
+    output projection and the image keys/values it attended to.
+    """
+    q, k, v, kv_img = _projected_qkv(tokens, n_txt, proj, table, kv_img)
+    return _multi_head(q, k, v, rope), kv_img
+
+
+def _stream_inputs(
+    tgt: TokenStream, src: TokenStream, proj: BlockProjection, rope: RopeConfig, w: float
+) -> tuple[np.ndarray, RotaryTable, tuple[np.ndarray, np.ndarray]]:
+    """Target token matrix and rotary table, and the source's image keys/values."""
+    if tgt.grid != src.grid:
+        raise ShapeError(f"grid mismatch: target {tgt.grid} vs source {src.grid}")
+    _check_stream(tgt, rope, "target")
+    _check_stream(src, rope, "source")
+    kv_img = image_kv(src.image, proj, rotary_table(src.positions, w, rope))
+    tokens = np.vstack([tgt.text, tgt.image])
+    return tokens, rotary_table(tgt.positions, w, rope), kv_img
 
 
 def shared_attention(
@@ -212,9 +252,9 @@ def shared_attention(
     rotate(source image, w)]. Values: [target text; source image]. At
     ``w = 0`` this is exactly the rotation-free sharing variant.
     """
-    q, k, v, n_txt = _projected_qkv(tgt, src, proj, rope, w)
-    out = _multi_head(q, k, v, rope)
-    return AttentionOutput(txt=out[:n_txt], img=out[n_txt:])
+    tokens, table, kv_img = _stream_inputs(tgt, src, proj, rope, w)
+    out, _ = joint_attention(tokens, tgt.n_txt, proj, rope, table, kv_img)
+    return AttentionOutput(txt=out[: tgt.n_txt], img=out[tgt.n_txt :])
 
 
 def self_attention(
@@ -245,7 +285,9 @@ def attention_map(
     r, c = int(query_cell[0]), int(query_cell[1])
     if not (0 <= r < h and 0 <= c < wid):
         raise ValueError(f"query cell ({r}, {c}) outside {h}x{wid} grid")
-    q, k, _, n_txt = _projected_qkv(tgt, src, proj, rope, w)
+    tokens, table, kv_img = _stream_inputs(tgt, src, proj, rope, w)
+    n_txt = tgt.n_txt
+    q, k, _, _ = _projected_qkv(tokens, n_txt, proj, table, kv_img)
     query_row = n_txt + r * wid + c
     scale = 1.0 / math.sqrt(rope.head_dim)
     qh = split_heads(q, rope.num_heads)

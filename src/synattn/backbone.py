@@ -15,18 +15,13 @@ their 64-bit FNV-1a hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (
-    AttentionOutput,
-    BlockProjection,
-    TokenStream,
-    shared_attention,
-)
+from .attention import BlockProjection, joint_attention
 from .numerics import ShapeError, matmul
-from .rope import RopeConfig
+from .rope import RopeConfig, RotaryTable
 
 __all__ = [
     "MASK64",
@@ -174,6 +169,11 @@ class BlockParams:
 class BackboneParams:
     config: BackboneConfig
     blocks: tuple[BlockParams, ...]
+    rope: RopeConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # built once here, not on every config.rope access in the block loop
+        object.__setattr__(self, "rope", self.config.rope)
 
 
 # Role index of each weight matrix inside a block's seeding scheme.
@@ -235,38 +235,32 @@ def initial_noise(config: BackboneConfig) -> np.ndarray:
 
 
 def block_forward(
-    stream: TokenStream,
+    tokens: np.ndarray,
     block_index: int,
     params: BackboneParams,
-    w: float,
-    shared_src: TokenStream | None = None,
-) -> tuple[TokenStream, AttentionOutput]:
+    table: RotaryTable,
+    shared_kv: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """One block: attention, output projection, residual, 2-layer tanh MLP, residual.
 
-    When ``shared_src`` is given, image keys/values come from that stream
-    (the target side of a shared block); otherwise the block runs ordinary
-    self-attention. Returns the updated stream and the raw pre-projection
-    attention output for the measurement.
+    ``tokens`` is one branch's ``[text; image]`` matrix, its first
+    ``n_txt_tokens`` rows text; ``table`` rotates its image rows. When
+    ``shared_kv`` is given (the source branch's rotated image keys and image
+    values of this block, as this function returns them), the target side of
+    a shared block attends to those; otherwise the block runs ordinary
+    self-attention. Returns the updated matrix, the raw pre-projection
+    attention output for the measurement, and the image keys/values used.
     """
     config = params.config
     if not 0 <= block_index < config.n_blocks:
         raise ValueError(f"block index {block_index} outside [0, {config.n_blocks})")
     bp = params.blocks[block_index]
-    kv_source = shared_src if shared_src is not None else stream
-    attn = shared_attention(stream, kv_source, bp.attn, config.rope, w)
-
-    tokens = np.vstack([stream.text, stream.image])
-    tokens = tokens + matmul(np.vstack([attn.txt, attn.img]), bp.attn.wo)
-    tokens = tokens + matmul(np.tanh(matmul(tokens, bp.mlp_in)), bp.mlp_out)
-
-    n_txt = stream.n_txt
-    updated = TokenStream(
-        text=tokens[:n_txt],
-        image=tokens[n_txt:],
-        grid=stream.grid,
-        positions=stream.positions,
+    attn, kv_img = joint_attention(
+        tokens, config.n_txt_tokens, bp.attn, params.rope, table, shared_kv
     )
-    return updated, attn
+    tokens = tokens + matmul(attn, bp.attn.wo)
+    tokens = tokens + matmul(np.tanh(matmul(tokens, bp.mlp_in)), bp.mlp_out)
+    return tokens, attn, kv_img
 
 
 def denoise_step(x: np.ndarray, f_out: np.ndarray, t: int, n_steps: int) -> np.ndarray:

@@ -25,6 +25,10 @@ __all__ = [
 ]
 
 
+# Smallest positive normal float64.
+_TINY = np.finfo(np.float64).tiny
+
+
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
@@ -58,13 +62,24 @@ def softmax_rows(m) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cosines, and whether both squared norms and their product are normal numbers."""
+    sq_a = np.einsum("ij,ij->i", a, a)
+    sq_b = np.einsum("ij,ij->i", b, b)
+    prod = sq_a * sq_b
+    normal = (np.minimum(prod, np.minimum(sq_a, sq_b)) >= _TINY) & (prod < np.inf)
+    return np.einsum("ij,ij->i", a, b) / np.sqrt(prod), normal
+
+
 def cosine_similarity(a, b) -> float:
     """Mean over rows of the per-row cosine between ``a`` and ``b``.
 
     The denominator is computed as sqrt(|a_r|^2 * |b_r|^2), which makes the
-    similarity of a matrix with itself exactly 1.0. Zero-norm rows contribute
-    similarity 0; a row with a NaN or inf makes the result NaN. The result is
-    clipped into [-1, 1].
+    similarity of a matrix with itself exactly 1.0. A row whose squared norms
+    or their product leave the normal range (rows too small or too large to
+    square) is recomputed after scaling it to unit max-abs. Zero-norm rows
+    contribute similarity 0; a row with a NaN or inf makes the result NaN.
+    The result is clipped into [-1, 1].
     """
     a = as_matrix(a, "first argument")
     b = as_matrix(b, "second argument")
@@ -72,9 +87,13 @@ def cosine_similarity(a, b) -> float:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.shape[0] == 0:
         raise ShapeError("cosine similarity needs at least one row")
-    dots = np.einsum("ij,ij->i", a, b)
-    sq_a = np.einsum("ij,ij->i", a, a)
-    sq_b = np.einsum("ij,ij->i", b, b)
-    denom = np.sqrt(sq_a * sq_b)
-    sims = np.divide(dots, denom, out=np.zeros_like(dots), where=denom != 0.0)
+    with np.errstate(all="ignore"):
+        sims, normal = _row_cosines(a, b)
+        if not normal.all():
+            a, b = a[~normal], b[~normal]
+            max_a = np.max(np.abs(a), axis=1, keepdims=True)
+            max_b = np.max(np.abs(b), axis=1, keepdims=True)
+            rescaled, _ = _row_cosines(a / max_a, b / max_b)
+            live = (max_a[:, 0] != 0.0) & (max_b[:, 0] != 0.0)
+            sims[~normal] = np.where(live, rescaled, 0.0)
     return float(np.mean(np.clip(sims, -1.0, 1.0)))

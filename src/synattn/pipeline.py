@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import TokenStream
+from .attention import grid_position_ids
 from .backbone import (
     BackboneConfig,
     block_forward,
@@ -39,6 +39,7 @@ from .measurement import (
     editing_measurement,
 )
 from .numerics import cosine_similarity
+from .rope import rotary_table
 
 __all__ = [
     "PipelineConfig",
@@ -83,8 +84,8 @@ class EditingTrace:
     config: PipelineConfig
 
 
-def _finite_or_abort(stream: TokenStream, t: int, block: int, branch: str) -> None:
-    if not (np.all(np.isfinite(stream.text)) and np.all(np.isfinite(stream.image))):
+def _finite_or_abort(tokens: np.ndarray, t: int, block: int, branch: str) -> None:
+    if not np.all(np.isfinite(tokens)):
         raise NumericalAbortError(t, block, f"{branch} branch stream")
 
 
@@ -101,40 +102,44 @@ def run_edit(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, EditingTra
     x_src = initial_noise(bb)
     x_tgt = x_src.copy()
 
+    n_txt = bb.n_txt_tokens
+    positions = grid_position_ids(*bb.grid)
     records: list[StepRecord] = []
     w = 1.0 if config.w_override is None else float(config.w_override)
     m_prev: float | None = None
 
-    for t in range(bb.n_steps, 0, -1):
-        if m_prev is not None and config.w_override is None:
-            w = adaptive_weight(m_prev, config.thresholds)
+    # A non-finite value is reported once, by _finite_or_abort, not as numpy warnings.
+    with np.errstate(all="ignore"):
+        for t in range(bb.n_steps, 0, -1):
+            if m_prev is not None and config.w_override is None:
+                w = adaptive_weight(m_prev, config.thresholds)
 
-        src_stream = TokenStream(text=txt_src, image=x_src, grid=bb.grid)
-        tgt_stream = TokenStream(text=txt_tgt, image=x_tgt, grid=bb.grid)
-        block_records = []
-        for l in range(bb.n_blocks):
-            src_in = src_stream
-            src_stream, src_attn = block_forward(src_stream, l, params, w)
-            shared = src_in if l in bb.shared_blocks else None
-            tgt_stream, tgt_attn = block_forward(tgt_stream, l, params, w, shared)
-            _finite_or_abort(src_stream, t, l, "source")
-            _finite_or_abort(tgt_stream, t, l, "target")
-            s_txt = cosine_similarity(src_attn.txt, tgt_attn.txt)
-            s_img = cosine_similarity(src_attn.img, tgt_attn.img)
-            block_records.append(block_similarity(l, s_txt, s_img))
+            table = rotary_table(positions, w, params.rope)
+            src = np.vstack([txt_src, x_src])
+            tgt = np.vstack([txt_tgt, x_tgt])
+            block_records = []
+            for l in range(bb.n_blocks):
+                src, src_attn, src_kv = block_forward(src, l, params, table)
+                shared = src_kv if l in bb.shared_blocks else None
+                tgt, tgt_attn, _ = block_forward(tgt, l, params, table, shared)
+                _finite_or_abort(src, t, l, "source")
+                _finite_or_abort(tgt, t, l, "target")
+                s_txt = cosine_similarity(src_attn[:n_txt], tgt_attn[:n_txt])
+                s_img = cosine_similarity(src_attn[n_txt:], tgt_attn[n_txt:])
+                block_records.append(block_similarity(l, s_txt, s_img))
 
-        m_t = editing_measurement(block_records)
-        records.append(
-            StepRecord(
-                timestep=t,
-                blocks=tuple(block_records),
-                m_mean=m_t,
-                weight_applied=w,
+            m_t = editing_measurement(block_records)
+            records.append(
+                StepRecord(
+                    timestep=t,
+                    blocks=tuple(block_records),
+                    m_mean=m_t,
+                    weight_applied=w,
+                )
             )
-        )
-        x_src = denoise_step(x_src, src_stream.image, t, bb.n_steps)
-        x_tgt = denoise_step(x_tgt, tgt_stream.image, t, bb.n_steps)
-        m_prev = m_t
+            x_src = denoise_step(x_src, src[n_txt:], t, bb.n_steps)
+            x_tgt = denoise_step(x_tgt, tgt[n_txt:], t, bb.n_steps)
+            m_prev = m_t
 
     return x_src, x_tgt, EditingTrace(steps=tuple(records), config=config)
 

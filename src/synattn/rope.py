@@ -16,13 +16,17 @@ rotated vectors depend on positions only through their difference.
 Two independent code paths compute the same rotation: the fast pairwise
 sin/cos path (:func:`apply_rope`, :func:`rotate_tokens`) and an explicit
 block-diagonal rotation-matrix builder (:func:`oracle_rotation_matrix`)
-kept as a brute-force cross-check.
+kept as a brute-force cross-check. The per-pair frequencies are derived
+once per :class:`RopeConfig`; a :class:`RotaryTable` holds the cos/sin of
+every row for one ``(positions, w)`` pair, so a denoising step builds it
+once and applies it in every block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +37,9 @@ __all__ = [
     "frequencies",
     "rotation_angles",
     "apply_rope",
+    "RotaryTable",
+    "rotary_table",
+    "apply_rotary",
     "rotate_tokens",
     "oracle_rotation_matrix",
     "scaled_inner_product",
@@ -64,6 +71,14 @@ class RopeConfig:
             raise ValueError(f"theta_base must be finite and exceed 1, got {self.theta_base}")
         if self.num_heads < 1:
             raise ValueError(f"num_heads must be positive, got {self.num_heads}")
+        # Derived once, not dataclass fields: the frequency of every channel
+        # pair (axis segments concatenated) and the position axis it reads.
+        freqs = np.concatenate([frequencies(d, self.theta_base) for d in self.axis_dims])
+        axes = np.repeat(np.arange(self.n_axes), [d // 2 for d in self.axis_dims])
+        freqs.flags.writeable = False
+        axes.flags.writeable = False
+        object.__setattr__(self, "pair_freqs", freqs)
+        object.__setattr__(self, "pair_axes", axes)
 
     @property
     def n_axes(self) -> int:
@@ -104,12 +119,7 @@ def rotation_angles(pos, w: float, config: RopeConfig) -> np.ndarray:
     same operation down to the float.
     """
     p = _as_position(pos, config)
-    scaled = w * p
-    parts = [
-        scaled[i] * frequencies(d, config.theta_base)
-        for i, d in enumerate(config.axis_dims)
-    ]
-    return np.concatenate(parts)
+    return (w * p)[config.pair_axes] * config.pair_freqs
 
 
 def _rotate_pairs(rows: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
@@ -134,6 +144,35 @@ def apply_rope(v, pos, w: float, config: RopeConfig) -> np.ndarray:
     return _rotate_pairs(v[None, :], np.cos(angles)[None, :], np.sin(angles)[None, :])[0]
 
 
+class RotaryTable(NamedTuple):
+    """cos/sin of every channel-pair angle of every row, each ``(n, 1, head_dim // 2)``."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+
+
+def rotary_table(positions, w: float, config: RopeConfig) -> RotaryTable:
+    """The rotation of ``n`` rows at strength ``w``, built once for all heads and blocks.
+
+    Row ``r``'s pair angles are ``(w * positions)[r, axis] * theta_k``, the
+    same products :func:`rotation_angles` forms for one position.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.ndim != 2 or positions.shape[1] != config.n_axes:
+        raise ShapeError(
+            f"positions shape {positions.shape} does not match (n, {config.n_axes})"
+        )
+    angles = (w * positions)[:, config.pair_axes] * config.pair_freqs
+    return RotaryTable(np.cos(angles)[:, None, :], np.sin(angles)[:, None, :])
+
+
+def apply_rotary(tokens: np.ndarray, table: RotaryTable) -> np.ndarray:
+    """Rotate every head_dim chunk of each row of an ``(n, num_heads * head_dim)`` matrix."""
+    n = tokens.shape[0]
+    heads = tokens.reshape(n, -1, 2 * table.cos.shape[-1])
+    return _rotate_pairs(heads, table.cos, table.sin).reshape(tokens.shape)
+
+
 def rotate_tokens(tokens, positions, w: float, config: RopeConfig) -> np.ndarray:
     """Apply the rotation to every row of an ``(n, num_heads * head_dim)`` matrix.
 
@@ -152,16 +191,7 @@ def rotate_tokens(tokens, positions, w: float, config: RopeConfig) -> np.ndarray
         raise ShapeError(
             f"positions shape {positions.shape} does not match ({n}, {config.n_axes})"
         )
-    scaled = w * positions
-    angle_cols = [
-        np.outer(scaled[:, i], frequencies(d, config.theta_base))
-        for i, d in enumerate(config.axis_dims)
-    ]
-    angles = np.concatenate(angle_cols, axis=1)  # (n, head_dim // 2)
-    cos = np.cos(angles)[:, None, :]
-    sin = np.sin(angles)[:, None, :]
-    heads = tokens.reshape(n, config.num_heads, config.head_dim)
-    return _rotate_pairs(heads, cos, sin).reshape(n, config.d_model)
+    return apply_rotary(tokens, rotary_table(positions, w, config))
 
 
 def oracle_rotation_matrix(pos, w: float, config: RopeConfig) -> np.ndarray:

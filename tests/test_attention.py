@@ -10,6 +10,7 @@ from synattn import (
     ShapeError,
     TokenStream,
     attention_map,
+    attention_weights,
     grid_position_ids,
     merge_heads,
     self_attention,
@@ -164,6 +165,18 @@ class TestSharedAttention:
 
 
 class TestHeads:
+    @pytest.mark.parametrize("heads, n, head_dim", [(4, 20, 16), (24, 260, 128)])
+    def test_stacked_weights_equal_per_head_calls(self, heads, n, head_dim):
+        # toy shape and a FLUX head shape; heads are the strided views the
+        # forward pass hands the kernel
+        rng = np.random.default_rng(62)
+        q = split_heads(rng.normal(size=(n, heads * head_dim)), heads)
+        k = split_heads(rng.normal(size=(n, heads * head_dim)), heads)
+        scale = 1.0 / math.sqrt(head_dim)
+        stacked = attention_weights(q, k, scale)
+        for h in range(heads):
+            np.testing.assert_array_equal(stacked[h], attention_weights(q[h], k[h], scale))
+
     def test_split_merge_round_trip(self):
         rng = np.random.default_rng(58)
         tokens = rng.normal(size=(5, 16))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from synattn import (
+    AttentionOutput,
     BackboneConfig,
     BackboneParams,
     BlockParams,
@@ -17,13 +18,34 @@ from synattn import (
     derive_seed,
     encode_prompt,
     fnv1a64,
+    grid_position_ids,
+    image_kv,
     init_backbone,
     initial_noise,
+    rotary_table,
     self_attention,
+    shared_attention,
 )
 from synattn.backbone import WEIGHT_SCALE
 
 CFG = BackboneConfig()
+
+
+def stream_block(stream, block_index, params, w, shared_src=None):
+    """block_forward on TokenStreams, image keys/values recomputed from ``shared_src``."""
+    kv = None
+    if shared_src is not None:
+        src_table = rotary_table(shared_src.positions, w, params.rope)
+        kv = image_kv(shared_src.image, params.blocks[block_index].attn, src_table)
+    tokens, attn, _ = block_forward(
+        np.vstack([stream.text, stream.image]), block_index, params,
+        rotary_table(stream.positions, w, params.rope), kv,
+    )
+    n = stream.n_txt
+    return (
+        TokenStream(tokens[:n], tokens[n:], stream.grid, stream.positions),
+        AttentionOutput(attn[:n], attn[n:]),
+    )
 
 
 class TestGenerators:
@@ -158,7 +180,7 @@ class TestBlockForward:
         stream = TokenStream(
             rng.normal(size=(CFG.n_txt_tokens, d)), rng.normal(size=(CFG.n_img, d)), CFG.grid
         )
-        out, attn = block_forward(stream, 0, params, 1.0)
+        out, attn = stream_block(stream, 0, params, 1.0)
         np.testing.assert_array_equal(out.text, stream.text)
         np.testing.assert_array_equal(out.image, stream.image)
         np.testing.assert_array_equal(attn.txt, np.zeros_like(stream.text))
@@ -171,7 +193,7 @@ class TestBlockForward:
             rng.normal(size=(CFG.n_img, CFG.d_model)),
             CFG.grid,
         )
-        _, attn = block_forward(stream, 1, params, 0.6)
+        _, attn = stream_block(stream, 1, params, 0.6)
         want = self_attention(stream, params.blocks[1].attn, CFG.rope, 0.6)
         np.testing.assert_array_equal(attn.txt, want.txt)
         np.testing.assert_array_equal(attn.img, want.img)
@@ -187,9 +209,32 @@ class TestBlockForward:
         other = TokenStream(
             stream.text, rng.normal(size=(CFG.n_img, CFG.d_model)), CFG.grid
         )
-        plain, _ = block_forward(stream, 0, params, 1.0)
-        shared, _ = block_forward(stream, 0, params, 1.0, shared_src=other)
+        plain, _ = stream_block(stream, 0, params, 1.0)
+        shared, _ = stream_block(stream, 0, params, 1.0, shared_src=other)
         assert not np.array_equal(plain.image, shared.image)
+
+    def test_reused_source_kv_matches_recomputed(self):
+        # the denoising loop hands the target the keys/values the source
+        # block computed from its own token matrix; recomputing them from a
+        # separate source stream gives the same bytes
+        params = init_backbone(CFG)
+        rng = np.random.default_rng(86)
+        n = CFG.n_txt_tokens
+        src = rng.normal(size=(n + CFG.n_img, CFG.d_model))
+        tgt = rng.normal(size=(n + CFG.n_img, CFG.d_model))
+        table = rotary_table(grid_position_ids(*CFG.grid), 0.7, params.rope)
+        _, _, src_kv = block_forward(src, 2, params, table)
+        reused, reused_attn, _ = block_forward(tgt, 2, params, table, src_kv)
+
+        src_stream = TokenStream(src[:n].copy(), src[n:].copy(), CFG.grid)
+        tgt_stream = TokenStream(tgt[:n].copy(), tgt[n:].copy(), CFG.grid)
+        recomputed, attn = stream_block(tgt_stream, 2, params, 0.7, shared_src=src_stream)
+        np.testing.assert_array_equal(reused[:n], recomputed.text)
+        np.testing.assert_array_equal(reused[n:], recomputed.image)
+        np.testing.assert_array_equal(reused_attn[:n], attn.txt)
+        np.testing.assert_array_equal(reused_attn[n:], attn.img)
+        want = shared_attention(tgt_stream, src_stream, params.blocks[2].attn, params.rope, 0.7)
+        np.testing.assert_array_equal(reused_attn[n:], want.img)
 
     def test_block_index_validated(self):
         params = init_backbone(CFG)
@@ -199,7 +244,7 @@ class TestBlockForward:
             CFG.grid,
         )
         with pytest.raises(ValueError):
-            block_forward(stream, CFG.n_blocks, params, 1.0)
+            stream_block(stream, CFG.n_blocks, params, 1.0)
 
     def test_scalar_grid_closed_form(self):
         # 1x1 grid, one text token, one head: replay the whole block with
@@ -213,7 +258,7 @@ class TestBlockForward:
         t = rng.normal(size=6)
         i = rng.normal(size=6)
         stream = TokenStream(t[None, :], i[None, :], (1, 1))
-        out, attn = block_forward(stream, 0, params, 1.0)
+        out, attn = stream_block(stream, 0, params, 1.0)
 
         blk = params.blocks[0]
         wq, wk, wv, wo = blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo

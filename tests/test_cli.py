@@ -396,6 +396,18 @@ class TestRunCommand:
         assert not out.exists()
         assert "timestep 10, block 0: source branch stream" in capsys.readouterr().err
 
+    def test_inf_state_aborts_without_numpy_warning(self, tmp_path, recwarn, monkeypatch):
+        # inf (unlike NaN) makes numpy warn inside the loop; pytest captures
+        # such warnings, so recwarn, not stderr, is where one would show
+        import synattn.pipeline as pipeline_mod
+
+        real = pipeline_mod.initial_noise
+        monkeypatch.setattr(pipeline_mod, "initial_noise", lambda bb: real(bb) * np.inf)
+        cfg_file = tmp_path / "edit.cfg"
+        cfg_file.write_text(MINIMAL)
+        assert cmd_run([str(cfg_file)], str(tmp_path / "o")) == 2
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestStatsCommand:
     def test_stats_file_matches_compute(self, tmp_path):

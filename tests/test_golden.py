@@ -11,20 +11,25 @@ stood before the config-schema refactor (one hand-written parser, renderer
 and manifest echo per key). The two files in ``tests/golden/maps/`` were
 written by ``synattn map`` with the arguments listed in ``MAPS`` below, by
 the same code. Writing them with 1 and with 2 OpenBLAS threads gave the same
-bytes. All cases are toy width; at FLUX width the bytes depend on the BLAS
-thread count, so such a case could not be pinned.
+bytes, and :func:`test_run_outputs_match_golden_at_blas_threads` checks that
+claim on every run. All cases are toy width; at FLUX width the bytes depend
+on the BLAS thread count, so such a case could not be pinned.
 
 Nothing here regenerates the files: a mismatch means the program changed
 its output.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from synattn.cli import main
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 CASES = ("adaptive", "w_zero", "w_one", "grid_3x5", "no_shared", "mixed")
 RUN_FILES = ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json")
 MAPS = {
@@ -52,3 +57,22 @@ def test_map_output_matches_golden(probe, tmp_path):
     out = tmp_path / f"{probe}.txt"
     assert main(["map", *MAPS[probe], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "maps" / f"{probe}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
+    # a fresh process per thread count: OpenBLAS reads the variable once, at import
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    configs = [arg for case in CASES for arg in ("--config", str(GOLDEN / case / "config.cfg"))]
+    proc = subprocess.run(
+        [sys.executable, "-m", "synattn.cli", "run", *configs, "--out", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for i, case in enumerate(CASES):
+        for name in RUN_FILES:
+            got = (tmp_path / f"case_{i:03d}" / name).read_bytes()
+            assert got == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"

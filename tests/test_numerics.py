@@ -112,6 +112,18 @@ class TestCosineSimilarity:
         with np.errstate(invalid="ignore"):  # inf / inf
             assert math.isnan(cosine_similarity(a, np.ones((2, 2))))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (0.125, 1.6254e-162),  # |a|^2 * |b|^2 underflows to 0; |b|^2 is subnormal
+            (0.5, 1.6254e-162),  # the product is subnormal
+            (1e100, 1e100),  # the product overflows
+        ],
+    )
+    def test_parallel_rows_far_from_unit_norm(self, a, b):
+        got = cosine_similarity(np.full((1, 4), a), np.full((1, 4), b))
+        assert got == pytest.approx(1.0, abs=1e-12)
+
     def test_result_within_unit_interval(self):
         rng = np.random.default_rng(24)
         for _ in range(50):

@@ -164,11 +164,11 @@ class TestRunEdit:
     def test_non_finite_aborts_with_location(self, monkeypatch):
         real = pipeline_mod.block_forward
 
-        def poisoned(stream, block_index, params, w, shared_src=None):
-            out, attn = real(stream, block_index, params, w, shared_src)
+        def poisoned(tokens, block_index, params, table, shared_kv=None):
+            out, attn, kv = real(tokens, block_index, params, table, shared_kv)
             if block_index == 3:
-                out.image[0, 0] = np.inf
-            return out, attn
+                out[params.config.n_txt_tokens, 0] = np.inf
+            return out, attn, kv
 
         monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
         with pytest.raises(NumericalAbortError) as exc:
