@@ -1,7 +1,8 @@
 """Where a target query looks inside the source image, as the weight varies.
 
-Builds a probe stream in which every image token carries identical content
-except one brighter token placed away from the query. Content then gives the
+Builds a probe branch, one [text; image] matrix, in which every image token
+carries identical content except one brighter token placed away from the
+query. The probe serves as both target and source. Content then gives the
 attention no reason to prefer any cell but the bright one, so the map shows
 the positional term in isolation: at w = 1 the query retrieves its own
 neighborhood, at w = 0 it retrieves the bright token wherever it sits.
@@ -9,7 +10,7 @@ neighborhood, at w = 0 it retrieves the bright token wherever it sits.
 
 import numpy as np
 
-from synattn import BlockProjection, TokenStream, attention_map, encode_prompt
+from synattn import BlockProjection, attention_map, encode_prompt
 from synattn.backbone import BackboneConfig
 
 bb = BackboneConfig(grid=(6, 6))
@@ -23,7 +24,7 @@ base = np.ones(bb.d_model)
 image = np.tile(base, (h * w, 1))
 image[bump_cell[0] * w + bump_cell[1]] *= 1.2
 
-stream = TokenStream(encode_prompt("probe tokens", bb), image, bb.grid)
+tokens = np.vstack([encode_prompt("probe tokens", bb), image])
 eye = np.eye(bb.d_model)
 proj = BlockProjection(eye, eye, eye, eye)
 
@@ -43,7 +44,7 @@ def ascii_heatmap(grid):
 
 print(f"query cell: {query_cell}   bright content cell: {bump_cell}\n")
 for weight in (1.0, 0.5, 0.0):
-    grid = attention_map(stream, stream, proj, cfg, weight, query_cell)
+    grid = attention_map(tokens, image, bb.grid, proj, cfg, weight, query_cell)
     peak = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"w = {weight:4.2f}   peak at {tuple(int(x) for x in peak)}   sum = {grid.sum():.12f}")
     print(ascii_heatmap(grid))

@@ -8,16 +8,12 @@ every number is reproducible and checkable against brute-force oracles.
 
 from ._version import __version__
 from .attention import (
-    AttentionOutput,
     BlockProjection,
-    TokenStream,
     attention_map,
     attention_weights,
     grid_position_ids,
     image_kv,
     merge_heads,
-    self_attention,
-    shared_attention,
     split_heads,
 )
 from .backbone import (
@@ -57,7 +53,6 @@ from .rope import (
     frequencies,
     oracle_rotation_matrix,
     rotary_table,
-    rotate_tokens,
     rotation_angles,
     scaled_inner_product,
 )
@@ -73,19 +68,14 @@ __all__ = [
     "rotation_angles",
     "apply_rope",
     "rotary_table",
-    "rotate_tokens",
     "oracle_rotation_matrix",
     "scaled_inner_product",
-    "TokenStream",
     "BlockProjection",
-    "AttentionOutput",
     "grid_position_ids",
     "split_heads",
     "merge_heads",
     "attention_weights",
     "image_kv",
-    "self_attention",
-    "shared_attention",
     "attention_map",
     "Thresholds",
     "BlockSimilarity",

@@ -1,23 +1,22 @@
 """Joint text+image multi-head attention for one transformer block.
 
-A branch's state is a :class:`TokenStream`: text tokens, image tokens laid
-out on a grid, and the per-image-token position ids. Attention always runs
-over the concatenated [text; image] sequence. Image-token queries and keys
-receive the rotary embedding at strength ``w``; text tokens carry all-zero
-position ids and are never rotated.
+A branch's state is one ``[text; image]`` matrix: its first ``n_txt`` rows
+are text tokens, the rest image tokens laid out row-major on a grid
+(:func:`grid_position_ids`). Attention always runs over the whole matrix.
+Image-token queries and keys are rotated by a :class:`~synattn.rope.RotaryTable`
+built at strength ``w``; text tokens are never rotated.
 
-:func:`shared_attention` is the editing primitive: target queries attend to
-target text keys/values but to the *source* image keys/values, so target
-tokens retrieve visual content from the source branch. With ``w = 0`` the
-rotation is the identity and retrieval is purely semantic; with ``w = 1``
-positional proximity shapes it fully. :func:`self_attention` is the same
-computation with the stream as its own source.
-
-Both wrap :func:`joint_attention`, which attends over one branch's
-``[text; image]`` matrix with a prebuilt rotary table and, optionally,
-another branch's :func:`image_kv`. The denoising loop calls it through
-:func:`synattn.backbone.block_forward` and hands the source branch's image
-keys/values to the target instead of projecting them a second time.
+:func:`joint_attention` is the one attention entry point. Handed another
+branch's :func:`image_kv`, it is the editing primitive: target queries
+attend to target text keys/values but to the *source* image keys/values,
+so target tokens retrieve visual content from the source branch. With
+``w = 0`` the rotation is the identity and retrieval is purely semantic;
+with ``w = 1`` positional proximity shapes it fully. Without it, the branch
+attends to its own image keys/values. The denoising loop calls it through
+:func:`synattn.backbone.block_forward`, which hands the source branch's
+image keys/values to the target instead of projecting them a second time.
+:func:`attention_map` reads one target query's weights from the same
+arithmetic.
 
 Outputs are returned before the output projection is applied; the block
 wrapper in :mod:`synattn.backbone` owns the projection and residuals.
@@ -34,17 +33,13 @@ from .numerics import ShapeError, matmul, softmax_rows
 from .rope import RopeConfig, RotaryTable, apply_rotary, rotary_table
 
 __all__ = [
-    "TokenStream",
     "BlockProjection",
-    "AttentionOutput",
     "grid_position_ids",
     "split_heads",
     "merge_heads",
     "attention_weights",
     "image_kv",
     "joint_attention",
-    "self_attention",
-    "shared_attention",
     "attention_map",
 ]
 
@@ -55,56 +50,6 @@ def grid_position_ids(height: int, width: int) -> np.ndarray:
         raise ValueError(f"grid must be at least 1x1, got {height}x{width}")
     rows, cols = np.divmod(np.arange(height * width, dtype=np.float64), float(width))
     return np.column_stack([np.zeros(height * width), rows, cols])
-
-
-@dataclass
-class TokenStream:
-    """One branch's token state: text tokens, grid image tokens, position ids.
-
-    ``positions`` defaults to the canonical row-major grid layout; tests may
-    pass a permuted table to move tokens together with their positions.
-    """
-
-    text: np.ndarray
-    image: np.ndarray
-    grid: tuple[int, int]
-    positions: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.text = np.asarray(self.text, dtype=np.float64)
-        self.image = np.asarray(self.image, dtype=np.float64)
-        self.grid = (int(self.grid[0]), int(self.grid[1]))
-        h, w = self.grid
-        if self.text.ndim != 2 or self.image.ndim != 2:
-            raise ShapeError("text and image token sets must be 2-D matrices")
-        if self.image.shape[0] != h * w:
-            raise ShapeError(
-                f"{self.image.shape[0]} image tokens do not fill a {h}x{w} grid"
-            )
-        if self.text.shape[1] != self.image.shape[1]:
-            raise ShapeError(
-                f"text width {self.text.shape[1]} != image width {self.image.shape[1]}"
-            )
-        if self.positions is None:
-            self.positions = grid_position_ids(h, w)
-        else:
-            self.positions = np.asarray(self.positions, dtype=np.float64)
-            if self.positions.shape != (h * w, 3):
-                raise ShapeError(
-                    f"positions shape {self.positions.shape} != ({h * w}, 3)"
-                )
-
-    @property
-    def n_txt(self) -> int:
-        return self.text.shape[0]
-
-    @property
-    def n_img(self) -> int:
-        return self.image.shape[0]
-
-    @property
-    def d_model(self) -> int:
-        return self.text.shape[1]
 
 
 @dataclass(frozen=True)
@@ -126,14 +71,6 @@ class BlockProjection:
             object.__setattr__(self, name, m)
 
 
-@dataclass(frozen=True)
-class AttentionOutput:
-    """Per-token attention output, split by modality, before the output projection."""
-
-    txt: np.ndarray
-    img: np.ndarray
-
-
 def split_heads(tokens: np.ndarray, num_heads: int) -> np.ndarray:
     """(n, d_model) -> (num_heads, n, head_dim), contiguous chunks per head."""
     n, d = tokens.shape
@@ -146,13 +83,6 @@ def merge_heads(heads: np.ndarray) -> np.ndarray:
     """Inverse of :func:`split_heads`."""
     nh, n, hd = heads.shape
     return heads.transpose(1, 0, 2).reshape(n, nh * hd)
-
-
-def _check_stream(stream: TokenStream, rope: RopeConfig, name: str) -> None:
-    if stream.d_model != rope.d_model:
-        raise ShapeError(
-            f"{name} stream width {stream.d_model} != num_heads*head_dim {rope.d_model}"
-        )
 
 
 def image_kv(
@@ -184,18 +114,16 @@ def _projected_qkv(
     return q, k, v, kv_img
 
 
-def attention_weights(q_head: np.ndarray, k_head: np.ndarray, scale: float) -> np.ndarray:
-    """Post-softmax weights: row i is query i's distribution over the keys.
+def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """Post-softmax weights of stacked heads: ``(h, n, hd)`` queries against ``(h, m, hd)`` keys.
 
-    Takes one head, ``(n, hd)`` against ``(m, hd)``, or stacked heads,
-    ``(h, n, hd)`` against ``(h, m, hd)``. The only place attention logits
-    are formed and normalized; the forward pass and :func:`attention_map`
-    both call it, so a dumped map is the forward pass's own arithmetic.
+    Row ``i`` of head ``j`` is query ``i``'s distribution over the keys. The
+    only place attention logits are formed and normalized; the forward pass
+    and :func:`attention_map` both call it, so a dumped map is the forward
+    pass's own arithmetic.
     """
-    if q_head.ndim == 2:
-        return softmax_rows(matmul(q_head, k_head.T) * scale)
     # K^T as a contiguous copy: a strided transpose changes the output bytes.
-    logits = np.matmul(q_head, np.ascontiguousarray(k_head.transpose(0, 2, 1))) * scale
+    logits = np.matmul(q, np.ascontiguousarray(k.transpose(0, 2, 1))) * scale
     return softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
 
 
@@ -226,50 +154,12 @@ def joint_attention(
     return _multi_head(q, k, v, rope), kv_img
 
 
-def _stream_inputs(
-    tgt: TokenStream, src: TokenStream, proj: BlockProjection, rope: RopeConfig, w: float
-) -> tuple[np.ndarray, RotaryTable, tuple[np.ndarray, np.ndarray]]:
-    """Target token matrix and rotary table, and the source's image keys/values."""
-    if tgt.grid != src.grid:
-        raise ShapeError(f"grid mismatch: target {tgt.grid} vs source {src.grid}")
-    _check_stream(tgt, rope, "target")
-    _check_stream(src, rope, "source")
-    kv_img = image_kv(src.image, proj, rotary_table(src.positions, w, rope))
-    tokens = np.vstack([tgt.text, tgt.image])
-    return tokens, rotary_table(tgt.positions, w, rope), kv_img
-
-
-def shared_attention(
-    tgt: TokenStream,
-    src: TokenStream,
-    proj: BlockProjection,
-    rope: RopeConfig,
-    w: float,
-) -> AttentionOutput:
-    """Attention of the target stream with image keys/values taken from the source.
-
-    Queries: [target text; rotate(target image, w)]. Keys: [target text;
-    rotate(source image, w)]. Values: [target text; source image]. At
-    ``w = 0`` this is exactly the rotation-free sharing variant.
-    """
-    tokens, table, kv_img = _stream_inputs(tgt, src, proj, rope, w)
-    out, _ = joint_attention(tokens, tgt.n_txt, proj, rope, table, kv_img)
-    return AttentionOutput(txt=out[: tgt.n_txt], img=out[tgt.n_txt :])
-
-
-def self_attention(
-    stream: TokenStream,
-    proj: BlockProjection,
-    rope: RopeConfig,
-    w: float,
-) -> AttentionOutput:
-    """Ordinary joint attention: the stream serves as its own key/value source."""
-    return shared_attention(stream, stream, proj, rope, w)
 
 
 def attention_map(
-    tgt: TokenStream,
-    src: TokenStream,
+    tokens: np.ndarray,
+    src_image: np.ndarray,
+    grid: tuple[int, int],
     proj: BlockProjection,
     rope: RopeConfig,
     w: float,
@@ -277,28 +167,35 @@ def attention_map(
 ) -> np.ndarray:
     """Where one target image query looks inside the source image.
 
-    Takes the post-softmax attention weights of the query token at
-    ``query_cell``, averaged over heads, restricted to source image keys and
-    renormalized to sum to 1. Returned as a (height, width) grid.
+    ``tokens`` is the target's ``[text; image]`` matrix and ``src_image`` the
+    source's image rows, both on the row-major ``grid``. Takes the
+    post-softmax attention weights of the query token at ``query_cell``,
+    averaged over heads, restricted to source image keys and renormalized
+    to sum to 1. Returned as a (height, width) grid.
     """
-    h, wid = tgt.grid
+    h, wid = int(grid[0]), int(grid[1])
     r, c = int(query_cell[0]), int(query_cell[1])
     if not (0 <= r < h and 0 <= c < wid):
         raise ValueError(f"query cell ({r}, {c}) outside {h}x{wid} grid")
-    tokens, table, kv_img = _stream_inputs(tgt, src, proj, rope, w)
-    n_txt = tgt.n_txt
-    q, k, _, _ = _projected_qkv(tokens, n_txt, proj, table, kv_img)
-    query_row = n_txt + r * wid + c
-    scale = 1.0 / math.sqrt(rope.head_dim)
-    qh = split_heads(q, rope.num_heads)
-    kh = split_heads(k, rope.num_heads)
-    acc = np.zeros(h * wid, dtype=np.float64)
-    for head in range(rope.num_heads):
-        # one query row, not a row sliced from the full matrix: a gemv and a
-        # gemm row need not agree in the last bit
-        weights = attention_weights(qh[head][query_row : query_row + 1], kh[head], scale)[0]
-        acc += weights[n_txt:]
-    acc /= rope.num_heads
+    n_txt = tokens.shape[0] - h * wid
+    if n_txt < 0 or src_image.shape[0] != h * wid:
+        raise ShapeError(
+            f"{tokens.shape[0]} target rows and {src_image.shape[0]} source image rows "
+            f"do not fill a {h}x{wid} grid"
+        )
+    if tokens.shape[1] != rope.d_model:
+        raise ShapeError(f"token width {tokens.shape[1]} != num_heads*head_dim {rope.d_model}")
+    table = rotary_table(grid_position_ids(h, wid), w, rope)
+    q, k, _, _ = _projected_qkv(tokens, n_txt, proj, table, image_kv(src_image, proj, table))
+    row = n_txt + r * wid + c
+    # one query row, not a row sliced from the full matrix: a gemv and a
+    # gemm row need not agree in the last bit
+    weights = attention_weights(
+        split_heads(q[row : row + 1], rope.num_heads),
+        split_heads(k, rope.num_heads),
+        1.0 / math.sqrt(rope.head_dim),
+    )
+    acc = weights[:, 0, n_txt:].sum(axis=0) / rope.num_heads
     total = acc.sum()
     if total <= 0.0:
         raise ValueError("attention map has no mass on image keys")

@@ -36,7 +36,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .attention import BlockProjection, TokenStream, attention_map
+from .attention import BlockProjection, attention_map
 from .backbone import BackboneConfig, encode_prompt, init_backbone, initial_noise
 from .measurement import (
     BlockSimilarity,
@@ -444,7 +444,7 @@ def build_map_inputs(
     block: int | None,
     query_cell: tuple[int, int],
 ):
-    """Streams, projections and block index for one attention-map dump.
+    """Target ``[text; image]`` matrix, source image rows, projections and block index for one map.
 
     probe = 'prompts': both branches at the start of denoising (shared
     noise, prompt-encoded text), projections of the chosen block.
@@ -465,9 +465,8 @@ def build_map_inputs(
     if probe == "prompts":
         params = init_backbone(bb)
         noise = initial_noise(bb)
-        src = TokenStream(encode_prompt(config.src_prompt, bb), noise, bb.grid)
-        tgt = TokenStream(encode_prompt(config.tgt_prompt, bb), noise.copy(), bb.grid)
-        return tgt, src, params.blocks[block].attn, block
+        tokens = np.vstack([encode_prompt(config.tgt_prompt, bb), noise])
+        return tokens, noise, params.blocks[block].attn, block
 
     if probe == "constant-field":
         dr, dc = h // 2, w // 2
@@ -478,10 +477,9 @@ def build_map_inputs(
         r, c = query_cell
         bump = ((r + dr) % h) * w + ((c + dc) % w)
         image[bump] *= PROBE_BUMP_SCALE
-        text = encode_prompt(config.src_prompt, bb)
-        stream = TokenStream(text, image, bb.grid)
+        tokens = np.vstack([encode_prompt(config.src_prompt, bb), image])
         eye = np.eye(bb.d_model)
-        return stream, stream, BlockProjection(eye, eye, eye, eye), block
+        return tokens, image, BlockProjection(eye, eye, eye, eye), block
 
     raise ConfigError(f"unknown probe '{probe}'")
 
@@ -554,8 +552,9 @@ def cmd_map(
     if not 0.0 <= w_value <= 1.0:
         raise ConfigError(f"--w must be in [0, 1], got {w_value}")
     config = parse_config_text(Path(config_path).read_text())
-    tgt, src, proj, block_used = build_map_inputs(config, probe, block, cell)
-    grid = attention_map(tgt, src, proj, config.backbone.rope, w_value, cell)
+    tokens, src_image, proj, block_used = build_map_inputs(config, probe, block, cell)
+    bb = config.backbone
+    grid = attention_map(tokens, src_image, bb.grid, proj, bb.rope, w_value, cell)
     comments = (
         f"query_cell: {cell[0]} {cell[1]}",
         f"w: {_fmt(w_value)}",
@@ -633,8 +632,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Evaluates the attention map of the query token at --cell over the "
             "source image keys at rotary weight --w, at the start of denoising. "
-            "probe 'prompts' uses the config's prompt streams and the weights of "
-            "--block (default: lowest shared block); probe 'constant-field' uses "
+            "probe 'prompts' encodes the config's prompts over the initial noise "
+            "and uses the weights of --block (default: lowest shared block); "
+            "probe 'constant-field' uses "
             "a uniform image with one bump token half a grid away from the query "
             "and identity projections, isolating the positional term."
         ),
@@ -648,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--probe",
         choices=("prompts", "constant-field"),
         default="prompts",
-        help="stream construction (default: prompts)",
+        help="how the map's inputs are built (default: prompts)",
     )
     map_p.set_defaults(
         func=lambda a: cmd_map(a.config, _parse_cell(a.cell), a.w, a.out, a.block, a.probe)
@@ -664,7 +664,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (NumericalAbortError, OSError, ValueError) as exc:
+    except (NumericalAbortError, OSError, ValueError, MemoryError) as exc:
         code = _exit_code(exc)
         print(f"{'numerical abort' if code == 2 else 'error'}: {exc}", file=sys.stderr)
         return code

@@ -14,12 +14,13 @@ the effective relative displacement between tokens. Inner products of
 rotated vectors depend on positions only through their difference.
 
 Two independent code paths compute the same rotation: the fast pairwise
-sin/cos path (:func:`apply_rope`, :func:`rotate_tokens`) and an explicit
-block-diagonal rotation-matrix builder (:func:`oracle_rotation_matrix`)
-kept as a brute-force cross-check. The per-pair frequencies are derived
-once per :class:`RopeConfig`; a :class:`RotaryTable` holds the cos/sin of
-every row for one ``(positions, w)`` pair, so a denoising step builds it
-once and applies it in every block.
+sin/cos path (:func:`apply_rope` for one head vector, :func:`apply_rotary`
+for every head of a token matrix) and an explicit block-diagonal
+rotation-matrix builder (:func:`oracle_rotation_matrix`) kept as a
+brute-force cross-check. The per-pair frequencies are derived once per
+:class:`RopeConfig`; a :class:`RotaryTable`, built by :func:`rotary_table`,
+holds the cos/sin of every row for one ``(positions, w)`` pair, so a
+denoising step builds it once and applies it in every block.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "RotaryTable",
     "rotary_table",
     "apply_rotary",
-    "rotate_tokens",
     "oracle_rotation_matrix",
     "scaled_inner_product",
 ]
@@ -171,27 +171,6 @@ def apply_rotary(tokens: np.ndarray, table: RotaryTable) -> np.ndarray:
     n = tokens.shape[0]
     heads = tokens.reshape(n, -1, 2 * table.cos.shape[-1])
     return _rotate_pairs(heads, table.cos, table.sin).reshape(tokens.shape)
-
-
-def rotate_tokens(tokens, positions, w: float, config: RopeConfig) -> np.ndarray:
-    """Apply the rotation to every row of an ``(n, num_heads * head_dim)`` matrix.
-
-    Each row is split into ``num_heads`` contiguous head_dim chunks and every
-    chunk receives the same rotation for that row's position.
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    positions = np.asarray(positions, dtype=np.float64)
-    n = tokens.shape[0]
-    if tokens.ndim != 2 or tokens.shape[1] != config.d_model:
-        raise ShapeError(
-            f"token matrix shape {tokens.shape} does not match "
-            f"num_heads*head_dim = {config.d_model}"
-        )
-    if positions.shape != (n, config.n_axes):
-        raise ShapeError(
-            f"positions shape {positions.shape} does not match ({n}, {config.n_axes})"
-        )
-    return apply_rotary(tokens, rotary_table(positions, w, config))
 
 
 def oracle_rotation_matrix(pos, w: float, config: RopeConfig) -> np.ndarray:

@@ -54,7 +54,7 @@ def rotate_head_vector(v, pos, w, axis_dims, theta_base):
     return out
 
 
-def naive_shared_attention(
+def naive_joint_attention(
     tgt_text,
     tgt_image,
     src_image,
@@ -70,7 +70,7 @@ def naive_shared_attention(
     w,
     use_rope=True,
 ):
-    """Loop-based shared attention, pre-output-projection.
+    """Loop-based joint attention with shared image keys/values, pre-output-projection.
 
     Queries from [target text; target image], keys/values from
     [target text; source image]; image rows optionally rotated.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (
-    naive_shared_attention,
+    naive_joint_attention,
     percentile_nearest_rank,
     rotate_head_vector,
 )
@@ -20,14 +20,16 @@ from synattn import (
     BlockProjection,
     RopeConfig,
     Thresholds,
-    TokenStream,
     adaptive_weight,
     apply_rope,
     encode_prompt,
+    grid_position_ids,
+    image_kv,
     oracle_rotation_matrix,
+    rotary_table,
     scaled_inner_product,
-    shared_attention,
 )
+from synattn.attention import joint_attention
 from synattn.cli import PROBE_BUMP_SCALE, main, parse_config_text, parse_matrix, parse_trace
 
 FULL = RopeConfig()  # head_dim 128, splits (16, 56, 56)
@@ -139,30 +141,22 @@ def test_criterion_03_scaling_law():
 def test_criterion_04_zero_weight_collapses_to_rotation_free_sharing():
     rng = np.random.default_rng(104)
     worst = 0.0
+    positions = grid_position_ids(2, 2)
+    table = rotary_table(positions, 0.0, ATTN_CFG)
     for _ in range(5):
-        tgt = TokenStream(
-            rng.normal(size=(2, ATTN_CFG.d_model)),
-            rng.normal(size=(4, ATTN_CFG.d_model)),
-            (2, 2),
-        )
-        src = TokenStream(
-            rng.normal(size=(2, ATTN_CFG.d_model)),
-            rng.normal(size=(4, ATTN_CFG.d_model)),
-            (2, 2),
-        )
+        # [text; image] matrices of both branches; only the source's image
+        # rows enter the target's attention
+        tgt = rng.normal(size=(6, ATTN_CFG.d_model))
+        src_image = rng.normal(size=(6, ATTN_CFG.d_model))[2:]
         proj = BlockProjection(*(rng.normal(size=(16, 16)) * 0.4 for _ in range(4)))
-        got = shared_attention(tgt, src, proj, ATTN_CFG, 0.0)
-        want_txt, want_img = naive_shared_attention(
-            tgt.text, tgt.image, src.image, tgt.positions, src.positions,
+        got, _ = joint_attention(tgt, 2, proj, ATTN_CFG, table, image_kv(src_image, proj, table))
+        want_txt, want_img = naive_joint_attention(
+            tgt[:2], tgt[2:], src_image, positions, positions,
             proj.wq, proj.wk, proj.wv,
             ATTN_CFG.num_heads, ATTN_CFG.head_dim, ATTN_CFG.axis_dims,
             ATTN_CFG.theta_base, w=0.0, use_rope=False,
         )
-        worst = max(
-            worst,
-            float(np.abs(got.txt - want_txt).max()),
-            float(np.abs(got.img - want_img).max()),
-        )
+        worst = max(worst, float(np.abs(got - np.vstack([want_txt, want_img])).max()))
     assert worst <= 1e-12
     print(f"[criterion 4] PASS w=0 sharing equals rotation-free reference: max diff {worst:.3e}")
 

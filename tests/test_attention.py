@@ -3,54 +3,55 @@ import math
 import numpy as np
 import pytest
 
-from oracles import naive_shared_attention
+from oracles import naive_joint_attention
 from synattn import (
     BlockProjection,
     RopeConfig,
     ShapeError,
-    TokenStream,
     attention_map,
     attention_weights,
     grid_position_ids,
+    image_kv,
+    matmul,
     merge_heads,
-    self_attention,
-    shared_attention,
+    rotary_table,
+    softmax_rows,
     split_heads,
 )
+from synattn.attention import joint_attention
 
 CFG = RopeConfig(head_dim=8, axis_dims=(2, 2, 4), num_heads=2)  # d_model 16
 
 
-def random_stream(rng, n_txt, grid, d_model):
-    h, w = grid
-    return TokenStream(
-        text=rng.normal(size=(n_txt, d_model)),
-        image=rng.normal(size=(h * w, d_model)),
-        grid=grid,
-    )
+def random_tokens(rng, n_txt, grid, d_model):
+    """A branch's ``[text; image]`` matrix: ``n_txt`` text rows, then one row per grid cell."""
+    return rng.normal(size=(n_txt + grid[0] * grid[1], d_model))
+
+
+def grid_table(grid, w):
+    return rotary_table(grid_position_ids(*grid), w, CFG)
 
 
 def random_projection(rng, d_model):
     return BlockProjection(*(rng.normal(size=(d_model, d_model)) * 0.3 for _ in range(4)))
 
 
-class TestTokenStream:
-    def test_grid_position_ids_layout(self):
-        ids = grid_position_ids(2, 3)
-        np.testing.assert_array_equal(ids[4], [0.0, 1.0, 1.0])  # row 4 -> cell (1, 1)
-        assert ids.shape == (6, 3)
+def oracle(tgt, n_txt, src_image, proj, w, use_rope=True):
+    """Loop-written shared attention of ``tgt`` over a 2x2 ``src_image``, stacked like joint_attention's output."""
+    positions = grid_position_ids(2, 2)
+    want_txt, want_img = naive_joint_attention(
+        tgt[:n_txt], tgt[n_txt:], src_image, positions, positions,
+        proj.wq, proj.wk, proj.wv,
+        CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base,
+        w=w, use_rope=use_rope,
+    )
+    return np.vstack([want_txt, want_img])
 
-    def test_token_count_must_fill_grid(self):
-        with pytest.raises(ShapeError):
-            TokenStream(np.ones((1, 4)), np.ones((5, 4)), (2, 3))
 
-    def test_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            TokenStream(np.ones((1, 4)), np.ones((6, 8)), (2, 3))
-
-    def test_explicit_positions_validated(self):
-        with pytest.raises(ShapeError):
-            TokenStream(np.ones((1, 4)), np.ones((6, 4)), (2, 3), positions=np.zeros((5, 3)))
+def test_grid_position_ids_layout():
+    ids = grid_position_ids(2, 3)
+    np.testing.assert_array_equal(ids[4], [0.0, 1.0, 1.0])  # row 4 -> cell (1, 1)
+    assert ids.shape == (6, 3)
 
 
 class TestSelfAttention:
@@ -62,12 +63,14 @@ class TestSelfAttention:
         rng = np.random.default_rng(50)
         t = rng.normal(size=6)
         i = rng.normal(size=6)
-        stream = TokenStream(t[None, :], i[None, :], (1, 1))
         eye = np.eye(6)
-        out = self_attention(stream, BlockProjection(eye, eye, eye, eye), cfg, 1.0)
+        table = rotary_table(grid_position_ids(1, 1), 1.0, cfg)
+        out, _ = joint_attention(
+            np.vstack([t, i]), 1, BlockProjection(eye, eye, eye, eye), cfg, table
+        )
 
         scale = 1.0 / math.sqrt(6.0)
-        for query, got in ((t, out.txt[0]), (i, out.img[0])):
+        for query, got in ((t, out[0]), (i, out[1])):
             lt = sum(query[d] * t[d] for d in range(6)) * scale
             li = sum(query[d] * i[d] for d in range(6)) * scale
             mx = max(lt, li)
@@ -77,105 +80,93 @@ class TestSelfAttention:
 
     def test_zero_weight_equals_zero_positions(self):
         rng = np.random.default_rng(51)
-        stream = random_stream(rng, 3, (2, 2), CFG.d_model)
-        zeroed = TokenStream(
-            stream.text, stream.image, stream.grid, positions=np.zeros((4, 3))
-        )
+        tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
-        a = self_attention(stream, proj, CFG, 0.0)
-        b = self_attention(zeroed, proj, CFG, 1.0)
-        np.testing.assert_array_equal(a.txt, b.txt)
-        np.testing.assert_array_equal(a.img, b.img)
+        a, _ = joint_attention(tokens, 3, proj, CFG, grid_table((2, 2), 0.0))
+        b, _ = joint_attention(tokens, 3, proj, CFG, rotary_table(np.zeros((4, 3)), 1.0, CFG))
+        np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance(self):
+        # moving image tokens together with their positions permutes the
+        # image outputs and leaves the text outputs alone
         rng = np.random.default_rng(52)
-        stream = random_stream(rng, 2, (2, 3), CFG.d_model)
+        n_txt = 2
+        tokens = random_tokens(rng, n_txt, (2, 3), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
         perm = rng.permutation(6)
-        permuted = TokenStream(
-            stream.text,
-            stream.image[perm],
-            stream.grid,
-            positions=stream.positions[perm],
-        )
-        base = self_attention(stream, proj, CFG, 0.7)
-        moved = self_attention(permuted, proj, CFG, 0.7)
-        assert np.abs(moved.img - base.img[perm]).max() <= 1e-12
-        assert np.abs(moved.txt - base.txt).max() <= 1e-12
+        permuted = np.vstack([tokens[:n_txt], tokens[n_txt:][perm]])
+        moved_table = rotary_table(grid_position_ids(2, 3)[perm], 0.7, CFG)
+        base, _ = joint_attention(tokens, n_txt, proj, CFG, grid_table((2, 3), 0.7))
+        moved, _ = joint_attention(permuted, n_txt, proj, CFG, moved_table)
+        assert np.abs(moved[n_txt:] - base[n_txt:][perm]).max() <= 1e-12
+        assert np.abs(moved[:n_txt] - base[:n_txt]).max() <= 1e-12
 
 
 class TestSharedAttention:
-    def test_identical_streams_match_self_attention_bitwise(self):
+    def test_own_image_kv_matches_default_bitwise(self):
         rng = np.random.default_rng(53)
-        stream = random_stream(rng, 3, (2, 2), CFG.d_model)
+        tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
-        a = self_attention(stream, proj, CFG, 0.4)
-        b = shared_attention(stream, stream, proj, CFG, 0.4)
-        np.testing.assert_array_equal(a.txt, b.txt)
-        np.testing.assert_array_equal(a.img, b.img)
+        table = grid_table((2, 2), 0.4)
+        a, kv = joint_attention(tokens, 3, proj, CFG, table)
+        b, _ = joint_attention(tokens, 3, proj, CFG, table, image_kv(tokens[3:], proj, table))
+        np.testing.assert_array_equal(a, b)
+        want_k, want_v = image_kv(tokens[3:], proj, table)
+        np.testing.assert_array_equal(kv[0], want_k)
+        np.testing.assert_array_equal(kv[1], want_v)
 
     def test_zero_weight_equals_rotation_free_reference(self):
         rng = np.random.default_rng(54)
-        tgt = random_stream(rng, 2, (2, 2), CFG.d_model)
-        src = random_stream(rng, 2, (2, 2), CFG.d_model)
+        tgt = random_tokens(rng, 2, (2, 2), CFG.d_model)
+        src_image = random_tokens(rng, 0, (2, 2), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
-        got = shared_attention(tgt, src, proj, CFG, 0.0)
-        want_txt, want_img = naive_shared_attention(
-            tgt.text, tgt.image, src.image, tgt.positions, src.positions,
-            proj.wq, proj.wk, proj.wv,
-            CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base,
-            w=0.0, use_rope=False,
-        )
-        assert np.abs(got.txt - want_txt).max() <= 1e-12
-        assert np.abs(got.img - want_img).max() <= 1e-12
+        table = grid_table((2, 2), 0.0)
+        got, _ = joint_attention(tgt, 2, proj, CFG, table, image_kv(src_image, proj, table))
+        want = oracle(tgt, 2, src_image, proj, 0.0, use_rope=False)
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_matches_naive_concatenation_oracle(self):
         rng = np.random.default_rng(55)
-        tgt = random_stream(rng, 1, (2, 2), CFG.d_model)
-        src = random_stream(rng, 1, (2, 2), CFG.d_model)
+        tgt = random_tokens(rng, 1, (2, 2), CFG.d_model)
+        src_image = random_tokens(rng, 0, (2, 2), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
         for w in (0.0, 0.3, 1.0):
-            got = shared_attention(tgt, src, proj, CFG, w)
-            want_txt, want_img = naive_shared_attention(
-                tgt.text, tgt.image, src.image, tgt.positions, src.positions,
-                proj.wq, proj.wk, proj.wv,
-                CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base,
-                w=w, use_rope=True,
-            )
-            assert np.abs(got.txt - want_txt).max() <= 1e-12
-            assert np.abs(got.img - want_img).max() <= 1e-12
+            table = grid_table((2, 2), w)
+            got, _ = joint_attention(tgt, 1, proj, CFG, table, image_kv(src_image, proj, table))
+            assert np.abs(got - oracle(tgt, 1, src_image, proj, w)).max() <= 1e-12
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(56)
-        tgt = random_stream(rng, 2, (2, 2), CFG.d_model)
-        src = random_stream(rng, 2, (1, 4), CFG.d_model)
+        tgt = random_tokens(rng, 2, (2, 2), CFG.d_model)
+        src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
         with pytest.raises(ShapeError):
-            shared_attention(tgt, src, proj, CFG, 1.0)
+            attention_map(tgt, src_image, (2, 2), proj, CFG, 1.0, (0, 0))
 
     def test_output_linear_in_values(self):
         rng = np.random.default_rng(57)
-        stream = random_stream(rng, 3, (2, 2), CFG.d_model)
+        tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
         doubled = BlockProjection(proj.wq, proj.wk, 2.0 * proj.wv, proj.wo)
-        a = self_attention(stream, proj, CFG, 0.8)
-        b = self_attention(stream, doubled, CFG, 0.8)
-        assert np.abs(b.txt - 2.0 * a.txt).max() <= 1e-12
-        assert np.abs(b.img - 2.0 * a.img).max() <= 1e-12
+        table = grid_table((2, 2), 0.8)
+        a, _ = joint_attention(tokens, 3, proj, CFG, table)
+        b, _ = joint_attention(tokens, 3, doubled, CFG, table)
+        assert np.abs(b - 2.0 * a).max() <= 1e-12
 
 
 class TestHeads:
     @pytest.mark.parametrize("heads, n, head_dim", [(4, 20, 16), (24, 260, 128)])
     def test_stacked_weights_equal_per_head_calls(self, heads, n, head_dim):
         # toy shape and a FLUX head shape; heads are the strided views the
-        # forward pass hands the kernel
+        # forward pass hands the kernel, checked against one 2-D product
+        # and softmax per head
         rng = np.random.default_rng(62)
         q = split_heads(rng.normal(size=(n, heads * head_dim)), heads)
         k = split_heads(rng.normal(size=(n, heads * head_dim)), heads)
         scale = 1.0 / math.sqrt(head_dim)
         stacked = attention_weights(q, k, scale)
         for h in range(heads):
-            np.testing.assert_array_equal(stacked[h], attention_weights(q[h], k[h], scale))
+            np.testing.assert_array_equal(stacked[h], softmax_rows(matmul(q[h], k[h].T) * scale))
 
     def test_split_merge_round_trip(self):
         rng = np.random.default_rng(58)
@@ -188,29 +179,28 @@ class TestHeads:
 
 
 class TestAttentionMap:
-    def _position_dominant_stream(self):
+    def _position_dominant_tokens(self):
         # Every image token is the same vector, so content logits are flat
         # and the rotary term alone orders the keys.
-        base = np.ones(CFG.d_model)
-        image = np.tile(base, (6, 1))
+        image = np.ones((6, CFG.d_model))
         text = np.full((1, CFG.d_model), 0.5)
-        return TokenStream(text, image, (2, 3))
+        return np.vstack([text, image]), image
 
     def test_map_sums_to_one(self):
         rng = np.random.default_rng(59)
-        tgt = random_stream(rng, 2, (2, 3), CFG.d_model)
-        src = random_stream(rng, 2, (2, 3), CFG.d_model)
+        tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
+        src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
-        m = attention_map(tgt, src, proj, CFG, 0.6, (1, 2))
+        m = attention_map(tgt, src_image, (2, 3), proj, CFG, 0.6, (1, 2))
         assert m.shape == (2, 3)
         assert abs(m.sum() - 1.0) <= 1e-12
 
     def test_position_dominance_puts_argmax_on_query_cell(self):
-        stream = self._position_dominant_stream()
+        tokens, image = self._position_dominant_tokens()
         eye = np.eye(CFG.d_model)
         proj = BlockProjection(eye, eye, eye, eye)
         for cell in [(0, 0), (0, 2), (1, 1)]:
-            m = attention_map(stream, stream, proj, CFG, 1.0, cell)
+            m = attention_map(tokens, image, (2, 3), proj, CFG, 1.0, cell)
             # brute force: the map cell with the largest weight, checked
             # against every grid cell
             best = np.unravel_index(np.argmax(m), m.shape)
@@ -224,17 +214,33 @@ class TestAttentionMap:
 
     def test_zero_weight_map_moves_with_content_permutation(self):
         rng = np.random.default_rng(60)
-        tgt = random_stream(rng, 2, (2, 3), CFG.d_model)
-        src = random_stream(rng, 2, (2, 3), CFG.d_model)
+        tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
+        src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
         proj = random_projection(rng, CFG.d_model)
-        base = attention_map(tgt, src, proj, CFG, 0.0, (0, 1)).reshape(-1)
+        base = attention_map(tgt, src_image, (2, 3), proj, CFG, 0.0, (0, 1)).reshape(-1)
         perm = rng.permutation(6)
-        permuted_src = TokenStream(src.text, src.image[perm], src.grid)
-        moved = attention_map(tgt, permuted_src, proj, CFG, 0.0, (0, 1)).reshape(-1)
+        moved = attention_map(tgt, src_image[perm], (2, 3), proj, CFG, 0.0, (0, 1)).reshape(-1)
         assert np.abs(moved - base[perm]).max() <= 1e-12
 
     def test_out_of_range_cell(self):
         rng = np.random.default_rng(61)
-        tgt = random_stream(rng, 2, (2, 3), CFG.d_model)
+        tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
+        proj = random_projection(rng, CFG.d_model)
         with pytest.raises(ValueError):
-            attention_map(tgt, tgt, random_projection(rng, CFG.d_model), CFG, 1.0, (2, 0))
+            attention_map(tgt, tgt[2:], (2, 3), proj, CFG, 1.0, (2, 0))
+
+    def test_token_count_must_fill_grid(self):
+        rng = np.random.default_rng(63)
+        proj = random_projection(rng, CFG.d_model)
+        short = rng.normal(size=(5, CFG.d_model))  # fewer rows than the 2x3 grid's cells
+        src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
+        with pytest.raises(ShapeError):
+            attention_map(short, src_image, (2, 3), proj, CFG, 1.0, (0, 0))
+
+    def test_width_mismatch(self):
+        # 32-wide tokens against 2 heads of 8: the heads would split wrongly
+        rng = np.random.default_rng(64)
+        tokens = rng.normal(size=(8, 2 * CFG.d_model))
+        proj = random_projection(rng, 2 * CFG.d_model)
+        with pytest.raises(ShapeError):
+            attention_map(tokens, tokens[2:], (2, 3), proj, CFG, 1.0, (0, 0))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import naive_joint_attention
 from synattn import (
-    AttentionOutput,
     BackboneConfig,
     BackboneParams,
     BlockParams,
@@ -12,7 +12,6 @@ from synattn import (
     FLUX_SHARED_BLOCKS,
     ShapeError,
     SplitMix64,
-    TokenStream,
     block_forward,
     denoise_step,
     derive_seed,
@@ -23,29 +22,31 @@ from synattn import (
     init_backbone,
     initial_noise,
     rotary_table,
-    self_attention,
-    shared_attention,
 )
 from synattn.backbone import WEIGHT_SCALE
 
 CFG = BackboneConfig()
 
 
-def stream_block(stream, block_index, params, w, shared_src=None):
-    """block_forward on TokenStreams, image keys/values recomputed from ``shared_src``."""
-    kv = None
-    if shared_src is not None:
-        src_table = rotary_table(shared_src.positions, w, params.rope)
-        kv = image_kv(shared_src.image, params.blocks[block_index].attn, src_table)
-    tokens, attn, _ = block_forward(
-        np.vstack([stream.text, stream.image]), block_index, params,
-        rotary_table(stream.positions, w, params.rope), kv,
+def grid_table(w, config=CFG):
+    return rotary_table(grid_position_ids(*config.grid), w, config.rope)
+
+
+def random_tokens(rng):
+    """A branch's ``[text; image]`` matrix at ``CFG``'s shape."""
+    return rng.normal(size=(CFG.n_txt_tokens + CFG.n_img, CFG.d_model))
+
+
+def oracle_attention(tokens, src_image, proj, w):
+    """Loop-written attention of ``tokens`` over ``src_image``'s keys/values at ``CFG``'s shape."""
+    n = CFG.n_txt_tokens
+    positions = grid_position_ids(*CFG.grid)
+    txt, img = naive_joint_attention(
+        tokens[:n], tokens[n:], src_image, positions, positions,
+        proj.wq, proj.wk, proj.wv,
+        CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base, w=w,
     )
-    n = stream.n_txt
-    return (
-        TokenStream(tokens[:n], tokens[n:], stream.grid, stream.positions),
-        AttentionOutput(attn[:n], attn[n:]),
-    )
+    return np.vstack([txt, img])
 
 
 class TestGenerators:
@@ -176,75 +177,55 @@ class TestBlockForward:
                 for _ in range(CFG.n_blocks)
             ),
         )
-        rng = np.random.default_rng(80)
-        stream = TokenStream(
-            rng.normal(size=(CFG.n_txt_tokens, d)), rng.normal(size=(CFG.n_img, d)), CFG.grid
-        )
-        out, attn = stream_block(stream, 0, params, 1.0)
-        np.testing.assert_array_equal(out.text, stream.text)
-        np.testing.assert_array_equal(out.image, stream.image)
-        np.testing.assert_array_equal(attn.txt, np.zeros_like(stream.text))
+        tokens = random_tokens(np.random.default_rng(80))
+        out, attn, _ = block_forward(tokens, 0, params, grid_table(1.0))
+        np.testing.assert_array_equal(out, tokens)
+        np.testing.assert_array_equal(attn, np.zeros_like(tokens))
 
-    def test_without_shared_src_runs_self_attention(self):
+    def test_without_source_kv_matches_oracle(self):
         params = init_backbone(CFG)
-        rng = np.random.default_rng(81)
-        stream = TokenStream(
-            rng.normal(size=(CFG.n_txt_tokens, CFG.d_model)),
-            rng.normal(size=(CFG.n_img, CFG.d_model)),
-            CFG.grid,
-        )
-        _, attn = stream_block(stream, 1, params, 0.6)
-        want = self_attention(stream, params.blocks[1].attn, CFG.rope, 0.6)
-        np.testing.assert_array_equal(attn.txt, want.txt)
-        np.testing.assert_array_equal(attn.img, want.img)
+        tokens = random_tokens(np.random.default_rng(81))
+        _, attn, _ = block_forward(tokens, 1, params, grid_table(0.6))
+        want = oracle_attention(tokens, tokens[CFG.n_txt_tokens :], params.blocks[1].attn, 0.6)
+        assert np.abs(attn - want).max() <= 1e-12
 
     def test_shared_src_changes_target_output(self):
         params = init_backbone(CFG)
         rng = np.random.default_rng(82)
-        stream = TokenStream(
-            rng.normal(size=(CFG.n_txt_tokens, CFG.d_model)),
-            rng.normal(size=(CFG.n_img, CFG.d_model)),
-            CFG.grid,
-        )
-        other = TokenStream(
-            stream.text, rng.normal(size=(CFG.n_img, CFG.d_model)), CFG.grid
-        )
-        plain, _ = stream_block(stream, 0, params, 1.0)
-        shared, _ = stream_block(stream, 0, params, 1.0, shared_src=other)
-        assert not np.array_equal(plain.image, shared.image)
+        tokens = random_tokens(rng)
+        other = rng.normal(size=(CFG.n_img, CFG.d_model))
+        table = grid_table(1.0)
+        plain, _, _ = block_forward(tokens, 0, params, table)
+        kv = image_kv(other, params.blocks[0].attn, table)
+        shared, _, _ = block_forward(tokens, 0, params, table, kv)
+        n = CFG.n_txt_tokens
+        assert not np.array_equal(plain[n:], shared[n:])
 
     def test_reused_source_kv_matches_recomputed(self):
         # the denoising loop hands the target the keys/values the source
         # block computed from its own token matrix; recomputing them from a
-        # separate source stream gives the same bytes
+        # copy of the source's image rows gives the same bytes
         params = init_backbone(CFG)
         rng = np.random.default_rng(86)
         n = CFG.n_txt_tokens
-        src = rng.normal(size=(n + CFG.n_img, CFG.d_model))
-        tgt = rng.normal(size=(n + CFG.n_img, CFG.d_model))
-        table = rotary_table(grid_position_ids(*CFG.grid), 0.7, params.rope)
+        src = random_tokens(rng)
+        tgt = random_tokens(rng)
+        table = grid_table(0.7)
         _, _, src_kv = block_forward(src, 2, params, table)
         reused, reused_attn, _ = block_forward(tgt, 2, params, table, src_kv)
 
-        src_stream = TokenStream(src[:n].copy(), src[n:].copy(), CFG.grid)
-        tgt_stream = TokenStream(tgt[:n].copy(), tgt[n:].copy(), CFG.grid)
-        recomputed, attn = stream_block(tgt_stream, 2, params, 0.7, shared_src=src_stream)
-        np.testing.assert_array_equal(reused[:n], recomputed.text)
-        np.testing.assert_array_equal(reused[n:], recomputed.image)
-        np.testing.assert_array_equal(reused_attn[:n], attn.txt)
-        np.testing.assert_array_equal(reused_attn[n:], attn.img)
-        want = shared_attention(tgt_stream, src_stream, params.blocks[2].attn, params.rope, 0.7)
-        np.testing.assert_array_equal(reused_attn[n:], want.img)
+        attn_proj = params.blocks[2].attn
+        kv = image_kv(src[n:].copy(), attn_proj, table)
+        recomputed, attn, _ = block_forward(tgt.copy(), 2, params, table, kv)
+        np.testing.assert_array_equal(reused, recomputed)
+        np.testing.assert_array_equal(reused_attn, attn)
+        assert np.abs(reused_attn - oracle_attention(tgt, src[n:], attn_proj, 0.7)).max() <= 1e-12
 
     def test_block_index_validated(self):
         params = init_backbone(CFG)
-        stream = TokenStream(
-            np.zeros((CFG.n_txt_tokens, CFG.d_model)),
-            np.zeros((CFG.n_img, CFG.d_model)),
-            CFG.grid,
-        )
+        tokens = np.zeros((CFG.n_txt_tokens + CFG.n_img, CFG.d_model))
         with pytest.raises(ValueError):
-            stream_block(stream, CFG.n_blocks, params, 1.0)
+            block_forward(tokens, CFG.n_blocks, params, grid_table(1.0))
 
     def test_scalar_grid_closed_form(self):
         # 1x1 grid, one text token, one head: replay the whole block with
@@ -257,8 +238,7 @@ class TestBlockForward:
         rng = np.random.default_rng(83)
         t = rng.normal(size=6)
         i = rng.normal(size=6)
-        stream = TokenStream(t[None, :], i[None, :], (1, 1))
-        out, attn = stream_block(stream, 0, params, 1.0)
+        out, attn, _ = block_forward(np.vstack([t, i]), 0, params, grid_table(1.0, cfg))
 
         blk = params.blocks[0]
         wq, wk, wv, wo = blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo
@@ -281,8 +261,8 @@ class TestBlockForward:
             expected_rows.append(
                 [sum((exps[j] / z) * vs[j][d] for j in range(2)) for d in range(6)]
             )
-        assert np.abs(attn.txt[0] - expected_rows[0]).max() <= 1e-12
-        assert np.abs(attn.img[0] - expected_rows[1]).max() <= 1e-12
+        assert np.abs(attn[0] - expected_rows[0]).max() <= 1e-12
+        assert np.abs(attn[1] - expected_rows[1]).max() <= 1e-12
 
         tokens = [list(t), list(i)]
         for r in range(2):
@@ -292,8 +272,8 @@ class TestBlockForward:
             hidden = [math.tanh(x) for x in project(tokens[r], blk.mlp_in)]
             mlp_row = project(hidden, blk.mlp_out)
             tokens[r] = [tokens[r][d] + mlp_row[d] for d in range(6)]
-        assert np.abs(out.text[0] - tokens[0]).max() <= 1e-12
-        assert np.abs(out.image[0] - tokens[1]).max() <= 1e-12
+        assert np.abs(out[0] - tokens[0]).max() <= 1e-12
+        assert np.abs(out[1] - tokens[1]).max() <= 1e-12
 
 
 class TestDenoiseStep:

@@ -496,6 +496,24 @@ class TestMapCommand:
         )
         assert code == 1
 
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        # an absurd grid fails in initial_noise; raised here, never allocated
+        import synattn.cli as cli_mod
+
+        def no_memory(bb):
+            raise MemoryError("Unable to allocate 4.66 TiB")
+
+        monkeypatch.setattr(cli_mod, "initial_noise", no_memory)
+        cfg_file = tmp_path / "edit.cfg"
+        cfg_file.write_text(MINIMAL)
+        code = main(
+            ["map", "--config", str(cfg_file), "--cell", "0,0", "--w", "1.0",
+             "--out", str(tmp_path / "m.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 4.66 TiB\n"
+        assert not (tmp_path / "m.txt").exists()
+
     def test_probe_needs_grid_larger_than_1x1(self):
         cfg = parse_config_text(MINIMAL + "grid = 1x1\naxis_dims = 4,6,6\n")
         with pytest.raises(ConfigError):

@@ -12,7 +12,7 @@ and manifest echo per key). The two files in ``tests/golden/maps/`` were
 written by ``synattn map`` with the arguments listed in ``MAPS`` below, by
 the same code. Writing them with 1 and with 2 OpenBLAS threads gave the same
 bytes, and :func:`test_run_outputs_match_golden_at_blas_threads` checks that
-claim on every run. All cases are toy width; at FLUX width the bytes depend
+claim for the runs and the maps on every run. All cases are toy width; at FLUX width the bytes depend
 on the BLAS thread count, so such a case could not be pinned.
 
 Nothing here regenerates the files: a mismatch means the program changed
@@ -61,18 +61,27 @@ def test_map_output_matches_golden(probe, tmp_path):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
-    # a fresh process per thread count: OpenBLAS reads the variable once, at import
+    # a fresh process per command and thread count: OpenBLAS reads the
+    # variable once, at import
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+
+    def cli(*args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "synattn.cli", *args],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     configs = [arg for case in CASES for arg in ("--config", str(GOLDEN / case / "config.cfg"))]
-    proc = subprocess.run(
-        [sys.executable, "-m", "synattn.cli", "run", *configs, "--out", str(tmp_path)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    cli("run", *configs, "--out", str(tmp_path))
     for i, case in enumerate(CASES):
         for name in RUN_FILES:
             got = (tmp_path / f"case_{i:03d}" / name).read_bytes()
             assert got == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+    for probe, args in MAPS.items():
+        out = tmp_path / f"{probe}.txt"
+        cli("map", *args, "--out", str(out))
+        assert out.read_bytes() == (GOLDEN / "maps" / f"{probe}.txt").read_bytes(), probe

@@ -11,10 +11,11 @@ from synattn import (
     apply_rope,
     frequencies,
     oracle_rotation_matrix,
-    rotate_tokens,
+    rotary_table,
     rotation_angles,
     scaled_inner_product,
 )
+from synattn.rope import apply_rotary
 
 FULL = RopeConfig()  # 24 heads x 128, splits (16, 56, 56)
 TOY = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=2)
@@ -177,7 +178,7 @@ class TestRotateTokens:
         rng = np.random.default_rng(39)
         tokens = rng.normal(size=(5, TOY.d_model))
         pos = rng.uniform(-6, 6, size=(5, 3))
-        got = rotate_tokens(tokens, pos, 0.6, TOY)
+        got = apply_rotary(tokens, rotary_table(pos, 0.6, TOY))
         for r in range(5):
             for h in range(TOY.num_heads):
                 seg = slice(h * TOY.head_dim, (h + 1) * TOY.head_dim)
@@ -185,10 +186,11 @@ class TestRotateTokens:
                 assert np.abs(got[r, seg] - want).max() <= 1e-12
 
     def test_rejects_wrong_widths(self):
+        # positions need one column per axis; custom positions enter here
         with pytest.raises(ShapeError):
-            rotate_tokens(np.ones((2, 8)), np.zeros((2, 3)), 1.0, TOY)
+            rotary_table(np.zeros((2, 2)), 1.0, TOY)
         with pytest.raises(ShapeError):
-            rotate_tokens(np.ones((2, TOY.d_model)), np.zeros((3, 3)), 1.0, TOY)
+            rotary_table(np.zeros(3), 1.0, TOY)
 
 
 def test_rotation_angles_scale_positions_first():
