@@ -28,6 +28,7 @@ from .backbone import (
     encode_prompt,
     fnv1a64,
     init_backbone,
+    init_block,
     initial_noise,
 )
 from .measurement import (
@@ -53,7 +54,6 @@ from .rope import (
     frequencies,
     oracle_rotation_matrix,
     rotary_table,
-    rotation_angles,
     scaled_inner_product,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
     "cosine_similarity",
     "RopeConfig",
     "frequencies",
-    "rotation_angles",
     "apply_rope",
     "rotary_table",
     "oracle_rotation_matrix",
@@ -91,6 +90,7 @@ __all__ = [
     "derive_seed",
     "fnv1a64",
     "FLUX_SHARED_BLOCKS",
+    "init_block",
     "init_backbone",
     "encode_prompt",
     "initial_noise",

@@ -92,26 +92,11 @@ def image_kv(
     return apply_rotary(matmul(image, proj.wk), table), matmul(image, proj.wv)
 
 
-def _projected_qkv(
-    tokens: np.ndarray,
-    n_txt: int,
-    proj: BlockProjection,
-    table: RotaryTable,
-    kv_img: tuple[np.ndarray, np.ndarray] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Queries over ``tokens``; keys/values of its text rows and of ``kv_img``.
-
-    Image queries are rotated by ``table``. Without ``kv_img`` the image
-    keys/values come from the image rows of ``tokens`` under the same table.
-    """
-    q = matmul(tokens, proj.wq)
+def _queries(tokens: np.ndarray, n_txt: int, wq: np.ndarray, table: RotaryTable) -> np.ndarray:
+    """Queries of a ``[text; image]`` matrix, the image rows rotated by ``table``."""
+    q = matmul(tokens, wq)
     q[n_txt:] = apply_rotary(q[n_txt:], table)
-    if kv_img is None:
-        kv_img = image_kv(tokens[n_txt:], proj, table)
-    text = tokens[:n_txt]
-    k = np.vstack([matmul(text, proj.wk), kv_img[0]])
-    v = np.vstack([matmul(text, proj.wv), kv_img[1]])
-    return q, k, v, kv_img
+    return q
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
@@ -150,10 +135,13 @@ def joint_attention(
     in place of the branch's own. Returns the ``(n, d)`` output before the
     output projection and the image keys/values it attended to.
     """
-    q, k, v, kv_img = _projected_qkv(tokens, n_txt, proj, table, kv_img)
+    q = _queries(tokens, n_txt, proj.wq, table)
+    if kv_img is None:
+        kv_img = image_kv(tokens[n_txt:], proj, table)
+    text = tokens[:n_txt]
+    k = np.vstack([matmul(text, proj.wk), kv_img[0]])
+    v = np.vstack([matmul(text, proj.wv), kv_img[1]])
     return _multi_head(q, k, v, rope), kv_img
-
-
 
 
 def attention_map(
@@ -186,7 +174,9 @@ def attention_map(
     if tokens.shape[1] != rope.d_model:
         raise ShapeError(f"token width {tokens.shape[1]} != num_heads*head_dim {rope.d_model}")
     table = rotary_table(grid_position_ids(h, wid), w, rope)
-    q, k, _, _ = _projected_qkv(tokens, n_txt, proj, table, image_kv(src_image, proj, table))
+    q = _queries(tokens, n_txt, proj.wq, table)
+    k_img = apply_rotary(matmul(src_image, proj.wk), table)
+    k = np.vstack([matmul(tokens[:n_txt], proj.wk), k_img])
     row = n_txt + r * wid + c
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit

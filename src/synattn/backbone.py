@@ -15,7 +15,7 @@ their 64-bit FNV-1a hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "BackboneParams",
     "FLUX_SHARED_BLOCKS",
     "WEIGHT_SCALE",
+    "init_block",
     "init_backbone",
     "encode_prompt",
     "initial_noise",
@@ -105,6 +106,7 @@ class BackboneConfig:
 
     Defaults give a 4-head model of width 64 on a 4x4 token grid with 8
     blocks, of which {0, 2, 5} share attention, denoised over 10 steps.
+    ``rope`` is the matching :class:`~synattn.rope.RopeConfig`, built once.
     """
 
     d_model: int = 64
@@ -141,17 +143,14 @@ class BackboneConfig:
             raise ValueError(f"grid must be at least 1x1, got {self.grid}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
-        # Validates head_dim / axis_dims / theta_base consistency.
-        self.rope
-
-    @property
-    def rope(self) -> RopeConfig:
-        return RopeConfig(
+        # Derived once, not a dataclass field: the rotary geometry, which
+        # also validates head_dim / axis_dims / theta_base consistency.
+        object.__setattr__(self, "rope", RopeConfig(
             head_dim=self.head_dim,
             axis_dims=self.axis_dims,
             theta_base=self.theta_base,
             num_heads=self.num_heads,
-        )
+        ))
 
     @property
     def n_img(self) -> int:
@@ -169,11 +168,6 @@ class BlockParams:
 class BackboneParams:
     config: BackboneConfig
     blocks: tuple[BlockParams, ...]
-    rope: RopeConfig = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # built once here, not on every config.rope access in the block loop
-        object.__setattr__(self, "rope", self.config.rope)
 
 
 # Role index of each weight matrix inside a block's seeding scheme.
@@ -185,22 +179,27 @@ def _uniform_matrix(seed: int, rows: int, cols: int, scale: float) -> np.ndarray
     return gen.uniform(-scale, scale, rows * cols).reshape(rows, cols)
 
 
-def init_backbone(config: BackboneConfig) -> BackboneParams:
-    """Draw all block weights deterministically from the config seed.
+def init_block(config: BackboneConfig, b: int) -> BlockParams:
+    """Draw block ``b``'s weights deterministically from the config seed.
 
-    Matrix ``role`` (index r in wq, wk, wv, wo, mlp_in, mlp_out) of block b
-    uses the stream seeded by ``derive_seed(seed, b, r)``; entries are
-    uniform in [-WEIGHT_SCALE, WEIGHT_SCALE].
+    Matrix ``role`` (index r in wq, wk, wv, wo, mlp_in, mlp_out) uses the
+    stream seeded by ``derive_seed(seed, b, r)``; entries are uniform in
+    [-WEIGHT_SCALE, WEIGHT_SCALE]. Every matrix has its own stream, so a
+    block drawn alone equals the same block of :func:`init_backbone`.
     """
+    if not 0 <= b < config.n_blocks:
+        raise ValueError(f"block index {b} outside [0, {config.n_blocks})")
     d = config.d_model
-    blocks = []
-    for b in range(config.n_blocks):
-        mats = [
-            _uniform_matrix(derive_seed(config.seed, b, r), d, d, WEIGHT_SCALE)
-            for r in range(len(_ROLES))
-        ]
-        blocks.append(BlockParams(BlockProjection(*mats[:4]), mats[4], mats[5]))
-    return BackboneParams(config=config, blocks=tuple(blocks))
+    mats = [
+        _uniform_matrix(derive_seed(config.seed, b, r), d, d, WEIGHT_SCALE)
+        for r in range(len(_ROLES))
+    ]
+    return BlockParams(BlockProjection(*mats[:4]), mats[4], mats[5])
+
+
+def init_backbone(config: BackboneConfig) -> BackboneParams:
+    """Draw every block's weights: :func:`init_block` for each block in turn."""
+    return BackboneParams(config, tuple(init_block(config, b) for b in range(config.n_blocks)))
 
 
 def encode_prompt(prompt: str, config: BackboneConfig) -> np.ndarray:
@@ -256,7 +255,7 @@ def block_forward(
         raise ValueError(f"block index {block_index} outside [0, {config.n_blocks})")
     bp = params.blocks[block_index]
     attn, kv_img = joint_attention(
-        tokens, config.n_txt_tokens, bp.attn, params.rope, table, shared_kv
+        tokens, config.n_txt_tokens, bp.attn, config.rope, table, shared_kv
     )
     tokens = tokens + matmul(attn, bp.attn.wo)
     tokens = tokens + matmul(np.tanh(matmul(tokens, bp.mlp_in)), bp.mlp_out)

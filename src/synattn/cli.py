@@ -37,7 +37,7 @@ import numpy as np
 
 from ._version import __version__
 from .attention import BlockProjection, attention_map
-from .backbone import BackboneConfig, encode_prompt, init_backbone, initial_noise
+from .backbone import BackboneConfig, encode_prompt, init_block, initial_noise
 from .measurement import (
     BlockSimilarity,
     DegenerateSimilarityError,
@@ -178,9 +178,9 @@ CONFIG_FIELDS = (
     ),
 )
 _OWNER_DEFAULTS = {
-    "pipeline": {d.name: d.default for d in fields(PipelineConfig)},
-    "backbone": vars(BackboneConfig()),
-    "thresholds": vars(Thresholds()),
+    owner: {d.name: d.default for d in fields(cls)}
+    for owner, cls in [("pipeline", PipelineConfig), ("backbone", BackboneConfig),
+                       ("thresholds", Thresholds)]
 }
 # Dataclass default per key; ``MISSING`` marks a required key.
 _DEFAULTS = {f.key: _OWNER_DEFAULTS[f.owner][f.attr] for f in CONFIG_FIELDS}
@@ -463,10 +463,9 @@ def build_map_inputs(
         raise ConfigError(f"block {block} outside [0, {bb.n_blocks})")
 
     if probe == "prompts":
-        params = init_backbone(bb)
         noise = initial_noise(bb)
         tokens = np.vstack([encode_prompt(config.tgt_prompt, bb), noise])
-        return tokens, noise, params.blocks[block].attn, block
+        return tokens, noise, init_block(bb, block).attn, block
 
     if probe == "constant-field":
         dr, dc = h // 2, w // 2

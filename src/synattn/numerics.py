@@ -8,7 +8,7 @@ instead of NaN.
 Nothing here checks finiteness; inf and NaN propagate as numpy propagates
 them. Finiteness is checked once, where values enter: config values
 (``Thresholds``, ``RopeConfig``), weights (``BlockProjection``), positions
-(``rope._as_position``), the measurement (``adaptive_weight``), and in the
+(``rope.rotary_table``), the measurement (``adaptive_weight``), and in the
 loop by ``pipeline._finite_or_abort``, once per block per branch.
 """
 

@@ -114,7 +114,7 @@ def run_edit(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, EditingTra
             if m_prev is not None and config.w_override is None:
                 w = adaptive_weight(m_prev, config.thresholds)
 
-            table = rotary_table(positions, w, params.rope)
+            table = rotary_table(positions, w, bb.rope)
             src = np.vstack([txt_src, x_src])
             tgt = np.vstack([txt_tgt, x_tgt])
             block_records = []

@@ -13,14 +13,13 @@ full embedding, ``w = 0`` is the identity, and intermediate values shrink
 the effective relative displacement between tokens. Inner products of
 rotated vectors depend on positions only through their difference.
 
-Two independent code paths compute the same rotation: the fast pairwise
-sin/cos path (:func:`apply_rope` for one head vector, :func:`apply_rotary`
-for every head of a token matrix) and an explicit block-diagonal
-rotation-matrix builder (:func:`oracle_rotation_matrix`) kept as a
-brute-force cross-check. The per-pair frequencies are derived once per
-:class:`RopeConfig`; a :class:`RotaryTable`, built by :func:`rotary_table`,
-holds the cos/sin of every row for one ``(positions, w)`` pair, so a
-denoising step builds it once and applies it in every block.
+:func:`rotary_table` is the one place rotation angles are formed: it builds
+the cos/sin of every row's channel pairs once per ``(positions, w)``, so a
+denoising step builds one table, and :func:`apply_rotary` applies it to
+every head of a token matrix in every block (:func:`apply_rope` is the
+one-vector case). The brute-force :func:`oracle_rotation_matrix` shares
+nothing with that path but the :class:`RopeConfig`: it forms each angle
+from ``axis_dims`` and ``theta_base`` in scalar math, entry by entry.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .numerics import ShapeError
 __all__ = [
     "RopeConfig",
     "frequencies",
-    "rotation_angles",
     "apply_rope",
     "RotaryTable",
     "rotary_table",
@@ -100,38 +98,6 @@ def frequencies(axis_dim: int, theta_base: float) -> np.ndarray:
     return theta_base ** (-2.0 * k / axis_dim)
 
 
-def _as_position(pos, config: RopeConfig) -> np.ndarray:
-    p = np.asarray(pos, dtype=np.float64).reshape(-1)
-    if p.shape != (config.n_axes,):
-        raise ShapeError(
-            f"position must have {config.n_axes} axes, got shape {p.shape}"
-        )
-    if not np.all(np.isfinite(p)):
-        raise ValueError("position contains non-finite values")
-    return p
-
-
-def rotation_angles(pos, w: float, config: RopeConfig) -> np.ndarray:
-    """Rotation angle of every channel pair, axis segments concatenated.
-
-    The position ids are scaled by ``w`` first, then multiplied by the
-    per-pair frequencies, so scaling the ids and scaling the angles are the
-    same operation down to the float.
-    """
-    p = _as_position(pos, config)
-    return (w * p)[config.pair_axes] * config.pair_freqs
-
-
-def _rotate_pairs(rows: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # rows (..., head_dim); cos/sin broadcastable to (..., head_dim // 2)
-    x = rows[..., 0::2]
-    y = rows[..., 1::2]
-    out = np.empty_like(rows)
-    out[..., 0::2] = x * cos - y * sin
-    out[..., 1::2] = x * sin + y * cos
-    return out
-
-
 def apply_rope(v, pos, w: float, config: RopeConfig) -> np.ndarray:
     """Rotate one head-dim vector in place of its position, at strength ``w``.
 
@@ -140,8 +106,7 @@ def apply_rope(v, pos, w: float, config: RopeConfig) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (config.head_dim,):
         raise ShapeError(f"vector length {v.shape} does not match head_dim {config.head_dim}")
-    angles = rotation_angles(pos, w, config)
-    return _rotate_pairs(v[None, :], np.cos(angles)[None, :], np.sin(angles)[None, :])[0]
+    return apply_rotary(v[None], rotary_table(np.reshape(pos, (1, -1)), w, config))[0]
 
 
 class RotaryTable(NamedTuple):
@@ -154,42 +119,58 @@ class RotaryTable(NamedTuple):
 def rotary_table(positions, w: float, config: RopeConfig) -> RotaryTable:
     """The rotation of ``n`` rows at strength ``w``, built once for all heads and blocks.
 
-    Row ``r``'s pair angles are ``(w * positions)[r, axis] * theta_k``, the
-    same products :func:`rotation_angles` forms for one position.
+    Row ``r``'s pair angles are ``(w * positions)[r, axis] * theta_k``. The
+    ids are scaled by ``w`` first, so scaling the ids and scaling the angles
+    are the same operation down to the float.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != config.n_axes:
         raise ShapeError(
             f"positions shape {positions.shape} does not match (n, {config.n_axes})"
         )
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions contain non-finite values")
     angles = (w * positions)[:, config.pair_axes] * config.pair_freqs
     return RotaryTable(np.cos(angles)[:, None, :], np.sin(angles)[:, None, :])
 
 
 def apply_rotary(tokens: np.ndarray, table: RotaryTable) -> np.ndarray:
     """Rotate every head_dim chunk of each row of an ``(n, num_heads * head_dim)`` matrix."""
-    n = tokens.shape[0]
-    heads = tokens.reshape(n, -1, 2 * table.cos.shape[-1])
-    return _rotate_pairs(heads, table.cos, table.sin).reshape(tokens.shape)
+    heads = tokens.reshape(tokens.shape[0], -1, 2 * table.cos.shape[-1])
+    x = heads[..., 0::2]
+    y = heads[..., 1::2]
+    out = np.empty_like(heads)
+    out[..., 0::2] = x * table.cos - y * table.sin
+    out[..., 1::2] = x * table.sin + y * table.cos
+    return out.reshape(tokens.shape)
 
 
 def oracle_rotation_matrix(pos, w: float, config: RopeConfig) -> np.ndarray:
     """Explicit block-diagonal rotation matrix for one head.
 
-    Built entry by entry from 2x2 rotation blocks; deliberately naive so it
-    can cross-check the pairwise path. The matrix is orthogonal and
-    ``oracle_rotation_matrix(pos, w) == oracle_rotation_matrix(w * pos, 1)``.
+    Built entry by entry from 2x2 rotation blocks, each angle formed in
+    scalar math from ``axis_dims`` and ``theta_base`` alone; deliberately
+    naive so it can cross-check the pairwise path. The matrix is orthogonal
+    and ``oracle_rotation_matrix(pos, w) == oracle_rotation_matrix(w * pos, 1)``.
     """
-    angles = rotation_angles(pos, w, config)
+    p = np.asarray(pos, dtype=np.float64).reshape(-1)
+    if p.shape != (config.n_axes,):
+        raise ShapeError(f"position must have {config.n_axes} axes, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("position contains non-finite values")
     n = config.head_dim
     rot = np.zeros((n, n), dtype=np.float64)
-    for k, phi in enumerate(angles):
-        c = math.cos(phi)
-        s = math.sin(phi)
-        rot[2 * k, 2 * k] = c
-        rot[2 * k, 2 * k + 1] = -s
-        rot[2 * k + 1, 2 * k] = s
-        rot[2 * k + 1, 2 * k + 1] = c
+    i = 0
+    for axis, dim in enumerate(config.axis_dims):
+        for k in range(dim // 2):
+            phi = (w * p[axis]) * config.theta_base ** (-2.0 * k / dim)
+            c = math.cos(phi)
+            s = math.sin(phi)
+            rot[i, i] = c
+            rot[i, i + 1] = -s
+            rot[i + 1, i] = s
+            rot[i + 1, i + 1] = c
+            i += 2
     return rot
 
 

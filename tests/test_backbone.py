@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from synattn import (
     BlockParams,
     BlockProjection,
     FLUX_SHARED_BLOCKS,
+    RopeConfig,
     ShapeError,
     SplitMix64,
     block_forward,
@@ -20,6 +22,7 @@ from synattn import (
     grid_position_ids,
     image_kv,
     init_backbone,
+    init_block,
     initial_noise,
     rotary_table,
 )
@@ -99,6 +102,22 @@ class TestInitBackbone:
         assert not np.array_equal(params.blocks[0].attn.wq, params.blocks[1].attn.wq)
         assert not np.array_equal(params.blocks[0].attn.wq, params.blocks[0].attn.wk)
 
+    def test_block_drawn_alone_reads_its_own_streams(self):
+        # matrix r of block b is the stream derive_seed(seed, b, r), whatever else is drawn
+        d = CFG.d_model
+        blk = init_block(CFG, 5)
+        mats = (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.mlp_in, blk.mlp_out)
+        for r, m in enumerate(mats):
+            stream = SplitMix64(derive_seed(CFG.seed, 5, r))
+            want = stream.uniform(-WEIGHT_SCALE, WEIGHT_SCALE, d * d).reshape(d, d)
+            assert m.tobytes() == want.tobytes()
+        assert blk.attn.wq.tobytes() == init_backbone(CFG).blocks[5].attn.wq.tobytes()
+
+    @pytest.mark.parametrize("b", [-1, CFG.n_blocks])
+    def test_block_index_out_of_range(self, b):
+        with pytest.raises(ValueError):
+            init_block(CFG, b)
+
 
 class TestEncodePrompt:
     def test_deterministic(self):
@@ -164,6 +183,14 @@ class TestConfigValidation:
     def test_flux_blocks_need_57(self):
         with pytest.raises(ValueError):
             BackboneConfig(shared_blocks=FLUX_SHARED_BLOCKS)
+
+    def test_rope_built_once_outside_the_fields(self):
+        a, b = BackboneConfig(), BackboneConfig()
+        assert a.rope is a.rope
+        assert a.rope == RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=4)
+        assert a == b and hash(a) == hash(b)
+        assert "rope" not in repr(a)
+        assert "rope" not in {f.name for f in fields(a)}
 
 
 class TestBlockForward:

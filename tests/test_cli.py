@@ -267,6 +267,78 @@ class TestTraceConsistency:
         assert "m_mean" in capsys.readouterr().err
 
 
+# Grammar fuzzing: valid configs under line edits (a value swapped for a
+# real or junk one, a line swapped for another key's line or for junk), and
+# a real trace under small character edits. Integer values stay small: a
+# large head_dim/axis_dims pair allocates its frequency table at parse time.
+fuzz_values = st.one_of(
+    st.integers(-2, 40).map(str),
+    st.sampled_from(["", "2x2", "4X3", "0x3", "4,6,6", "2,2", "0,1", "1.5", "0.9", "-0.0",
+                     "nan", "inf", "-inf", "1e400", "1_0", "\u0663", "a dog", "=", "#"]),
+    st.text(max_size=8),
+)
+fuzz_lines = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from([f.key for f in CONFIG_FIELDS] + ["bogus"]),
+              fuzz_values),
+    st.text(max_size=16),
+)
+line_edits = st.lists(
+    st.tuples(st.integers(0, 20), st.booleans(), fuzz_values | fuzz_lines), min_size=1, max_size=3
+)
+FUZZ_TRACE = write_trace(run_edit(parse_config_text(
+    MINIMAL + "steps = 2\ngrid = 2x2\nblocks = 2\nshared_blocks = 1\n"))[2])
+char_edits = st.lists(
+    st.tuples(st.integers(0, len(FUZZ_TRACE)), st.integers(0, 3),
+              st.text("0123456789.-+eExnaif #=:,\n", max_size=3)),
+    min_size=1, max_size=4,
+)
+
+
+def edit_lines(text, edits):
+    """At line ``at`` (mod count), swap the value (``value_only``) or the whole line for ``new``."""
+    lines = text.splitlines()
+    for at, value_only, new in edits:
+        at %= len(lines)
+        lines[at] = f"{lines[at].partition('=')[0]}= {new}" if value_only else new
+    return "\n".join(lines)
+
+
+def edit_chars(text, edits):
+    """Replace ``cut`` characters at each ``at`` (clipped to the text) with ``new``."""
+    for at, cut, new in edits:
+        at = min(at, len(text))
+        text = text[:at] + new + text[at + cut :]
+    return text
+
+
+def parsed_or_none(parse, text):
+    """``parse(text)``, or None when it raises ConfigError; any other exception propagates."""
+    try:
+        return parse(text)
+    except ConfigError:
+        return None
+
+
+class TestGrammarFuzz:
+    """Any text either parses and round-trips, or raises ConfigError."""
+
+    @settings(max_examples=200)
+    @given(pipeline_configs(), line_edits)
+    def test_config_text_parses_and_round_trips_or_is_a_config_error(self, config, edits):
+        config = parsed_or_none(parse_config_text, edit_lines(render_config(config), edits))
+        if config is not None:
+            assert parse_config_text(render_config(config)) == config
+
+    @settings(max_examples=400)
+    @given(char_edits)
+    def test_edited_trace_parses_and_round_trips_or_is_a_config_error(self, edits):
+        trace = parsed_or_none(parse_trace, edit_chars(FUZZ_TRACE, edits))
+        if trace is not None:
+            # compared as text: a nan weight_applied survives the round trip but not ==
+            text = write_trace(trace)
+            assert write_trace(parse_trace(text)) == text
+
+
 class TestStats:
     def test_single_trace(self):
         trace = fabricated_trace([1.0, 0.95, 0.9])

@@ -12,7 +12,6 @@ from synattn import (
     frequencies,
     oracle_rotation_matrix,
     rotary_table,
-    rotation_angles,
     scaled_inner_product,
 )
 from synattn.rope import apply_rotary
@@ -134,6 +133,20 @@ class TestOracleMatrix:
         b = oracle_rotation_matrix(0.5 * pos, 1.0, FULL)
         np.testing.assert_array_equal(a, b)
 
+    def test_independent_of_fast_path_pair_layout(self):
+        # The oracle forms its angles from axis_dims and theta_base alone, so
+        # a corrupted pair layout moves the fast path but not the oracle.
+        broken = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=2)
+        object.__setattr__(broken, "pair_axes", broken.pair_axes[::-1].copy())
+        object.__setattr__(broken, "pair_freqs", broken.pair_freqs[::-1].copy())
+        rng = np.random.default_rng(41)
+        v = rng.normal(size=16)
+        pos = np.array([1.5, -3.0, 7.0])
+        want = rotate_head_vector(v, pos, 0.8, broken.axis_dims, broken.theta_base)
+        got = oracle_rotation_matrix(pos, 0.8, broken) @ v
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(apply_rope(v, pos, 0.8, broken) - want).max() > 1e-3
+
 
 class TestScaledInnerProduct:
     def test_equal_positions_give_plain_dot(self):
@@ -182,7 +195,9 @@ class TestRotateTokens:
         for r in range(5):
             for h in range(TOY.num_heads):
                 seg = slice(h * TOY.head_dim, (h + 1) * TOY.head_dim)
-                want = apply_rope(tokens[r, seg], pos[r], 0.6, TOY)
+                want = rotate_head_vector(
+                    tokens[r, seg], pos[r], 0.6, TOY.axis_dims, TOY.theta_base
+                )
                 assert np.abs(got[r, seg] - want).max() <= 1e-12
 
     def test_rejects_wrong_widths(self):
@@ -193,10 +208,32 @@ class TestRotateTokens:
             rotary_table(np.zeros(3), 1.0, TOY)
 
 
-def test_rotation_angles_scale_positions_first():
-    # angles for (pos, w) and (w * pos, 1) agree down to the float
+# Every entry point that takes a position: the table, the one-vector path and the oracle.
+ONE_POSITION = {
+    "rotary_table": lambda pos: rotary_table(np.reshape(pos, (1, -1)), 0.5, TOY),
+    "apply_rope": lambda pos: apply_rope(np.ones(16), pos, 0.5, TOY),
+    "oracle_rotation_matrix": lambda pos: oracle_rotation_matrix(pos, 0.5, TOY),
+}
+
+
+@pytest.mark.parametrize("rotate", ONE_POSITION.values(), ids=ONE_POSITION.keys())
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_position_rejected(rotate, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        rotate((0.0, bad, 1.0))
+
+
+@pytest.mark.parametrize("rotate", ONE_POSITION.values(), ids=ONE_POSITION.keys())
+def test_position_needs_one_entry_per_axis(rotate):
+    with pytest.raises(ShapeError):
+        rotate((0.0, 1.0))
+
+
+def test_rotary_table_scales_positions_first():
+    # tables for (pos, w) and (w * pos, 1) agree down to the float
     rng = np.random.default_rng(40)
-    pos = rng.uniform(-9, 9, size=3)
-    np.testing.assert_array_equal(
-        rotation_angles(pos, 0.25, FULL), rotation_angles(0.25 * pos, 1.0, FULL)
-    )
+    pos = rng.uniform(-9, 9, size=(5, 3))
+    a = rotary_table(pos, 0.25, FULL)
+    b = rotary_table(0.25 * pos, 1.0, FULL)
+    np.testing.assert_array_equal(a.cos, b.cos)
+    np.testing.assert_array_equal(a.sin, b.sin)
