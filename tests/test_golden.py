@@ -15,17 +15,26 @@ bytes, and :func:`test_run_outputs_match_golden_at_blas_threads` checks that
 claim for the runs and the maps on every run. All cases are toy width; at FLUX width the bytes depend
 on the BLAS thread count, so such a case could not be pinned.
 
+Weight draws involve no BLAS, so one FLUX-width draw is pinned:
+``flux_width_wq.sha256`` holds the sha256 of block 0's ``wq`` from
+``init_block`` at d=3072 (24x128 heads, seed 0), as little-endian float64
+bytes in C order, recorded with the vector draw as it stood before it filled
+its result in chunks. It guards draws longer than the toy corpus's.
+
 Nothing here regenerates the files: a mismatch means the program changed
 its output.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from synattn import BackboneConfig, init_block
 from synattn.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +94,10 @@ def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
         out = tmp_path / f"{probe}.txt"
         cli("map", *args, "--out", str(out))
         assert out.read_bytes() == (GOLDEN / "maps" / f"{probe}.txt").read_bytes(), probe
+
+
+def test_flux_width_weights_match_golden():
+    config = BackboneConfig(d_model=3072, num_heads=24, head_dim=128, axis_dims=(16, 56, 56))
+    wq = init_block(config, 0).attn.wq
+    digest = hashlib.sha256(np.ascontiguousarray(wq, dtype="<f8").tobytes()).hexdigest()
+    assert digest == (GOLDEN / "flux_width_wq.sha256").read_text().strip()
