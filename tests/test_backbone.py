@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -26,7 +27,17 @@ from synattn import (
     initial_noise,
     rotary_table,
 )
-from synattn.backbone import WEIGHT_SCALE
+from synattn.backbone import (
+    MASK64,
+    MAX_BLOCKS,
+    MAX_GRID_SIDE,
+    MAX_HEAD_DIM,
+    MAX_HEADS,
+    MAX_STEPS,
+    MAX_TXT_TOKENS,
+    WEIGHT_SCALE,
+    _CHUNK,
+)
 
 CFG = BackboneConfig()
 
@@ -53,20 +64,42 @@ def oracle_attention(tokens, src_image, proj, w):
 
 
 class TestGenerators:
-    def test_splitmix_vector_matches_scalar(self):
-        a = SplitMix64(1234)
-        b = SplitMix64(1234)
-        vec = b.uniform(0.0, 1.0, 16)
-        scalars = np.array([a.next_uint() / 2.0**64 for _ in range(16)])
+    # counts on both sides of the vector draw's chunk boundaries; the seed
+    # near MASK64 wraps the uint64 state within the first chunk
+    @pytest.mark.parametrize("seed", [1234, MASK64 - 2])
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_splitmix_vector_matches_scalar(self, seed, count):
+        a = SplitMix64(seed)
+        b = SplitMix64(seed)
+        vec = b.uniform(0.0, 1.0, count)
+        scalars = np.array([a.next_uint() / 2.0**64 for _ in range(count)])
         np.testing.assert_array_equal(vec, scalars)
+        assert b.next_uint() == a.next_uint()
 
     def test_splitmix_stream_continues_after_vector_draw(self):
+        n = 3 * _CHUNK + 5
         a = SplitMix64(99)
-        first = a.uniform(0.0, 1.0, 4)
+        first = a.uniform(0.0, 1.0, n)
         b = SplitMix64(99)
-        both = b.uniform(0.0, 1.0, 8)
-        np.testing.assert_array_equal(both[:4], first)
-        np.testing.assert_array_equal(both[4:], a.uniform(0.0, 1.0, 4))
+        both = b.uniform(0.0, 1.0, n + 4)
+        np.testing.assert_array_equal(both[:n], first)
+        np.testing.assert_array_equal(both[n:], a.uniform(0.0, 1.0, 4))
+
+    def test_splitmix_negative_count_rejected_without_moving_the_stream(self):
+        gen = SplitMix64(7)
+        with pytest.raises(ValueError):
+            gen.uniform(0.0, 1.0, -1)
+        assert gen.next_uint() == SplitMix64(7).next_uint()
+
+    def test_splitmix_vector_draw_allocates_only_its_result(self):
+        count = 1 << 20
+        tracemalloc.start()
+        try:
+            SplitMix64(3).uniform(-1.0, 1.0, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * 8 + (1 << 20)
 
     def test_fnv1a64_published_vectors(self):
         assert fnv1a64("") == 0xCBF29CE484222325
@@ -179,6 +212,26 @@ class TestConfigValidation:
             n_steps=50,
         )
         assert max(cfg.shared_blocks) == 56
+
+    # each size field at its bound, then one past it (and, for head_dim, far
+    # past it with a matching axis split); the error names the field
+    @pytest.mark.parametrize("field, at_limit, past_limit", [
+        ("num_heads", dict(num_heads=MAX_HEADS, d_model=MAX_HEADS * 16),
+         dict(num_heads=MAX_HEADS + 1, d_model=(MAX_HEADS + 1) * 16)),
+        ("head_dim", dict(num_heads=1, head_dim=MAX_HEAD_DIM, d_model=MAX_HEAD_DIM,
+                          axis_dims=(MAX_HEAD_DIM,)),
+         dict(num_heads=1, head_dim=2**50, d_model=2**50, axis_dims=(2**50,))),
+        ("n_blocks", dict(n_blocks=MAX_BLOCKS), dict(n_blocks=MAX_BLOCKS + 1)),
+        ("n_txt_tokens", dict(n_txt_tokens=MAX_TXT_TOKENS),
+         dict(n_txt_tokens=MAX_TXT_TOKENS + 1)),
+        ("grid height", dict(grid=(MAX_GRID_SIDE, 1)), dict(grid=(MAX_GRID_SIDE + 1, 1))),
+        ("grid width", dict(grid=(1, MAX_GRID_SIDE)), dict(grid=(1, MAX_GRID_SIDE + 1))),
+        ("n_steps", dict(n_steps=MAX_STEPS), dict(n_steps=MAX_STEPS + 1)),
+    ])
+    def test_size_fields_bounded(self, field, at_limit, past_limit):
+        BackboneConfig(**at_limit)
+        with pytest.raises(ValueError, match=f"^{field} must be in"):
+            BackboneConfig(**past_limit)
 
     def test_flux_blocks_need_57(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,14 @@ from synattn import (
     Thresholds,
     run_edit,
 )
+from synattn.backbone import (
+    FLUX_SHARED_BLOCKS,
+    MAX_BLOCKS,
+    MAX_GRID_SIDE,
+    MAX_HEADS,
+    MAX_STEPS,
+    MAX_TXT_TOKENS,
+)
 from synattn.cli import (
     CONFIG_FIELDS,
     ConfigError,
@@ -107,14 +115,31 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(MINIMAL + "axis_dims = 2,2,2\n")
 
+    def test_full_scale_flux_parses(self):
+        shared = ",".join(str(b) for b in sorted(FLUX_SHARED_BLOCKS))
+        cfg = parse_config_text(
+            MINIMAL + "num_heads = 24\nhead_dim = 128\naxis_dims = 16,56,56\nblocks = 57\n"
+            f"shared_blocks = {shared}\ngrid = 64x64\nn_txt_tokens = 512\nsteps = 50\n"
+        )
+        assert cfg.backbone.d_model == 3072
+        assert cfg.backbone.n_img == 4096
+
 
 # Values rejected when the config is parsed, before any weight is drawn.
+# The head_dim case would ask for a 2**49-entry frequency table if it were
+# built.
 BAD_VALUES = (
     "m_max = inf",
     "m_min = -inf",
     "m_min = nan",
     "theta_base = inf",
     "blocks = 0\nshared_blocks =",
+    f"blocks = {MAX_BLOCKS + 1}",
+    f"steps = {MAX_STEPS + 1}",
+    f"grid = {MAX_GRID_SIDE + 1}x4",
+    f"n_txt_tokens = {MAX_TXT_TOKENS + 1}",
+    f"num_heads = {MAX_HEADS + 1}",
+    "head_dim = 1125899906842624\nnum_heads = 1\naxis_dims = 1125899906842624",
 )
 
 
@@ -269,10 +294,10 @@ class TestTraceConsistency:
 
 # Grammar fuzzing: valid configs under line edits (a value swapped for a
 # real or junk one, a line swapped for another key's line or for junk), and
-# a real trace under small character edits. Integer values stay small: a
-# large head_dim/axis_dims pair allocates its frequency table at parse time.
+# a real trace under small character edits. Integer values reach 2**62: the
+# size bounds reject a huge head_dim before its frequency table is built.
 fuzz_values = st.one_of(
-    st.integers(-2, 40).map(str),
+    st.integers(-2, 2**62).map(str),
     st.sampled_from(["", "2x2", "4X3", "0x3", "4,6,6", "2,2", "0,1", "1.5", "0.9", "-0.0",
                      "nan", "inf", "-inf", "1e400", "1_0", "\u0663", "a dog", "=", "#"]),
     st.text(max_size=8),
