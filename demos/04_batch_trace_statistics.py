@@ -1,7 +1,8 @@
 """Measurement statistics across a batch of edits, one table per schedule.
 
 Runs the same prompt pairs under the adaptive schedule and both fixed
-ablations, then aggregates the per-step editing measurement across cases:
+ablations as one ``run_batch`` of 24 configs, 8 groups of 3 that share a
+backbone, splits the traces by schedule, then aggregates the per-step editing measurement across cases:
 mean, population standard deviation, and nearest-rank 20th/80th
 percentiles. The adaptive schedule holds the measurement closest to 1.
 """
@@ -21,21 +22,24 @@ PAIRS = [
 ]
 
 
-def batch_for(override):
-    configs = [
-        PipelineConfig(
-            src_prompt=src,
-            tgt_prompt=tgt,
-            backbone=BackboneConfig(seed=i),
-            w_override=override,
-        )
-        for i, (src, tgt) in enumerate(PAIRS)
-    ]
-    return run_batch(configs)
+SCHEDULES = (("adaptive", None), ("w = 1 ablation", 1.0), ("w = 0 ablation", 0.0))
 
+# One batch for all three schedules: the configs of a pair share a backbone
+# (its seed), so each pair's three schedules run as one stacked computation.
+configs = [
+    PipelineConfig(
+        src_prompt=src,
+        tgt_prompt=tgt,
+        backbone=BackboneConfig(seed=i),
+        w_override=override,
+    )
+    for _, override in SCHEDULES
+    for i, (src, tgt) in enumerate(PAIRS)
+]
+results = run_batch(configs)
 
-for label, override in (("adaptive", None), ("w = 1 ablation", 1.0), ("w = 0 ablation", 0.0)):
-    traces = batch_for(override)
+for s, (label, _) in enumerate(SCHEDULES):
+    traces = results[s * len(PAIRS):(s + 1) * len(PAIRS)]
     rows = compute_stats(traces)
     print(f"\n=== {label}: measurement across {len(traces)} cases ===")
     print(" step       mean          std           p20           p80")

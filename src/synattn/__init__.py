@@ -47,6 +47,7 @@ from .pipeline import (
     PipelineConfig,
     run_batch,
     run_edit,
+    run_groups,
 )
 from .rope import (
     RopeConfig,
@@ -100,5 +101,6 @@ __all__ = [
     "EditingTrace",
     "NumericalAbortError",
     "run_edit",
+    "run_groups",
     "run_batch",
 ]

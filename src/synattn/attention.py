@@ -2,7 +2,11 @@
 
 A branch's state is one ``[text; image]`` matrix: its first ``n_txt`` rows
 are text tokens, the rest image tokens laid out row-major on a grid
-(:func:`grid_position_ids`). Attention always runs over the whole matrix.
+(:func:`grid_position_ids`). The forward-pass functions also take a stack
+of such matrices, ``(..., n, d)``, one per case, and treat each case as if
+it ran alone: products are ``@`` against the shared ``(d, d)`` projections, which
+numpy carries out as one BLAS call per case, so a case's bytes do not depend
+on what it is stacked with. Attention always runs over the whole matrix.
 Image-token queries and keys are rotated by a :class:`~synattn.rope.RotaryTable`
 built at strength ``w``; text tokens are never rotated.
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeError, matmul, softmax_rows
+from .numerics import ShapeError, softmax_rows
 from .rope import RopeConfig, RotaryTable, apply_rotary, rotary_table
 
 __all__ = [
@@ -72,35 +76,35 @@ class BlockProjection:
 
 
 def split_heads(tokens: np.ndarray, num_heads: int) -> np.ndarray:
-    """(n, d_model) -> (num_heads, n, head_dim), contiguous chunks per head."""
-    n, d = tokens.shape
+    """(..., n, d_model) -> (..., num_heads, n, head_dim), contiguous chunks per head."""
+    *lead, n, d = tokens.shape
     if d % num_heads:
         raise ShapeError(f"d_model {d} not divisible by {num_heads} heads")
-    return tokens.reshape(n, num_heads, d // num_heads).transpose(1, 0, 2)
+    return tokens.reshape(*lead, n, num_heads, d // num_heads).swapaxes(-3, -2)
 
 
 def merge_heads(heads: np.ndarray) -> np.ndarray:
     """Inverse of :func:`split_heads`."""
-    nh, n, hd = heads.shape
-    return heads.transpose(1, 0, 2).reshape(n, nh * hd)
+    *lead, nh, n, hd = heads.shape
+    return heads.swapaxes(-3, -2).reshape(*lead, n, nh * hd)
 
 
 def image_kv(
     image: np.ndarray, proj: BlockProjection, table: RotaryTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotated image keys and image values of one branch: what a shared block hands the target."""
-    return apply_rotary(matmul(image, proj.wk), table), matmul(image, proj.wv)
+    return apply_rotary(image @ proj.wk, table), image @ proj.wv
 
 
 def _queries(tokens: np.ndarray, n_txt: int, wq: np.ndarray, table: RotaryTable) -> np.ndarray:
     """Queries of a ``[text; image]`` matrix, the image rows rotated by ``table``."""
-    q = matmul(tokens, wq)
-    q[n_txt:] = apply_rotary(q[n_txt:], table)
+    q = tokens @ wq
+    q[..., n_txt:, :] = apply_rotary(q[..., n_txt:, :], table)
     return q
 
 
 def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
-    """Post-softmax weights of stacked heads: ``(h, n, hd)`` queries against ``(h, m, hd)`` keys.
+    """Post-softmax weights of stacked heads: ``(..., h, n, hd)`` queries, ``(..., h, m, hd)`` keys.
 
     Row ``i`` of head ``j`` is query ``i``'s distribution over the keys. The
     only place attention logits are formed and normalized; the forward pass
@@ -108,7 +112,7 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     pass's own arithmetic.
     """
     # K^T as a contiguous copy: a strided transpose changes the output bytes.
-    logits = np.matmul(q, np.ascontiguousarray(k.transpose(0, 2, 1))) * scale
+    logits = np.matmul(q, np.ascontiguousarray(k.swapaxes(-1, -2))) * scale
     return softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
 
 
@@ -130,17 +134,18 @@ def joint_attention(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt`` rows text.
 
-    ``table`` rotates the image queries (and the image keys this call
-    projects itself). ``kv_img`` is another branch's :func:`image_kv`, taken
-    in place of the branch's own. Returns the ``(n, d)`` output before the
-    output projection and the image keys/values it attended to.
+    ``tokens`` is ``(n, d)`` or a stack ``(..., n, d)``. ``table`` rotates the
+    image queries (and the image keys this call projects itself). ``kv_img``
+    is another branch's :func:`image_kv`, taken in place of the branch's own.
+    Returns the output before the output projection, shaped like ``tokens``,
+    and the image keys/values it attended to.
     """
     q = _queries(tokens, n_txt, proj.wq, table)
     if kv_img is None:
-        kv_img = image_kv(tokens[n_txt:], proj, table)
-    text = tokens[:n_txt]
-    k = np.vstack([matmul(text, proj.wk), kv_img[0]])
-    v = np.vstack([matmul(text, proj.wv), kv_img[1]])
+        kv_img = image_kv(tokens[..., n_txt:, :], proj, table)
+    text = tokens[..., :n_txt, :]
+    k = np.concatenate([text @ proj.wk, kv_img[0]], axis=-2)
+    v = np.concatenate([text @ proj.wv, kv_img[1]], axis=-2)
     return _multi_head(q, k, v, rope), kv_img
 
 
@@ -175,8 +180,8 @@ def attention_map(
         raise ShapeError(f"token width {tokens.shape[1]} != num_heads*head_dim {rope.d_model}")
     table = rotary_table(grid_position_ids(h, wid), w, rope)
     q = _queries(tokens, n_txt, proj.wq, table)
-    k_img = apply_rotary(matmul(src_image, proj.wk), table)
-    k = np.vstack([matmul(tokens[:n_txt], proj.wk), k_img])
+    k_img = apply_rotary(src_image @ proj.wk, table)
+    k = np.vstack([tokens[:n_txt] @ proj.wk, k_img])
     row = n_txt + r * wid + c
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit

@@ -15,12 +15,13 @@ their 64-bit FNV-1a hash.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .attention import BlockProjection, joint_attention
-from .numerics import ShapeError, matmul
+from .numerics import ShapeError
 from .rope import RopeConfig, RotaryTable
 
 __all__ = [
@@ -119,8 +120,11 @@ class SplitMix64:
         The stream is mixed in chunks of ``_CHUNK`` entries straight into the
         result, so the only full-size array is the result itself: ``idx`` and
         ``z`` are chunk-sized, and each result chunk, viewed as uint64, holds
-        the shifted operand of the xor rounds until its floats land.
+        the shifted operand of the xor rounds until its floats land. ``count``
+        is any integer, numpy's included; anything else raises ``TypeError``
+        before the stream moves.
         """
+        count = operator.index(count)
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         out = np.empty(count, dtype=np.float64)
@@ -295,7 +299,9 @@ def block_forward(
     """One block: attention, output projection, residual, 2-layer tanh MLP, residual.
 
     ``tokens`` is one branch's ``[text; image]`` matrix, its first
-    ``n_txt_tokens`` rows text; ``table`` rotates its image rows. When
+    ``n_txt_tokens`` rows text, or a ``(B, n, d)`` stack of such matrices,
+    one per case; ``table`` rotates its image rows (with a ``(B,)`` weight
+    for a stack whose cases differ in ``w``). When
     ``shared_kv`` is given (the source branch's rotated image keys and image
     values of this block, as this function returns them), the target side of
     a shared block attends to those; otherwise the block runs ordinary
@@ -309,8 +315,8 @@ def block_forward(
     attn, kv_img = joint_attention(
         tokens, config.n_txt_tokens, bp.attn, config.rope, table, shared_kv
     )
-    tokens = tokens + matmul(attn, bp.attn.wo)
-    tokens = tokens + matmul(np.tanh(matmul(tokens, bp.mlp_in)), bp.mlp_out)
+    tokens = tokens + attn @ bp.attn.wo
+    tokens = tokens + np.tanh(tokens @ bp.mlp_in) @ bp.mlp_out
     return tokens, attn, kv_img
 
 

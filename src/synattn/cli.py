@@ -5,7 +5,10 @@ Subcommands
 run    Run one or more edit configs; per config writes trace.txt,
        src_final.txt, tgt_final.txt and manifest.json into the output
        directory (one case_NNN subdirectory per config when several are
-       given). Cases run one after another; --jobs is accepted and ignored.
+       given). Cases that share a backbone (every backbone key, seed
+       included) run as one stacked computation, and each group's case
+       directories are written as soon as it finishes; --jobs is accepted
+       and ignored.
 stats  Aggregate several trace files: per timestep the mean, population
        standard deviation, and nearest-rank 20th/80th percentiles of the
        editing measurement across traces.
@@ -44,7 +47,7 @@ from .measurement import (
     StepRecord,
     Thresholds,
 )
-from .pipeline import EditingTrace, NumericalAbortError, PipelineConfig, run_edit
+from .pipeline import EditingTrace, NumericalAbortError, PipelineConfig, run_groups
 
 __all__ = [
     "ConfigError",
@@ -487,9 +490,8 @@ def build_map_inputs(
 # subcommands
 
 
-def _run_one_case(config_path: Path, out_dir: Path) -> None:
-    config = parse_config_text(config_path.read_text())
-    src_final, tgt_final, trace = run_edit(config)
+def _write_case(out_dir: Path, src_final: np.ndarray, tgt_final: np.ndarray,
+                trace: EditingTrace) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "trace.txt").write_text(write_trace(trace))
     (out_dir / "src_final.txt").write_text(write_matrix(src_final))
@@ -497,7 +499,7 @@ def _run_one_case(config_path: Path, out_dir: Path) -> None:
     manifest = {
         "tool": "synattn",
         "version": __version__,
-        "config": config_to_dict(config),
+        "config": config_to_dict(trace.config),
         "files": {
             "trace": "trace.txt",
             "src_final": "src_final.txt",
@@ -515,19 +517,38 @@ def _exit_code(exc: Exception) -> int:
 
 
 def cmd_run(config_paths: list[str], out_dir: str) -> int:
-    """Run each config in turn; one output directory per case when several are given.
+    """Run every config; one output directory per case when several are given.
 
-    A failing case is reported on stderr by index and the batch continues.
+    All configs are parsed first. Cases that share a backbone run as one
+    stacked computation, and each group's directories are written as soon
+    as the group finishes. A failing case is reported on stderr by index and
+    the batch continues.
     """
     root = Path(out_dir)
     code = 0
-    for i, path in enumerate(Path(p) for p in config_paths):
-        target = root if len(config_paths) == 1 else root / f"case_{i:03d}"
+
+    def report(i: int, exc: Exception) -> None:
+        nonlocal code
+        print(f"case {i} ({config_paths[i]}): {exc}", file=sys.stderr)
+        code = max(code, _exit_code(exc))
+
+    parsed: list[tuple[int, PipelineConfig]] = []
+    for i, path in enumerate(config_paths):
         try:
-            _run_one_case(path, target)
+            parsed.append((i, parse_config_text(Path(path).read_text())))
         except Exception as exc:  # noqa: BLE001 - reported per index by contract
-            print(f"case {i} ({path}): {exc}", file=sys.stderr)
-            code = max(code, _exit_code(exc))
+            report(i, exc)
+    for group, results in run_groups([config for _, config in parsed]):
+        for j, result in zip(group, results):
+            i = parsed[j][0]
+            target = root if len(config_paths) == 1 else root / f"case_{i:03d}"
+            if isinstance(result, Exception):
+                report(i, result)
+                continue
+            try:
+                _write_case(target, *result)
+            except Exception as exc:  # noqa: BLE001 - reported per index by contract
+                report(i, exc)
     return code
 
 
@@ -608,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="accepted for compatibility and ignored: cases always run one after another",
+        help="accepted for compatibility and ignored",
     )
     run_p.set_defaults(func=lambda a: cmd_run(a.config, a.out))
 

@@ -1,6 +1,7 @@
 """Dense float64 matrix primitives shared by every other module.
 
-Everything here is a pure function over 2-D float64 arrays. The only
+Everything here is a pure function over 2-D float64 arrays, except
+:func:`row_cosines`, which takes stacks of them. The only
 aggregation convention worth knowing: :func:`cosine_similarity` is the
 unweighted mean of per-row cosines, and rows with zero norm contribute 0
 instead of NaN.
@@ -9,7 +10,7 @@ Nothing here checks finiteness; inf and NaN propagate as numpy propagates
 them. Finiteness is checked once, where values enter: config values
 (``Thresholds``, ``RopeConfig``), weights (``BlockProjection``), positions
 (``rope.rotary_table``), the measurement (``adaptive_weight``), and in the
-loop by ``pipeline._finite_or_abort``, once per block per branch.
+loop by ``pipeline``, once per block per branch of every stacked case.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "matmul",
     "softmax_rows",
     "cosine_similarity",
+    "row_cosines",
 ]
 
 
@@ -71,6 +73,33 @@ def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("ij,ij->i", a, b) / np.sqrt(prod), normal
 
 
+def row_cosines(a, b) -> np.ndarray:
+    """Cosine of each row pair of two ``(..., n, d)`` stacks, clipped into [-1, 1], as ``(..., n)``.
+
+    The batched kernel behind :func:`cosine_similarity`, with the same
+    rescaling and zero-row rules. Every row is computed alone, so a row's
+    cosine does not depend on the rows stacked with it.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim < 2 or a.shape[-2] == 0:
+        raise ShapeError("cosine similarity needs at least one row")
+    rows_a = a.reshape(-1, a.shape[-1])
+    rows_b = b.reshape(-1, b.shape[-1])
+    with np.errstate(all="ignore"):
+        sims, normal = _row_cosines(rows_a, rows_b)
+        if not normal.all():
+            rows_a, rows_b = rows_a[~normal], rows_b[~normal]
+            max_a = np.max(np.abs(rows_a), axis=1, keepdims=True)
+            max_b = np.max(np.abs(rows_b), axis=1, keepdims=True)
+            rescaled, _ = _row_cosines(rows_a / max_a, rows_b / max_b)
+            live = (max_a[:, 0] != 0.0) & (max_b[:, 0] != 0.0)
+            sims[~normal] = np.where(live, rescaled, 0.0)
+    return np.clip(sims, -1.0, 1.0).reshape(a.shape[:-1])
+
+
 def cosine_similarity(a, b) -> float:
     """Mean over rows of the per-row cosine between ``a`` and ``b``.
 
@@ -79,21 +108,8 @@ def cosine_similarity(a, b) -> float:
     or their product leave the normal range (rows too small or too large to
     square) is recomputed after scaling it to unit max-abs. Zero-norm rows
     contribute similarity 0; a row with a NaN or inf makes the result NaN.
-    The result is clipped into [-1, 1].
+    The result is clipped into [-1, 1]. The mean of :func:`row_cosines`.
     """
     a = as_matrix(a, "first argument")
     b = as_matrix(b, "second argument")
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.shape[0] == 0:
-        raise ShapeError("cosine similarity needs at least one row")
-    with np.errstate(all="ignore"):
-        sims, normal = _row_cosines(a, b)
-        if not normal.all():
-            a, b = a[~normal], b[~normal]
-            max_a = np.max(np.abs(a), axis=1, keepdims=True)
-            max_b = np.max(np.abs(b), axis=1, keepdims=True)
-            rescaled, _ = _row_cosines(a / max_a, b / max_b)
-            live = (max_a[:, 0] != 0.0) & (max_b[:, 0] != 0.0)
-            sims[~normal] = np.where(live, rescaled, 0.0)
-    return float(np.mean(np.clip(sims, -1.0, 1.0)))
+    return float(np.mean(row_cosines(a, b)))

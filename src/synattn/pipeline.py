@@ -13,18 +13,28 @@ The source branch never reads target state: with a fixed override weight
 its trajectory is independent of the target prompt and of which blocks
 share. Under the adaptive schedule the measurement couples the branches
 through ``w`` alone.
+
+Cases whose :class:`BackboneConfig` is the same, every field and the seed
+included, run as one stacked computation: the weights, the initial noise
+and each distinct prompt's encoding are drawn once for the group, each
+branch is a ``(B, n, d)`` stack with one ``w`` per case, and each layer
+makes one numpy call for the whole stack. Every case still gets its own
+BLAS calls, so its bytes are the ones it gets alone. A case that aborts
+stores its exception and leaves the stack; the others carry on.
+:func:`run_edit` is the same engine on one case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .attention import grid_position_ids
 from .backbone import (
     BackboneConfig,
+    BackboneParams,
     block_forward,
     denoise_step,
     encode_prompt,
@@ -32,13 +42,14 @@ from .backbone import (
     initial_noise,
 )
 from .measurement import (
+    DegenerateSimilarityError,
     StepRecord,
     Thresholds,
     adaptive_weight,
     block_similarity,
     editing_measurement,
 )
-from .numerics import cosine_similarity
+from .numerics import row_cosines
 from .rope import rotary_table
 
 __all__ = [
@@ -46,8 +57,14 @@ __all__ = [
     "EditingTrace",
     "NumericalAbortError",
     "run_edit",
+    "run_groups",
     "run_batch",
 ]
+
+# Bytes of branch state (both branches' [text; image] stacks) one stacked
+# computation may hold; a larger group runs as several sub-batches, and one
+# case always fits. A toy case takes 20 KB and a FLUX-width one 13 MB.
+_STACK_BYTES = 1 << 25
 
 
 class NumericalAbortError(RuntimeError):
@@ -84,79 +101,159 @@ class EditingTrace:
     config: PipelineConfig
 
 
-def _finite_or_abort(tokens: np.ndarray, t: int, block: int, branch: str) -> None:
-    if not np.all(np.isfinite(tokens)):
-        raise NumericalAbortError(t, block, f"{branch} branch stream")
+EditResult = tuple[np.ndarray, np.ndarray, EditingTrace]
 
 
-def run_edit(config: PipelineConfig) -> tuple[np.ndarray, np.ndarray, EditingTrace]:
-    """Run the full paired denoising loop.
-
-    Returns the final source and target image-token matrices and the trace
-    of per-step similarities, measurements, and applied weights.
-    """
-    bb = config.backbone
-    params = init_backbone(bb)
-    txt_src = encode_prompt(config.src_prompt, bb)
-    txt_tgt = encode_prompt(config.tgt_prompt, bb)
-    x_src = initial_noise(bb)
-    x_tgt = x_src.copy()
-
+def _run_stack(
+    configs: Sequence[PipelineConfig], params: BackboneParams, noise: np.ndarray,
+    text: dict[str, np.ndarray],
+) -> list[EditResult | Exception]:
+    """The paired loop for configs sharing ``params``, one row of each stack per case."""
+    bb = params.config
     n_txt = bb.n_txt_tokens
+    results: list[EditResult | Exception | None] = [None] * len(configs)
+    records: list[list[StepRecord]] = [[] for _ in configs]
+    rows = np.arange(len(configs))  # the config index of each stacked row
+    txt_src = np.stack([text[c.src_prompt] for c in configs])
+    txt_tgt = np.stack([text[c.tgt_prompt] for c in configs])
+    # read-only views of the one noise draw; each step's update makes new arrays
+    x_src = x_tgt = np.broadcast_to(noise, (len(configs), *noise.shape))
+    w = np.array([1.0 if c.w_override is None else float(c.w_override) for c in configs])
     positions = grid_position_ids(*bb.grid)
-    records: list[StepRecord] = []
-    w = 1.0 if config.w_override is None else float(config.w_override)
-    m_prev: float | None = None
 
-    # A non-finite value is reported once, by _finite_or_abort, not as numpy warnings.
+    # A non-finite value is reported once per case, as its abort, not as numpy warnings.
     with np.errstate(all="ignore"):
         for t in range(bb.n_steps, 0, -1):
-            if m_prev is not None and config.w_override is None:
-                w = adaptive_weight(m_prev, config.thresholds)
-
             table = rotary_table(positions, w, bb.rope)
-            src = np.vstack([txt_src, x_src])
-            tgt = np.vstack([txt_tgt, x_tgt])
-            block_records = []
+            src = np.concatenate([txt_src, x_src], axis=1)
+            tgt = np.concatenate([txt_tgt, x_tgt], axis=1)
+            blocks: list[list] = [[] for _ in rows]
             for l in range(bb.n_blocks):
                 src, src_attn, src_kv = block_forward(src, l, params, table)
                 shared = src_kv if l in bb.shared_blocks else None
                 tgt, tgt_attn, _ = block_forward(tgt, l, params, table, shared)
-                _finite_or_abort(src, t, l, "source")
-                _finite_or_abort(tgt, t, l, "target")
-                s_txt = cosine_similarity(src_attn[:n_txt], tgt_attn[:n_txt])
-                s_img = cosine_similarity(src_attn[n_txt:], tgt_attn[n_txt:])
-                block_records.append(block_similarity(l, s_txt, s_img))
+                src_ok = np.isfinite(src).all(axis=(1, 2))
+                keep = src_ok & np.isfinite(tgt).all(axis=(1, 2))
+                cos = row_cosines(src_attn, tgt_attn)
+                s_txt = cos[:, :n_txt].mean(axis=1)
+                s_img = cos[:, n_txt:].mean(axis=1)
+                for j, i in enumerate(rows):
+                    if not keep[j]:
+                        branch = "target" if src_ok[j] else "source"
+                        results[i] = NumericalAbortError(t, l, f"{branch} branch stream")
+                        continue
+                    try:
+                        blocks[j].append(block_similarity(l, float(s_txt[j]), float(s_img[j])))
+                    except DegenerateSimilarityError as exc:
+                        results[i] = exc
+                        keep[j] = False
+                if not keep.all():  # the failed cases leave the stack
+                    if not keep.any():
+                        return results
+                    rows, src, tgt, txt_src, txt_tgt, x_src, x_tgt, w = (
+                        a[keep] for a in (rows, src, tgt, txt_src, txt_tgt, x_src, x_tgt, w)
+                    )
+                    blocks = [b for b, k in zip(blocks, keep) if k]
+                    table = rotary_table(positions, w, bb.rope)
 
-            m_t = editing_measurement(block_records)
-            records.append(
-                StepRecord(
-                    timestep=t,
-                    blocks=tuple(block_records),
-                    m_mean=m_t,
-                    weight_applied=w,
+            x_src = denoise_step(x_src, src[:, n_txt:], t, bb.n_steps)
+            x_tgt = denoise_step(x_tgt, tgt[:, n_txt:], t, bb.n_steps)
+            for j, i in enumerate(rows):
+                m_t = editing_measurement(blocks[j])
+                records[i].append(
+                    StepRecord(timestep=t, blocks=tuple(blocks[j]), m_mean=m_t,
+                               weight_applied=float(w[j]))
                 )
-            )
-            x_src = denoise_step(x_src, src[n_txt:], t, bb.n_steps)
-            x_tgt = denoise_step(x_tgt, tgt[n_txt:], t, bb.n_steps)
-            m_prev = m_t
+                # m_t is finite: every ratio has a finite s_img and |s_txt| >= 1e-6
+                if t > 1 and configs[i].w_override is None:
+                    w[j] = adaptive_weight(m_t, configs[i].thresholds)
 
-    return x_src, x_tgt, EditingTrace(steps=tuple(records), config=config)
+    for j, i in enumerate(rows):
+        results[i] = (x_src[j], x_tgt[j], EditingTrace(steps=tuple(records[i]), config=configs[i]))
+    return results
+
+
+def _run_group(configs: Sequence[PipelineConfig]) -> list[EditResult | Exception]:
+    """Run configs that share one backbone, drawing its weights, noise and prompts once.
+
+    Each result is the case's final states and trace, or the exception it
+    raised. The cases run in sub-batches of at most ``_STACK_BYTES`` of state.
+    """
+    bb = configs[0].backbone
+    try:
+        params = init_backbone(bb)
+    except Exception as exc:  # noqa: BLE001 - every case of the group raised it
+        return [exc] * len(configs)
+    results: list[EditResult | Exception | None] = [None] * len(configs)
+    text: dict[str, np.ndarray | Exception] = {}
+    ready = []
+    for i, cfg in enumerate(configs):
+        for prompt in (cfg.src_prompt, cfg.tgt_prompt):
+            if prompt not in text:
+                try:
+                    text[prompt] = encode_prompt(prompt, bb)
+                except Exception as exc:  # noqa: BLE001 - this case's own failure
+                    text[prompt] = exc
+            if isinstance(text[prompt], Exception):
+                results[i] = text[prompt]
+                break
+        else:
+            ready.append(i)
+    if not ready:
+        return results
+    try:
+        noise = initial_noise(bb)
+    except Exception as exc:  # noqa: BLE001 - every remaining case raised it
+        return [exc if r is None else r for r in results]
+    case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
+    per_stack = max(1, _STACK_BYTES // case_bytes)
+    for start in range(0, len(ready), per_stack):
+        chunk = ready[start:start + per_stack]
+        for i, result in zip(chunk, _run_stack([configs[i] for i in chunk], params, noise, text)):
+            results[i] = result
+    return results
+
+
+def run_edit(config: PipelineConfig) -> EditResult:
+    """Run the full paired denoising loop.
+
+    Returns the final source and target image-token matrices and the trace
+    of per-step similarities, measurements, and applied weights. This is the
+    stacked engine on one case; the case's exception is raised.
+    """
+    (result,) = _run_group([config])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def run_groups(
+    configs: Sequence[PipelineConfig],
+) -> Iterator[tuple[list[int], list[EditResult | Exception]]]:
+    """Run configs grouped by backbone, one stacked computation per group.
+
+    Yields each group's input indices and its results, in the same order, as
+    soon as that group finishes; groups come in order of first appearance. A
+    result is the case's final states and trace, or the exception it raised.
+    """
+    groups: dict[BackboneConfig, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(cfg.backbone, []).append(i)
+    for indices in groups.values():
+        yield indices, _run_group([configs[i] for i in indices])
 
 
 def run_batch(configs: Sequence[PipelineConfig]) -> list[EditingTrace | Exception]:
-    """Independent :func:`run_edit` per config, run in turn, traces in input order.
+    """Each config's trace, in input order, from one stacked computation per backbone.
 
-    A failing case stores its exception at that index and the batch
-    continues.
+    A failing case stores its exception at that index, the exception it
+    raises alone, and the batch continues.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("run_batch needs at least one config")
-    results: list[EditingTrace | Exception] = []
-    for cfg in configs:
-        try:
-            results.append(run_edit(cfg)[2])
-        except Exception as exc:  # noqa: BLE001 - reported per index by contract
-            results.append(exc)
+    results: list[EditingTrace | Exception] = [None] * len(configs)
+    for indices, group in run_groups(configs):
+        for i, result in zip(indices, group):
+            results[i] = result if isinstance(result, Exception) else result[2]
     return results

@@ -110,18 +110,24 @@ def apply_rope(v, pos, w: float, config: RopeConfig) -> np.ndarray:
 
 
 class RotaryTable(NamedTuple):
-    """cos/sin of every channel-pair angle of every row, each ``(n, 1, head_dim // 2)``."""
+    """cos/sin of every channel-pair angle of every row, each ``(..., n, 1, head_dim // 2)``.
+
+    The leading axes are those of the weight: none for a scalar ``w``, ``(B,)``
+    for one weight per stacked case.
+    """
 
     cos: np.ndarray
     sin: np.ndarray
 
 
-def rotary_table(positions, w: float, config: RopeConfig) -> RotaryTable:
+def rotary_table(positions, w, config: RopeConfig) -> RotaryTable:
     """The rotation of ``n`` rows at strength ``w``, built once for all heads and blocks.
 
-    Row ``r``'s pair angles are ``(w * positions)[r, axis] * theta_k``. The
+    ``w`` is a scalar or a ``(B,)`` vector, one weight per stacked case. Row
+    ``r``'s pair angles are ``(w * positions)[..., r, axis] * theta_k``. The
     ids are scaled by ``w`` first, so scaling the ids and scaling the angles
-    are the same operation down to the float.
+    are the same operation down to the float, and case ``b`` of a vector ``w``
+    gets the bytes of a scalar ``w[b]``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != config.n_axes:
@@ -130,13 +136,19 @@ def rotary_table(positions, w: float, config: RopeConfig) -> RotaryTable:
         )
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions contain non-finite values")
-    angles = (w * positions)[:, config.pair_axes] * config.pair_freqs
-    return RotaryTable(np.cos(angles)[:, None, :], np.sin(angles)[:, None, :])
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim > 1:
+        raise ShapeError(f"w must be a scalar or a vector, got shape {w.shape}")
+    angles = (w[..., None, None] * positions)[..., config.pair_axes] * config.pair_freqs
+    return RotaryTable(np.cos(angles)[..., None, :], np.sin(angles)[..., None, :])
 
 
 def apply_rotary(tokens: np.ndarray, table: RotaryTable) -> np.ndarray:
-    """Rotate every head_dim chunk of each row of an ``(n, num_heads * head_dim)`` matrix."""
-    heads = tokens.reshape(tokens.shape[0], -1, 2 * table.cos.shape[-1])
+    """Rotate every head_dim chunk of each row of ``(..., n, num_heads * head_dim)`` tokens.
+
+    The table's leading axes broadcast against the tokens' own.
+    """
+    heads = tokens.reshape(*tokens.shape[:-1], -1, 2 * table.cos.shape[-1])
     x = heads[..., 0::2]
     y = heads[..., 1::2]
     out = np.empty_like(heads)

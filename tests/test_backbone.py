@@ -91,6 +91,17 @@ class TestGenerators:
             gen.uniform(0.0, 1.0, -1)
         assert gen.next_uint() == SplitMix64(7).next_uint()
 
+    def test_splitmix_numpy_integer_count_draws_like_int(self):
+        a, b = SplitMix64(11), SplitMix64(11)
+        np.testing.assert_array_equal(a.uniform(0.0, 1.0, np.int64(4)), b.uniform(0.0, 1.0, 4))
+        assert a.next_uint() == b.next_uint()
+
+    def test_splitmix_float_count_rejected_without_moving_the_stream(self):
+        gen = SplitMix64(7)
+        with pytest.raises(TypeError):
+            gen.uniform(0.0, 1.0, 4.0)
+        assert gen.next_uint() == SplitMix64(7).next_uint()
+
     def test_splitmix_vector_draw_allocates_only_its_result(self):
         count = 1 << 20
         tracemalloc.start()
@@ -300,6 +311,27 @@ class TestBlockForward:
         np.testing.assert_array_equal(reused, recomputed)
         np.testing.assert_array_equal(reused_attn, attn)
         assert np.abs(reused_attn - oracle_attention(tgt, src[n:], attn_proj, 0.7)).max() <= 1e-12
+
+    @pytest.mark.parametrize("block", [0, 1])  # block 0 is shared, block 1 is not
+    def test_stack_matches_each_case_alone(self, block):
+        # a (B, n, d) stack with one w per case gives each case the bytes it
+        # gets alone, through attention, projections, MLP and the handed-on K/V
+        params = init_backbone(CFG)
+        rng = np.random.default_rng(87)
+        weights = np.array([1.0, 0.0, 0.35])
+        src = np.stack([random_tokens(rng) for _ in weights])
+        tgt = np.stack([random_tokens(rng) for _ in weights])
+        table = grid_table(weights)
+        src_out, src_attn, src_kv = block_forward(src, block, params, table)
+        tgt_out, tgt_attn, _ = block_forward(tgt, block, params, table, src_kv)
+        for b, w in enumerate(weights):
+            one = grid_table(w)
+            want_src, want_src_attn, kv = block_forward(src[b], block, params, one)
+            want_tgt, want_tgt_attn, _ = block_forward(tgt[b], block, params, one, kv)
+            for got, want in [(src_out, want_src), (src_attn, want_src_attn),
+                              (src_kv[0], kv[0]), (src_kv[1], kv[1]),
+                              (tgt_out, want_tgt), (tgt_attn, want_tgt_attn)]:
+                np.testing.assert_array_equal(got[b], want)
 
     def test_block_index_validated(self):
         params = init_backbone(CFG)

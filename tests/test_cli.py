@@ -452,6 +452,38 @@ class TestRunCommand:
         assert not (out / "case_001").exists()
         assert "case 1" in capsys.readouterr().err
 
+    def test_abort_inside_a_group_spares_the_other_cases(self, tmp_path, capsys, monkeypatch):
+        # three cases share a backbone; NaN in one target prompt aborts that
+        # case alone, and the other two write the bytes they write alone
+        import synattn.pipeline as pipeline_mod
+
+        real = pipeline_mod.encode_prompt
+
+        def poisoned(prompt, bb):
+            out = real(prompt, bb)
+            if prompt == "a poisoned dog":
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
+        texts = [MINIMAL, "src_prompt = a standing dog\ntgt_prompt = a poisoned dog\n",
+                 MINIMAL + "w_override = 0\n"]
+        cfgs = []
+        for i, text in enumerate(texts):
+            (tmp_path / f"c{i}.cfg").write_text(text)
+            cfgs += ["--config", str(tmp_path / f"c{i}.cfg")]
+        out = tmp_path / "batch"
+        assert main(["run", *cfgs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"case 1 ({tmp_path / 'c1.cfg'}): non-finite values at timestep 10, "
+                       "block 0: target branch stream"]
+        assert not (out / "case_001").exists()
+        for i in (0, 2):
+            alone = tmp_path / f"alone{i}"
+            assert main(["run", "--config", str(tmp_path / f"c{i}.cfg"), "--out", str(alone)]) == 0
+            for name in ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json"):
+                assert (out / f"case_{i:03d}" / name).read_bytes() == (alone / name).read_bytes()
+
     def test_jobs_do_not_change_bytes(self, tmp_path):
         cfgs = []
         for i in range(3):
@@ -468,12 +500,12 @@ class TestRunCommand:
             assert a == b
 
     def test_numerical_abort_exits_two(self, tmp_path, capsys, monkeypatch):
-        import synattn.cli as cli_mod
+        import synattn.pipeline as pipeline_mod
 
         def blow_up(config):
             raise NumericalAbortError(7, 2, "target branch stream")
 
-        monkeypatch.setattr(cli_mod, "run_edit", blow_up)
+        monkeypatch.setattr(pipeline_mod, "init_backbone", blow_up)
         cfg_file = tmp_path / "edit.cfg"
         cfg_file.write_text(MINIMAL)
         code = main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")])

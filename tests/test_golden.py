@@ -12,8 +12,12 @@ and manifest echo per key). The two files in ``tests/golden/maps/`` were
 written by ``synattn map`` with the arguments listed in ``MAPS`` below, by
 the same code. Writing them with 1 and with 2 OpenBLAS threads gave the same
 bytes, and :func:`test_run_outputs_match_golden_at_blas_threads` checks that
-claim for the runs and the maps on every run. All cases are toy width; at FLUX width the bytes depend
-on the BLAS thread count, so such a case could not be pinned.
+claim for the runs and the maps on every run. It runs all six configs in
+one ``synattn run``, so ``adaptive``, ``w_zero`` and ``w_one``, which share a
+backbone, go through the stacked engine as one group of three, while each
+per-case test runs its config alone. All cases are toy width; at FLUX
+width the bytes depend on the BLAS thread count, so such a case could not
+be pinned.
 
 Weight draws involve no BLAS, so one FLUX-width draw is pinned:
 ``flux_width_wq.sha256`` holds the sha256 of block 0's ``wq`` from
@@ -35,7 +39,7 @@ import numpy as np
 import pytest
 
 from synattn import BackboneConfig, init_block
-from synattn.cli import main
+from synattn.cli import main, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -84,6 +88,10 @@ def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
 
+    backbones = [parse_config_text((GOLDEN / case / "config.cfg").read_text()).backbone
+                 for case in CASES]
+    assert backbones[0] == backbones[1] == backbones[2]  # one group of three
+    assert len(set(backbones)) == 4
     configs = [arg for case in CASES for arg in ("--config", str(GOLDEN / case / "config.cfg"))]
     cli("run", *configs, "--out", str(tmp_path))
     for i, case in enumerate(CASES):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import cosine_rows_mean, matmul_triple_loop
 from synattn import ShapeError, cosine_similarity, matmul, softmax_rows
+from synattn.numerics import row_cosines
 
 small_matrices = arrays(
     np.float64,
@@ -142,3 +143,27 @@ class TestCosineSimilarity:
         base = cosine_similarity(a, b)
         scaled = cosine_similarity(a * scales[:, None], b)
         assert scaled == pytest.approx(base, abs=1e-12)
+
+
+class TestRowCosines:
+    def test_each_row_is_computed_alone(self):
+        # rows of a normal scale, a zero row, and rows the rescale path takes
+        rng = np.random.default_rng(25)
+        a = rng.normal(size=(2, 3, 4, 6))
+        b = rng.normal(size=(2, 3, 4, 6))
+        a[0, 1, 2] = 0.0
+        a[1, 0, 1] *= 1e-170
+        b[1, 2, 3] *= 1e170
+        got = row_cosines(a, b)
+        assert got.shape == (2, 3, 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.mean(got[i, j]) == cosine_similarity(a[i, j], b[i, j])
+                for r in range(4):
+                    assert got[i, j, r] == cosine_similarity(a[i, j, r:r + 1], b[i, j, r:r + 1])
+
+    def test_shape_mismatch_and_empty_rows(self):
+        with pytest.raises(ShapeError):
+            row_cosines(np.ones((2, 2, 3)), np.ones((3, 2, 3)))
+        with pytest.raises(ShapeError):
+            row_cosines(np.ones((2, 0, 3)), np.ones((2, 0, 3)))

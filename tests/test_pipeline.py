@@ -7,12 +7,14 @@ from synattn import (
     BackboneConfig,
     NumericalAbortError,
     PipelineConfig,
+    Thresholds,
     adaptive_weight,
     encode_prompt,
     init_backbone,
     initial_noise,
     run_batch,
     run_edit,
+    run_groups,
 )
 import synattn.pipeline as pipeline_mod
 
@@ -167,7 +169,7 @@ class TestRunEdit:
         def poisoned(tokens, block_index, params, table, shared_kv=None):
             out, attn, kv = real(tokens, block_index, params, table, shared_kv)
             if block_index == 3:
-                out[params.config.n_txt_tokens, 0] = np.inf
+                out[..., params.config.n_txt_tokens, 0] = np.inf
             return out, attn, kv
 
         monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
@@ -226,3 +228,98 @@ class TestRunBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             run_batch([])
+
+
+def assert_same_result(got, want):
+    """Final states bitwise equal and traces equal (every float compared exactly)."""
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
+def mixed_configs():
+    """Two backbones interleaved, every schedule kind, differing thresholds."""
+    other = BackboneConfig(seed=7, grid=(3, 5), n_steps=6)
+    return [
+        small_config(),
+        small_config(backbone=other, w_override=0.0),
+        small_config(w_override=1.0),
+        small_config(backbone=other, thresholds=Thresholds(0.8, 1.1)),
+        small_config(tgt_prompt="a jumping dog", w_override=0.25),
+        small_config(backbone=other, w_override=0.25),
+        small_config(thresholds=Thresholds(0.95, 1.02)),
+        small_config(backbone=other, tgt_prompt="a jumping dog", w_override=1.0),
+    ]
+
+
+class TestStackedEngine:
+    def test_groups_follow_the_backbone_in_order_of_first_appearance(self):
+        configs = mixed_configs()
+        groups = [indices for indices, _ in run_groups(configs)]
+        assert groups == [[0, 2, 4, 6], [1, 3, 5, 7]]
+
+    def test_mixed_batch_matches_run_edit_case_by_case(self):
+        configs = mixed_configs()
+        traces = run_batch(configs)
+        for cfg, trace in zip(configs, traces):
+            assert trace == run_edit(cfg)[2]
+        for indices, results in run_groups(configs):
+            for i, result in zip(indices, results):
+                assert_same_result(result, run_edit(configs[i]))
+
+    def test_each_backbone_drawn_once_per_group(self, monkeypatch):
+        drawn = []
+        real = pipeline_mod.init_backbone
+        monkeypatch.setattr(pipeline_mod, "init_backbone", lambda bb: drawn.append(bb) or real(bb))
+        run_batch(mixed_configs())
+        assert drawn == [BackboneConfig(), BackboneConfig(seed=7, grid=(3, 5), n_steps=6)]
+
+    def test_poisoned_case_aborts_alone(self, monkeypatch):
+        # NaN in one case's target text: that case aborts where it aborts
+        # alone, the other two of its group keep their bytes
+        configs = [
+            small_config(),
+            small_config(tgt_prompt="a poisoned dog", w_override=0.5),
+            small_config(w_override=0.0),
+        ]
+        real = pipeline_mod.encode_prompt
+
+        def poisoned(prompt, bb):
+            out = real(prompt, bb)
+            if prompt == "a poisoned dog":
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
+        ((indices, results),) = list(run_groups(configs))
+        assert indices == [0, 1, 2]
+        with pytest.raises(NumericalAbortError) as alone:
+            run_edit(configs[1])
+        got = results[1]
+        assert type(got) is NumericalAbortError
+        assert (got.timestep, got.block_index) == (alone.value.timestep, alone.value.block_index)
+        assert str(got) == str(alone.value)
+        assert "target branch stream" in str(got)
+        assert_same_result(results[0], run_edit(configs[0]))
+        assert_same_result(results[2], run_edit(configs[2]))
+
+    def test_tiny_budget_splits_the_group_without_changing_bytes(self, monkeypatch):
+        configs = [small_config(w_override=w) for w in (None, 0.0, 1.0, 0.25, None)]
+        ((_, whole),) = list(run_groups(configs))
+        sizes = []
+        real = pipeline_mod._run_stack
+
+        def recording(stack_configs, *args):
+            sizes.append(len(stack_configs))
+            return real(stack_configs, *args)
+
+        monkeypatch.setattr(pipeline_mod, "_run_stack", recording)
+        bb = configs[0].backbone
+        case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
+        for budget, want in [(1, [1] * 5), (2 * case_bytes, [2, 2, 1])]:
+            sizes.clear()
+            monkeypatch.setattr(pipeline_mod, "_STACK_BYTES", budget)
+            ((_, split),) = list(run_groups(configs))
+            assert sizes == want
+            for got, ref in zip(split, whole):
+                assert_same_result(got, ref)

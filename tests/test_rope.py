@@ -229,6 +229,27 @@ def test_position_needs_one_entry_per_axis(rotate):
         rotate((0.0, 1.0))
 
 
+def test_rotary_table_weight_vector_matches_scalar_calls():
+    # case b of a (B,) weight has the bytes of a table built at w[b] alone,
+    # and so does the rotation of case b's rows
+    rng = np.random.default_rng(41)
+    pos = rng.uniform(-9, 9, size=(6, 3))
+    weights = np.array([1.0, 0.0, 0.25, 0.7])
+    stacked = rotary_table(pos, weights, TOY)
+    tokens = rng.normal(size=(len(weights), 6, TOY.d_model))
+    rotated = apply_rotary(tokens, stacked)
+    for b, w in enumerate(weights):
+        one = rotary_table(pos, float(w), TOY)
+        np.testing.assert_array_equal(stacked.cos[b], one.cos)
+        np.testing.assert_array_equal(stacked.sin[b], one.sin)
+        np.testing.assert_array_equal(rotated[b], apply_rotary(tokens[b], one))
+
+
+def test_rotary_table_rejects_a_weight_matrix():
+    with pytest.raises(ShapeError):
+        rotary_table(np.zeros((2, 3)), np.ones((2, 2)), TOY)
+
+
 def test_rotary_table_scales_positions_first():
     # tables for (pos, w) and (w * pos, 1) agree down to the float
     rng = np.random.default_rng(40)
