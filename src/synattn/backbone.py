@@ -10,12 +10,17 @@ Randomness is generated by splitmix64 streams. A stream's output sequence
 is ``mix(seed + i * GAMMA)`` for i = 1, 2, ... where ``mix`` is the
 splitmix64 finalizer and ``GAMMA = 0x9E3779B97F4A7C15``. Stream seeds are
 derived by folding integer parts with :func:`derive_seed`; strings enter as
-their 64-bit FNV-1a hash.
+their 64-bit FNV-1a hash. Since entry i depends only on the seed and i, any
+range of any stream can be mixed on its own: every draw (all of a
+backbone's weight streams, a prompt's rows, the noise) fills its result in
+tiles, split across the usable cores when it is large, and its bytes do not
+depend on the split.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +62,24 @@ _MIX2 = 0x94D049BB133111EB
 _U_GAMMA = np.uint64(_GAMMA)
 _U_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
 _U_LAST_SHIFT = np.uint64(31)
+# round(z) / 2**64 without numpy's uint64 -> float64 cast, which is several
+# times slower than the mixing itself. With z = hi * 2**12 + lo, 1.0's bits
+# with hi as mantissa are 1 + hi * 2**-52, and 2**-52's bits with lo atop the
+# mantissa are 2**-52 + lo * 2**-64. Taking 1 and 2**-52 back off is exact,
+# so the one rounding is that of the sum, z * 2**-64, as in the cast.
+_U_HI_SHIFT = np.uint64(12)
+_U_LO_SHIFT = np.uint64(52)
+_U_ONE = np.uint64(0x3FF0000000000000)  # bits of 1.0
+_U_TINY = np.uint64(0x3CB0000000000000)  # bits of 2.0**-52
 
-# Entries per chunk of a vector draw. Drawing FLUX-width weights on a
+# Entries per tile of a vector draw. Drawing FLUX-width weights on a
 # 2-vCPU machine, 16k to 64k ran at the same speed and 4k and 256k slower.
 _CHUNK = 1 << 15
+# Fewest tiles a draw gives each thread: 16 tiles are about 6 ms of mixing,
+# against about 0.2 ms to start and join a two-thread pool. Each thread
+# holds one tile of scratch, so this also keeps the scratch of a draw small
+# next to its result.
+_TILES_PER_WORKER = 16
 
 # Block set used for sharing at full scale (57-block models); only valid for
 # configs with n_blocks >= 57. The toy default lives in BackboneConfig.
@@ -117,40 +136,95 @@ class SplitMix64:
     def uniform(self, low: float, high: float, count: int) -> np.ndarray:
         """Next ``count`` floats, uniform in [low, high).
 
-        The stream is mixed in chunks of ``_CHUNK`` entries straight into the
-        result, so the only full-size array is the result itself: ``idx`` and
-        ``z`` are chunk-sized, and each result chunk, viewed as uint64, holds
-        the shifted operand of the xor rounds until its floats land. ``count``
-        is any integer, numpy's included; anything else raises ``TypeError``
-        before the stream moves.
+        The stream is mixed in tiles straight into the result, the only
+        full-size array, and a large draw splits its tiles across the usable
+        cores; the bytes are the scalar :meth:`next_uint` stream's, however
+        the draw is split. ``count`` is any integer, numpy's included;
+        anything else raises ``TypeError`` before the stream moves.
         """
         count = operator.index(count)
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        out = np.empty(count, dtype=np.float64)
-        idx = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64)
-        z = np.empty_like(idx)
-        state = np.uint64(self._state)
-        for start in range(0, count, _CHUNK):
-            dst = out[start:start + _CHUNK]
-            zc = z[:dst.size]
+        out = _draw_streams([self._state], count, low, high).reshape(count)
+        self._state = (self._state + count * _GAMMA) & MASK64
+        return out
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
+    """``(len(seeds), count)`` floats: row ``s`` is the first ``count`` of stream ``seeds[s]``.
+
+    The result is filled in tiles of at most ``_CHUNK`` entries: several
+    short streams side by side, or one slice of a long stream. Entry ``j`` of
+    a tile starting at column ``first`` mixes ``seed + (first + j + 1) * GAMMA``,
+    so a tile's bytes do not depend on which thread computes it. A draw with
+    ``_TILES_PER_WORKER`` tiles or more per usable core runs its tiles as
+    contiguous runs on a thread pool (numpy's ufunc loops release the GIL);
+    smaller draws run inline and start no thread.
+    """
+    seeds = np.array(seeds, dtype=np.uint64)
+    out = np.empty((seeds.size, count), dtype=np.float64)
+    if out.size == 0:
+        return out
+    if count <= _CHUNK:
+        rows = _CHUNK // count
+        tiles = [(r, min(r + rows, seeds.size), 0, count) for r in range(0, seeds.size, rows)]
+    else:
+        tiles = [
+            (r, r + 1, c, min(c + _CHUNK, count))
+            for r in range(seeds.size)
+            for c in range(0, count, _CHUNK)
+        ]
+    # (j + 1) * GAMMA for a tile's columns j, shared read-only by every run
+    steps = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64)
+    np.multiply(steps, _U_GAMMA, out=steps)
+
+    def fill(run: list[tuple[int, int, int, int]]) -> None:
+        z = np.empty(max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in run), dtype=np.uint64)
+        for r0, r1, c0, c1 in run:
+            dst = out[r0:r1, c0:c1]
+            zc = z[:dst.size].reshape(dst.shape)
             shifted = dst.view(np.uint64)
-            # state + i * GAMMA for this chunk's i = start + 1, start + 2, ...
-            np.add(idx[:dst.size], np.uint64(start), out=zc)
-            np.multiply(zc, _U_GAMMA, out=zc)
-            np.add(state, zc, out=zc)
+            base = seeds[r0:r1, None]
+            if c0:  # one slice of a long stream
+                base = base + np.uint64((c0 * _GAMMA) & MASK64)
+            np.add(base, steps[:c1 - c0], out=zc)
             for shift, mult in _U_ROUNDS:
                 np.right_shift(zc, shift, out=shifted)
                 np.bitwise_xor(zc, shifted, out=zc)
                 np.multiply(zc, mult, out=zc)
             np.right_shift(zc, _U_LAST_SHIFT, out=shifted)
             np.bitwise_xor(zc, shifted, out=zc)
-            dst[...] = zc
-            dst /= 2.0**64
+            # round(z) / 2**64 as hi * 2**-52 + lo * 2**-64 (see _U_HI_SHIFT)
+            np.left_shift(zc, _U_LO_SHIFT, out=shifted)
+            np.right_shift(shifted, _U_HI_SHIFT, out=shifted)  # lo atop the mantissa
+            np.bitwise_or(shifted, _U_TINY, out=shifted)
+            np.right_shift(zc, _U_HI_SHIFT, out=zc)  # hi
+            np.bitwise_or(zc, _U_ONE, out=zc)
+            hi = zc.view(np.float64)
+            np.subtract(hi, 1.0, out=hi)
+            np.subtract(dst, 2.0**-52, out=dst)
+            np.add(dst, hi, out=dst)
             dst *= high - low
             dst += low
-        self._state = (self._state + count * _GAMMA) & MASK64
+
+    workers = min(_usable_cores(), len(tiles) // _TILES_PER_WORKER)
+    if workers < 2:
+        fill(tiles)
         return out
+    # imported here: toy-size runs never start a pool, nor pay for its modules
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = [len(tiles) * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(fill, [tiles[a:b] for a, b in zip(cuts, cuts[1:])]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -230,9 +304,14 @@ class BackboneParams:
 _ROLES = ("wq", "wk", "wv", "wo", "mlp_in", "mlp_out")
 
 
-def _uniform_matrix(seed: int, rows: int, cols: int, scale: float) -> np.ndarray:
-    gen = SplitMix64(seed)
-    return gen.uniform(-scale, scale, rows * cols).reshape(rows, cols)
+def _draw_blocks(config: BackboneConfig, blocks: range) -> tuple[BlockParams, ...]:
+    """Every matrix of ``blocks`` in one draw, each from its own stream."""
+    d = config.d_model
+    seeds = [derive_seed(config.seed, b, r) for b in blocks for r in range(len(_ROLES))]
+    mats = _draw_streams(seeds, d * d, -WEIGHT_SCALE, WEIGHT_SCALE).reshape(
+        len(blocks), len(_ROLES), d, d
+    )
+    return tuple(BlockParams(BlockProjection(*m[:4]), m[4], m[5]) for m in mats)
 
 
 def init_block(config: BackboneConfig, b: int) -> BlockParams:
@@ -245,17 +324,12 @@ def init_block(config: BackboneConfig, b: int) -> BlockParams:
     """
     if not 0 <= b < config.n_blocks:
         raise ValueError(f"block index {b} outside [0, {config.n_blocks})")
-    d = config.d_model
-    mats = [
-        _uniform_matrix(derive_seed(config.seed, b, r), d, d, WEIGHT_SCALE)
-        for r in range(len(_ROLES))
-    ]
-    return BlockParams(BlockProjection(*mats[:4]), mats[4], mats[5])
+    return _draw_blocks(config, range(b, b + 1))[0]
 
 
 def init_backbone(config: BackboneConfig) -> BackboneParams:
-    """Draw every block's weights: :func:`init_block` for each block in turn."""
-    return BackboneParams(config, tuple(init_block(config, b) for b in range(config.n_blocks)))
+    """Draw every block's weights, all ``n_blocks * 6`` streams in one draw."""
+    return BackboneParams(config, _draw_blocks(config, range(config.n_blocks)))
 
 
 def encode_prompt(prompt: str, config: BackboneConfig) -> np.ndarray:
@@ -270,21 +344,17 @@ def encode_prompt(prompt: str, config: BackboneConfig) -> np.ndarray:
     tokens = prompt.split()
     if not tokens:
         raise ValueError("prompt must contain at least one token")
-    rows = []
-    for i in range(config.n_txt_tokens):
-        if i < len(tokens):
-            seed = derive_seed(fnv1a64(tokens[i]))
-        else:
-            seed = derive_seed(fnv1a64(prompt), i)
-        rows.append(SplitMix64(seed).uniform(-1.0, 1.0, config.d_model))
-    return np.vstack(rows)
+    seeds = [
+        derive_seed(fnv1a64(tokens[i])) if i < len(tokens) else derive_seed(fnv1a64(prompt), i)
+        for i in range(config.n_txt_tokens)
+    ]
+    return _draw_streams(seeds, config.d_model, -1.0, 1.0)
 
 
 def initial_noise(config: BackboneConfig) -> np.ndarray:
     """Deterministic stand-in for the Gaussian initial state, uniform in [-1, 1]."""
     seed = derive_seed(config.seed, fnv1a64("noise"))
-    gen = SplitMix64(seed)
-    return gen.uniform(-1.0, 1.0, config.n_img * config.d_model).reshape(
+    return _draw_streams([seed], config.n_img * config.d_model, -1.0, 1.0).reshape(
         config.n_img, config.d_model
     )
 

@@ -359,8 +359,9 @@ def write_matrix(m: np.ndarray, tag: str = "matrix", comments: tuple[str, ...] =
     m = np.asarray(m, dtype=np.float64)
     lines = [f"# {tag} {m.shape[0]} {m.shape[1]}"]
     lines += [f"# {c}" for c in comments]
-    for row in m:
-        lines.append(" ".join(_fmt(x) for x in row))
+    # "%.17g" prints a float as format(x, ".17g") does, nan and inf included
+    row_format = " ".join(["%.17g"] * m.shape[1])
+    lines += [row_format % tuple(row) for row in m.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -106,14 +106,18 @@ def apply_rope(v, pos, w: float, config: RopeConfig) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (config.head_dim,):
         raise ShapeError(f"vector length {v.shape} does not match head_dim {config.head_dim}")
-    return apply_rotary(v[None], rotary_table(np.reshape(pos, (1, -1)), w, config))[0]
+    table = rotary_table(np.reshape(pos, (1, -1)), w, config)
+    half = config.head_dim // 2
+    return apply_rotary(v[None], RotaryTable(table.cos[:, :half], table.sin[:, :half]))[0]
 
 
 class RotaryTable(NamedTuple):
-    """cos/sin of every channel-pair angle of every row, each ``(..., n, 1, head_dim // 2)``.
+    """cos/sin of every channel-pair angle of every row, each ``(..., n, d_model // 2)``.
 
-    The leading axes are those of the weight: none for a scalar ``w``, ``(B,)``
-    for one weight per stacked case.
+    Pair ``p`` of a row is channel pair ``p`` of the row's token vector: the
+    one head's ``head_dim // 2`` angles repeat once per head. The leading axes
+    are those of the weight: none for a scalar ``w``, ``(B,)`` for one weight
+    per stacked case.
     """
 
     cos: np.ndarray
@@ -140,21 +144,22 @@ def rotary_table(positions, w, config: RopeConfig) -> RotaryTable:
     if w.ndim > 1:
         raise ShapeError(f"w must be a scalar or a vector, got shape {w.shape}")
     angles = (w[..., None, None] * positions)[..., config.pair_axes] * config.pair_freqs
-    return RotaryTable(np.cos(angles)[..., None, :], np.sin(angles)[..., None, :])
+    heads = config.num_heads
+    return RotaryTable(np.tile(np.cos(angles), heads), np.tile(np.sin(angles), heads))
 
 
 def apply_rotary(tokens: np.ndarray, table: RotaryTable) -> np.ndarray:
-    """Rotate every head_dim chunk of each row of ``(..., n, num_heads * head_dim)`` tokens.
+    """Rotate every channel pair of each row of ``(..., n, 2 * pairs)`` tokens.
 
-    The table's leading axes broadcast against the tokens' own.
+    ``pairs`` is the table's last axis; the table's leading axes broadcast
+    against the tokens' own.
     """
-    heads = tokens.reshape(*tokens.shape[:-1], -1, 2 * table.cos.shape[-1])
-    x = heads[..., 0::2]
-    y = heads[..., 1::2]
-    out = np.empty_like(heads)
+    x = tokens[..., 0::2]
+    y = tokens[..., 1::2]
+    out = np.empty_like(tokens)
     out[..., 0::2] = x * table.cos - y * table.sin
     out[..., 1::2] = x * table.sin + y * table.cos
-    return out.reshape(tokens.shape)
+    return out
 
 
 def oracle_rotation_matrix(pos, w: float, config: RopeConfig) -> np.ndarray:

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent import futures
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import synattn.backbone as backbone
 from oracles import naive_joint_attention
 from synattn import (
     BackboneConfig,
@@ -37,9 +42,11 @@ from synattn.backbone import (
     MAX_TXT_TOKENS,
     WEIGHT_SCALE,
     _CHUNK,
+    _draw_streams,
 )
 
 CFG = BackboneConfig()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def grid_table(w, config=CFG):
@@ -111,6 +118,97 @@ class TestGenerators:
         finally:
             tracemalloc.stop()
         assert peak <= count * 8 + (1 << 20)
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Draw in 4-entry tiles on ``cores`` usable cores, one tile per thread at least.
+
+        Returns the ``max_workers`` of every thread pool the draws start.
+        """
+        pools = []
+
+        class Pool(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        def use(cores):
+            monkeypatch.setattr(backbone, "_CHUNK", 4)
+            monkeypatch.setattr(backbone, "_TILES_PER_WORKER", 1)
+            monkeypatch.setattr(backbone, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+            return pools
+
+        return use
+
+    # tile edges at 4 entries: 0, 1, tile - 1, tile, tile + 1, several tiles
+    # and a remainder; the seed near MASK64 wraps the state in the first tile
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 14])
+    def test_split_draw_matches_scalar(self, split, cores, count):
+        pools = split(cores)
+        for seed in (1234, MASK64 - 2):
+            a = SplitMix64(seed)
+            b = SplitMix64(seed)
+            vec = b.uniform(-0.5, 0.5, count)
+            want = np.array([a.next_uint() / 2.0**64 for _ in range(count)]) - 0.5
+            assert vec.tobytes() == want.tobytes()
+            assert b.next_uint() == a.next_uint()
+        tiles = -(-count // 4)
+        assert pools == ([min(cores, tiles)] * 2 if min(cores, tiles) > 1 else [])
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 14])
+    def test_split_multi_stream_draw_matches_each_stream(self, split, cores, count):
+        seeds = [derive_seed(7, s) for s in range(5)] + [MASK64 - 2]
+        split(cores)
+        got = _draw_streams(seeds, count, -1.0, 1.0)
+        assert got.shape == (len(seeds), count)
+        for s, row in zip(seeds, got):
+            assert row.tobytes() == SplitMix64(s).uniform(-1.0, 1.0, count).tobytes()
+
+    def test_float_conversion_rounds_like_the_scalar_division(self):
+        # seeds whose first output is a chosen z: exact values, round-half-even
+        # ties at 2**53 and 2**64 scales, and the top of the range
+        def unmix(z):
+            def unshift(y, s):
+                x = y
+                for k in range(s, 64, s):
+                    x ^= y >> k
+                return x
+            z = unshift(z, 31)
+            z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK64
+            z = unshift(z, 27)
+            z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK64
+            return unshift(z, 30)
+
+        targets = [
+            0, 1, 4095, 4096, (1 << 52) - 1, 1 << 52, (1 << 53) + 1, (1 << 53) + 3,
+            (1 << 63) + 1024, (1 << 63) + 3072, (1 << 63) + 1025, MASK64 - 1023,
+            MASK64 - 1024, MASK64,
+        ]
+        seeds = [(unmix(z) - 0x9E3779B97F4A7C15) & MASK64 for z in targets]
+        assert [SplitMix64(s).next_uint() for s in seeds] == targets
+        got = _draw_streams(seeds, 1, -1.0, 3.0)[:, 0]
+        want = np.array([z / 2.0**64 for z in targets]) * 4.0 - 1.0
+        assert got.tobytes() == want.tobytes()
+
+    def test_toy_edit_starts_no_thread(self):
+        # toy-size draws run inline, and importing the package starts no pool
+        code = (
+            "import threading, synattn\n"
+            "synattn.run_edit(synattn.PipelineConfig('a cat', 'a dog'))\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_fnv1a64_published_vectors(self):
         assert fnv1a64("") == 0xCBF29CE484222325

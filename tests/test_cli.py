@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -242,6 +243,14 @@ class TestTraceSerialization:
         m = rng.normal(size=(5, 7)) * 1e3
         got = parse_matrix(write_matrix(m))
         assert np.array_equal(got, m)
+
+    def test_matrix_rows_print_each_float_as_format_17g(self):
+        rows = [
+            [0.0, -0.0, 5e-324, -2.2250738585072e-309, 1e300],
+            [math.nan, math.inf, -math.inf, 0.1, -1.0 / 3.0],
+        ]
+        body = write_matrix(np.array(rows)).splitlines()[1:]
+        assert body == [" ".join(format(x, ".17g") for x in row) for row in rows]
 
 
 def mutate_record(text, row, col, value):

@@ -23,7 +23,8 @@ Weight draws involve no BLAS, so one FLUX-width draw is pinned:
 ``flux_width_wq.sha256`` holds the sha256 of block 0's ``wq`` from
 ``init_block`` at d=3072 (24x128 heads, seed 0), as little-endian float64
 bytes in C order, recorded with the vector draw as it stood before it filled
-its result in chunks. It guards draws longer than the toy corpus's.
+its result in chunks. It guards draws longer than the toy corpus's, drawn
+on one thread and split across several.
 
 Nothing here regenerates the files: a mismatch means the program changed
 its output.
@@ -38,7 +39,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synattn import BackboneConfig, init_block
+import synattn.backbone as backbone
+from synattn import BackboneConfig, SplitMix64, derive_seed, init_block
 from synattn.cli import main, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,5 +109,15 @@ def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
 def test_flux_width_weights_match_golden():
     config = BackboneConfig(d_model=3072, num_heads=24, head_dim=128, axis_dims=(16, 56, 56))
     wq = init_block(config, 0).attn.wq
+    digest = hashlib.sha256(np.ascontiguousarray(wq, dtype="<f8").tobytes()).hexdigest()
+    assert digest == (GOLDEN / "flux_width_wq.sha256").read_text().strip()
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_flux_width_weights_match_golden_however_split(cores, monkeypatch):
+    # block 0's wq is stream derive_seed(0, 0, 0), drawn inline or in three runs
+    monkeypatch.setattr(backbone, "_usable_cores", lambda: cores)
+    scale = backbone.WEIGHT_SCALE
+    wq = SplitMix64(derive_seed(0, 0, 0)).uniform(-scale, scale, 3072 * 3072)
     digest = hashlib.sha256(np.ascontiguousarray(wq, dtype="<f8").tobytes()).hexdigest()
     assert digest == (GOLDEN / "flux_width_wq.sha256").read_text().strip()
