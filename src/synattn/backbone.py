@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,9 +165,11 @@ def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
     short streams side by side, or one slice of a long stream. Entry ``j`` of
     a tile starting at column ``first`` mixes ``seed + (first + j + 1) * GAMMA``,
     so a tile's bytes do not depend on which thread computes it. A draw with
-    ``_TILES_PER_WORKER`` tiles or more per usable core runs its tiles as
-    contiguous runs on a thread pool (numpy's ufunc loops release the GIL);
-    smaller draws run inline and start no thread.
+    ``_TILES_PER_WORKER`` tiles or more per usable core runs on a thread pool
+    (numpy's ufunc loops release the GIL) whose threads each take the next
+    tile until none is left, so a thread whose core is slowed by other work
+    does fewer tiles instead of holding up the draw. Smaller draws run inline
+    and start no thread.
     """
     seeds = np.array(seeds, dtype=np.uint64)
     out = np.empty((seeds.size, count), dtype=np.float64)
@@ -181,13 +184,22 @@ def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
             for r in range(seeds.size)
             for c in range(0, count, _CHUNK)
         ]
-    # (j + 1) * GAMMA for a tile's columns j, shared read-only by every run
+    # (j + 1) * GAMMA for a tile's columns j, shared read-only by every thread
     steps = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64)
     np.multiply(steps, _U_GAMMA, out=steps)
 
-    def fill(run: list[tuple[int, int, int, int]]) -> None:
-        z = np.empty(max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in run), dtype=np.uint64)
-        for r0, r1, c0, c1 in run:
+    scratch = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tiles)
+    pending = iter(tiles)
+    taking = threading.Lock()
+
+    def fill() -> None:
+        z = np.empty(scratch, dtype=np.uint64)
+        while True:
+            with taking:
+                tile = next(pending, None)
+            if tile is None:
+                return
+            r0, r1, c0, c1 = tile
             dst = out[r0:r1, c0:c1]
             zc = z[:dst.size].reshape(dst.shape)
             shifted = dst.view(np.uint64)
@@ -216,14 +228,14 @@ def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
 
     workers = min(_usable_cores(), len(tiles) // _TILES_PER_WORKER)
     if workers < 2:
-        fill(tiles)
+        fill()
         return out
     # imported here: toy-size runs never start a pool, nor pay for its modules
     from concurrent.futures import ThreadPoolExecutor
 
-    cuts = [len(tiles) * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(fill, [tiles[a:b] for a, b in zip(cuts, cuts[1:])]))
+        for running in [pool.submit(fill) for _ in range(workers)]:
+            running.result()
     return out
 
 
