@@ -135,7 +135,13 @@ class SplitMix64:
         return _mix64(self._state)
 
     def uniform(self, low: float, high: float, count: int) -> np.ndarray:
-        """Next ``count`` floats, uniform in [low, high).
+        """Next ``count`` floats, uniform in [low, high].
+
+        Each entry is ``low + u * (high - low)`` with ``u = z / 2**64``
+        rounded once to float64. About 1 output ``z`` in 2**54
+        (``z >= 2**64 - 1024``) rounds to ``u = 1.0``, so an entry can be
+        exactly ``high``. Golden files and benchmark digests pin these
+        bytes, so the rounding stays.
 
         The stream is mixed in tiles straight into the result, the only
         full-size array, and a large draw splits its tiles across the usable

@@ -214,6 +214,14 @@ def _run_group(configs: Sequence[PipelineConfig]) -> list[EditResult | Exception
     return results
 
 
+def _backbone_groups(configs: Sequence[PipelineConfig]) -> list[list[int]]:
+    """Input indices of the configs sharing each backbone, in order of first appearance."""
+    groups: dict[BackboneConfig, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(cfg.backbone, []).append(i)
+    return list(groups.values())
+
+
 def run_edit(config: PipelineConfig) -> EditResult:
     """Run the full paired denoising loop.
 
@@ -236,10 +244,7 @@ def run_groups(
     soon as that group finishes; groups come in order of first appearance. A
     result is the case's final states and trace, or the exception it raised.
     """
-    groups: dict[BackboneConfig, list[int]] = {}
-    for i, cfg in enumerate(configs):
-        groups.setdefault(cfg.backbone, []).append(i)
-    for indices in groups.values():
+    for indices in _backbone_groups(configs):
         yield indices, _run_group([configs[i] for i in indices])
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,19 @@ from synattn.cli import (
 )
 
 MINIMAL = "src_prompt = a standing dog\ntgt_prompt = a sitting dog\n"
+# one block and two steps: enough for tests about how a batch is run
+SMALL = MINIMAL + "blocks = 1\nshared_blocks = 0\nsteps = 2\n"
+
+
+def run_python(code, *args):
+    """Run ``code`` with a time limit in a fresh interpreter that imports this synattn."""
+    import synattn
+
+    src = str(Path(synattn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
 
 
 def fabricated_trace(m_means, config=None):
@@ -410,6 +427,45 @@ class TestStats:
             compute_stats([fabricated_trace([1.0, 1.0]), fabricated_trace([1.0])])
 
 
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Replace ``ProcessPoolExecutor`` with pools that run each group in this process.
+
+    Returns a log whose ``sizes`` lists each pool's ``max_workers``, so a
+    pool's size is checked without starting a process. Setting
+    ``refuse = n`` makes the first pool raise ``BrokenProcessPool`` on its
+    submission after the first ``n``, as a pool whose worker died does.
+    """
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+    from types import SimpleNamespace
+
+    log = SimpleNamespace(sizes=[], refuse=None)
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            self.accept = log.refuse if not log.sizes else None
+            log.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            if self.accept is not None:
+                if self.accept == 0:
+                    raise BrokenProcessPool("a worker died")
+                self.accept -= 1
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return log
+
+
 class TestRunCommand:
     def test_run_writes_all_outputs(self, tmp_path):
         cfg_file = tmp_path / "edit.cfg"
@@ -493,20 +549,149 @@ class TestRunCommand:
             for name in ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json"):
                 assert (out / f"case_{i:03d}" / name).read_bytes() == (alone / name).read_bytes()
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
+    def test_jobs_do_not_change_bytes(self, tmp_path, capsys, monkeypatch):
+        # three backbone groups (seeds 0, 2, 1 in order of first appearance),
+        # a config that fails to parse and two cases that abort numerically;
+        # every file, the stderr lines in group order and the exit code agree
+        # between the inline run and two and three worker processes
+        import synattn.cli as cli_mod
+        import synattn.pipeline as pipeline_mod
+
+        real = pipeline_mod.encode_prompt
+
+        def poisoned(prompt, bb):
+            out = real(prompt, bb)
+            if prompt == "a poisoned dog":
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 4)
+        poison = "src_prompt = a standing dog\ntgt_prompt = a poisoned dog\n"
+        texts = [MINIMAL + "seed = 0\n", poison + "seed = 2\n", MINIMAL + "foo = 1\n",
+                 MINIMAL + "seed = 1\n", MINIMAL + "seed = 0\nw_override = 0\n",
+                 MINIMAL + "seed = 2\n", poison + "seed = 1\nw_override = 1\n"]
+        cfgs = []
+        for i, text in enumerate(texts):
+            (tmp_path / f"c{i}.cfg").write_text(text)
+            cfgs += ["--config", str(tmp_path / f"c{i}.cfg")]
+        abort = "non-finite values at timestep 10, block 0: target branch stream"
+        expected_err = [
+            f"case 2 ({tmp_path / 'c2.cfg'}): line 3: unknown key 'foo'",
+            f"case 1 ({tmp_path / 'c1.cfg'}): {abort}",
+            f"case 6 ({tmp_path / 'c6.cfg'}): {abort}",
+        ]
+        files = ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json")
+        outputs = {}
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", *cfgs, "--out", str(out), "--jobs", str(jobs)]) == 2
+            assert capsys.readouterr().err.splitlines() == expected_err
+            assert sorted(p.name for p in out.iterdir()) == [f"case_{i:03d}" for i in (0, 3, 4, 5)]
+            outputs[jobs] = {(i, name): (out / f"case_{i:03d}" / name).read_bytes()
+                             for i in (0, 3, 4, 5) for name in files}
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
+        cfg_file = tmp_path / "edit.cfg"
+        cfg_file.write_text(MINIMAL)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg_file), "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "jobs, n_groups, cores, methods, threads, sizes",
+        [
+            (1000, 3, 8, ["fork", "spawn"], 1, [3]),
+            (1000, 3, 2, ["fork", "spawn"], 1, [2]),
+            (2, 3, 8, ["fork", "spawn"], 1, [2]),
+            (1, 3, 8, ["fork", "spawn"], 1, []),
+            (1000, 1, 8, ["fork", "spawn"], 1, []),
+            (1000, 3, 1, ["fork", "spawn"], 1, []),
+            (1000, 3, 8, ["spawn"], 1, []),
+            (1000, 3, 8, ["fork", "spawn"], 2, []),
+        ],
+    )
+    def test_pool_size_is_bounded_by_jobs_groups_and_cores(
+        self, jobs, n_groups, cores, methods, threads, sizes, tmp_path, monkeypatch, inline_pools
+    ):
+        import multiprocessing
+        import threading
+
+        import synattn.cli as cli_mod
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(threading, "active_count", lambda: threads)
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: cores)
+        cfgs = []
+        for i in range(4):
+            f = tmp_path / f"c{i}.cfg"
+            f.write_text(SMALL + f"seed = {i % n_groups}\n")
+            cfgs += ["--config", str(f)]
+        out = tmp_path / "o"
+        assert main(["run", *cfgs, "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert inline_pools.sizes == sizes
+        assert all((out / f"case_{i:03d}" / "manifest.json").exists() for i in range(4))
+
+    def test_pool_broken_while_queueing_runs_the_rest_alone(
+        self, tmp_path, monkeypatch, inline_pools
+    ):
+        import synattn.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 4)
+        inline_pools.refuse = 1  # the second group finds the pool broken
         cfgs = []
         for i in range(3):
             f = tmp_path / f"c{i}.cfg"
-            f.write_text(MINIMAL + f"seed = {i}\n")
+            f.write_text(SMALL + f"seed = {i}\n")
+            cfgs += ["--config", str(f)]
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["run", *cfgs, "--out", str(serial)]) == 0
+        assert main(["run", *cfgs, "--out", str(pooled), "--jobs", "2"]) == 0
+        assert inline_pools.sizes == [2, 1, 1]
+        for i in range(3):
+            for name in ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json"):
+                case = f"case_{i:03d}"
+                assert (pooled / case / name).read_bytes() == (serial / case / name).read_bytes()
+
+    def test_dead_worker_is_reported_and_spares_the_other_groups(self, tmp_path):
+        # runs in a child interpreter with a time limit, so a pool that waits
+        # on a dead worker fails the test instead of hanging it
+        cfgs = []
+        for i in range(6):
+            f = tmp_path / f"c{i}.cfg"
+            f.write_text(MINIMAL + f"seed = {i % 3}\n" + ("w_override = 0\n" if i >= 3 else ""))
             cfgs += ["--config", str(f)]
         serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
         assert main(["run", *cfgs, "--out", str(serial)]) == 0
-        assert main(["run", *cfgs, "--out", str(parallel), "--jobs", "3"]) == 0
-        for i in range(3):
-            a = (serial / f"case_{i:03d}" / "trace.txt").read_bytes()
-            b = (parallel / f"case_{i:03d}" / "trace.txt").read_bytes()
-            assert a == b
+        probe = (
+            "import multiprocessing, os, sys\n"
+            "import synattn.cli as cli\n"
+            "real, parent = cli._run_group, os.getpid()\n"
+            "def dying(configs):  # the forked workers inherit this patch\n"
+            "    if configs[0].backbone.seed == 1:\n"
+            "        assert os.getpid() != parent, 'the group ran inline'\n"
+            "        os._exit(3)\n"
+            "    return real(configs)\n"
+            "cli._run_group = dying\n"
+            "cli._usable_cores = lambda: 2\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, multiprocessing.active_children())\n"
+        )
+        out = tmp_path / "parallel"
+        proc = run_python(probe, "run", *cfgs, "--out", str(out), "--jobs", "2")
+        assert proc.stdout.split() == ["1", "[]"]
+        err = proc.stderr.splitlines()
+        assert [line.split(" (")[0] for line in err] == ["case 1", "case 4"]
+        assert all(line.endswith("the worker process running this case died") for line in err)
+        assert not (out / "case_001").exists() and not (out / "case_004").exists()
+        for i in (0, 2, 3, 5):
+            for name in ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json"):
+                case = f"case_{i:03d}"
+                assert (out / case / name).read_bytes() == (serial / case / name).read_bytes()
 
     def test_numerical_abort_exits_two(self, tmp_path, capsys, monkeypatch):
         import synattn.pipeline as pipeline_mod
@@ -659,6 +844,12 @@ class TestMapCommand:
 
 
 class TestUsage:
+    def test_import_loads_no_process_pool(self):
+        # the inline path, and so every one-worker run, pays nothing for the pool's modules
+        probe = ("import sys, synattn.cli\n"
+                 "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+        assert run_python(probe).stdout.strip() == "[]"
+
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 1
 
