@@ -40,7 +40,7 @@ from .measurement import (
     block_similarity,
     editing_measurement,
 )
-from .numerics import ShapeError, cosine_similarity, matmul, softmax_rows
+from .numerics import ShapeError, softmax_rows
 from .pipeline import (
     EditingTrace,
     NumericalAbortError,
@@ -61,9 +61,7 @@ from .rope import (
 __all__ = [
     "__version__",
     "ShapeError",
-    "matmul",
     "softmax_rows",
-    "cosine_similarity",
     "RopeConfig",
     "frequencies",
     "apply_rope",

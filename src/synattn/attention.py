@@ -113,7 +113,7 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     """
     # K^T as a contiguous copy: a strided transpose changes the output bytes.
     logits = np.matmul(q, np.ascontiguousarray(k.swapaxes(-1, -2))) * scale
-    return softmax_rows(logits.reshape(-1, logits.shape[-1])).reshape(logits.shape)
+    return softmax_rows(logits)
 
 
 def _multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, rope: RopeConfig) -> np.ndarray:

@@ -295,10 +295,11 @@ def parse_trace(text: str) -> EditingTrace:
     """Inverse of :func:`write_trace`; exact for round-trips.
 
     Refuses a trace that contradicts itself: a ``# blocks per step`` header
-    that differs from the config's ``blocks``, a block ratio that is not
-    ``s_img / s_txt``, an ``m_mean`` that is not the in-order mean of its
-    block ratios, or timesteps that do not run from the record count down
-    to 1. A malformed number is refused naming its line and field.
+    that differs from the config's ``blocks``, a record count other than the
+    config's ``steps``, a block ratio that is not ``s_img / s_txt``, an
+    ``m_mean`` that is not the in-order mean of its block ratios, or
+    timesteps that do not run from the record count down to 1. A malformed
+    number is refused naming its line and field.
     """
     config_lines = []
     header_blocks = None
@@ -321,6 +322,11 @@ def parse_trace(text: str) -> EditingTrace:
         raise ConfigError(
             f"line {header_blocks[0]}: {header_blocks[1]} blocks per step, "
             f"but the config echo has blocks = {n_blocks}"
+        )
+    if len(records) != config.backbone.n_steps:
+        raise ConfigError(
+            f"trace has {len(records)} records, "
+            f"but the config echo has steps = {config.backbone.n_steps}"
         )
 
     steps = []
@@ -380,7 +386,7 @@ def write_matrix(m: np.ndarray, tag: str = "matrix", comments: tuple[str, ...] =
 def parse_matrix(text: str) -> np.ndarray:
     rows = []
     shape = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -389,7 +395,12 @@ def parse_matrix(text: str) -> np.ndarray:
             if shape is None and len(parts) == 3 and parts[1].isdigit():
                 shape = (int(parts[1]), int(parts[2]))
             continue
-        rows.append([float(x) for x in stripped.split()])
+        row = [_parse_number(float, x, f"line {lineno}") for x in stripped.split()]
+        if rows and len(row) != len(rows[0]):
+            raise ConfigError(
+                f"line {lineno}: {len(row)} values, the first row has {len(rows[0])}"
+            )
+        rows.append(row)
     m = np.array(rows, dtype=np.float64)
     if shape is not None and m.shape != shape:
         raise ConfigError(f"matrix body {m.shape} does not match header {shape}")

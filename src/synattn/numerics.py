@@ -1,10 +1,9 @@
-"""Dense float64 matrix primitives shared by every other module.
+"""The float64 kernels shared by every other module: a softmax and a cosine.
 
-Everything here is a pure function over 2-D float64 arrays, except
-:func:`row_cosines`, which takes stacks of them. The only
-aggregation convention worth knowing: :func:`cosine_similarity` is the
-unweighted mean of per-row cosines, and rows with zero norm contribute 0
-instead of NaN.
+Both are pure functions over stacks of rows, the last axis being a row:
+:func:`softmax_rows` normalizes each row, and :func:`row_cosines` pairs up
+the rows of two ``(..., n, d)`` stacks. The block similarities are means of
+:func:`row_cosines`, in which rows with zero norm count 0 instead of NaN.
 
 Nothing here checks finiteness; inf and NaN propagate as numpy propagates
 them. Finiteness is checked once, where values enter: config values
@@ -17,14 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ShapeError",
-    "as_matrix",
-    "matmul",
-    "softmax_rows",
-    "cosine_similarity",
-    "row_cosines",
-]
+__all__ = ["ShapeError", "softmax_rows", "row_cosines"]
 
 
 # Smallest positive normal float64.
@@ -35,33 +27,12 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce ``values`` to a 2-D float64 array (row-major)."""
-    # The contiguous copy picks the BLAS call path; np.asarray changes output bytes.
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by "
-            f"{b.shape[0]}x{b.shape[1]}: inner dimensions differ"
-        )
-    return a @ b
-
-
 def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
-    m = as_matrix(m)
-    shifted = m - m.max(axis=1, keepdims=True)
+    """Softmax over the last axis of a float64 stack, stabilized by subtracting each row's max."""
+    m = np.ascontiguousarray(m, dtype=np.float64)
+    shifted = m - m.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,9 +47,13 @@ def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def row_cosines(a, b) -> np.ndarray:
     """Cosine of each row pair of two ``(..., n, d)`` stacks, clipped into [-1, 1], as ``(..., n)``.
 
-    The batched kernel behind :func:`cosine_similarity`, with the same
-    rescaling and zero-row rules. Every row is computed alone, so a row's
-    cosine does not depend on the rows stacked with it.
+    The denominator is sqrt(|a_r|^2 * |b_r|^2), which makes a row's cosine
+    with itself exactly 1.0. A row pair whose squared norms or their product
+    leave the normal range (rows too small or too large to square) is
+    recomputed after scaling each row to unit max-abs. A pair of finite rows,
+    one of them all zero, gives 0; a row with a NaN or inf gives NaN. Every
+    row is computed alone, so a row's cosine does not depend on the rows
+    stacked with it.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -92,24 +67,10 @@ def row_cosines(a, b) -> np.ndarray:
         sims, normal = _row_cosines(rows_a, rows_b)
         if not normal.all():
             rows_a, rows_b = rows_a[~normal], rows_b[~normal]
-            max_a = np.max(np.abs(rows_a), axis=1, keepdims=True)
-            max_b = np.max(np.abs(rows_b), axis=1, keepdims=True)
-            rescaled, _ = _row_cosines(rows_a / max_a, rows_b / max_b)
-            live = (max_a[:, 0] != 0.0) & (max_b[:, 0] != 0.0)
-            sims[~normal] = np.where(live, rescaled, 0.0)
+            max_a = np.max(np.abs(rows_a), axis=1)
+            max_b = np.max(np.abs(rows_b), axis=1)
+            rescaled, _ = _row_cosines(rows_a / max_a[:, None], rows_b / max_b[:, None])
+            # np.maximum keeps a NaN, so a NaN or inf row never counts as zero
+            zero = (np.minimum(max_a, max_b) == 0.0) & (np.maximum(max_a, max_b) < np.inf)
+            sims[~normal] = np.where(zero, 0.0, rescaled)
     return np.clip(sims, -1.0, 1.0).reshape(a.shape[:-1])
-
-
-def cosine_similarity(a, b) -> float:
-    """Mean over rows of the per-row cosine between ``a`` and ``b``.
-
-    The denominator is computed as sqrt(|a_r|^2 * |b_r|^2), which makes the
-    similarity of a matrix with itself exactly 1.0. A row whose squared norms
-    or their product leave the normal range (rows too small or too large to
-    square) is recomputed after scaling it to unit max-abs. Zero-norm rows
-    contribute similarity 0; a row with a NaN or inf makes the result NaN.
-    The result is clipped into [-1, 1]. The mean of :func:`row_cosines`.
-    """
-    a = as_matrix(a, "first argument")
-    b = as_matrix(b, "second argument")
-    return float(np.mean(row_cosines(a, b)))

@@ -11,20 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, inner = a.shape
-    inner2, m = b.shape
-    assert inner == inner2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(inner):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def cosine_rows_mean(a: np.ndarray, b: np.ndarray) -> float:
     sims = []
     for ra, rb in zip(a, b):

@@ -12,7 +12,6 @@ from synattn import (
     attention_weights,
     grid_position_ids,
     image_kv,
-    matmul,
     merge_heads,
     rotary_table,
     softmax_rows,
@@ -166,7 +165,8 @@ class TestHeads:
         scale = 1.0 / math.sqrt(head_dim)
         stacked = attention_weights(q, k, scale)
         for h in range(heads):
-            np.testing.assert_array_equal(stacked[h], softmax_rows(matmul(q[h], k[h].T) * scale))
+            want = softmax_rows((q[h] @ np.ascontiguousarray(k[h].T)) * scale)
+            np.testing.assert_array_equal(stacked[h], want)
 
     def test_split_merge_round_trip(self):
         rng = np.random.default_rng(58)

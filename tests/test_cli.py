@@ -63,8 +63,10 @@ def run_python(code, *args):
 
 
 def fabricated_trace(m_means, config=None):
-    """Trace with chosen per-step measurements and a one-block body."""
-    config = config or parse_config_text(MINIMAL + "blocks = 1\nshared_blocks = 0\n")
+    """Trace with chosen per-step measurements and a one-block body, one step per measurement."""
+    config = config or parse_config_text(
+        MINIMAL + f"blocks = 1\nshared_blocks = 0\nsteps = {len(m_means)}\n"
+    )
     steps = []
     for row, m in enumerate(m_means):
         t = len(m_means) - row
@@ -261,6 +263,18 @@ class TestTraceSerialization:
         got = parse_matrix(write_matrix(m))
         assert np.array_equal(got, m)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1 2\n3 x\n", "line 3: expected number, got 'x'"),
+            ("1 2\n3\n", "line 3: 1 values, the first row has 2"),
+        ],
+        ids=["bad-number", "ragged-row"],
+    )
+    def test_malformed_matrix_row_names_its_line(self, body, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_matrix("# matrix 2 2\n" + body)
+
     def test_matrix_rows_print_each_float_as_format_17g(self):
         rows = [
             [0.0, -0.0, 5e-324, -2.2250738585072e-309, 1e300],
@@ -309,6 +323,16 @@ class TestTraceConsistency:
     def test_malformed_number_names_line_and_field(self, col, field):
         text, lineno = mutate_record(self.TEXT, 1, col, "2x")
         with pytest.raises(ConfigError, match=f"line {lineno}: {field}, got '2x'"):
+            parse_trace(text)
+
+    @pytest.mark.parametrize("kept", [2, 0])
+    def test_record_count_must_match_steps(self, kept):
+        # drop the first records, so the kept ones still run down to 1
+        lines = self.TEXT.splitlines()
+        body = [i for i, line in enumerate(lines) if not line.startswith("#")]
+        dropped = set(body[: len(body) - kept])
+        text = "".join(line + "\n" for i, line in enumerate(lines) if i not in dropped)
+        with pytest.raises(ConfigError, match=f"trace has {kept} records, .* steps = 3"):
             parse_trace(text)
 
     def test_stats_refuses_contradicting_trace(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Smoke tests: every narrative script under demos/ and every ```python block of
-README.md runs to completion, and every exported name exists."""
+README.md runs to completion, every exported name exists, and every name the
+README's module table gives a module is one of its attributes."""
 
 import importlib
 import os
@@ -15,7 +16,12 @@ import synattn
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
+# (module, contents) of each row of the README's module table
+README_MODULE_ROWS = re.findall(r"^\| `(synattn\.\w+)`\s*\|(.*)\|$", README, re.M)
+# backticked snake_case words in that table that name no module attribute
+README_NOT_API = {"axis_dims", "theta_base", "w", "synattn"}
 MODULES = ["synattn"] + [
     f"synattn.{m.name}" for m in pkgutil.iter_modules(synattn.__path__) if not m.name.startswith("_")
 ]
@@ -47,3 +53,12 @@ def test_readme_python_block_exits_zero(block):
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize(
+    "module, contents", README_MODULE_ROWS, ids=[m for m, _ in README_MODULE_ROWS]
+)
+def test_readme_module_table_names_exist(module, contents):
+    mod = importlib.import_module(module)
+    words = set(re.findall(r"`([a-z][a-z0-9_]*)`", contents)) - README_NOT_API
+    assert sorted(w for w in words if not hasattr(mod, w)) == []

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import cosine_rows_mean, matmul_triple_loop
-from synattn import ShapeError, cosine_similarity, matmul, softmax_rows
+from oracles import cosine_rows_mean
+from synattn import ShapeError, softmax_rows
 from synattn.numerics import row_cosines
 
 small_matrices = arrays(
@@ -15,38 +15,6 @@ small_matrices = arrays(
     st.tuples(st.integers(1, 6), st.integers(1, 6)),
     elements=st.floats(-100.0, 100.0),
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3) - 4.0
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_product(self):
-        got = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        np.testing.assert_array_equal(got, [[2.0], [4.0]])
-
-    def test_random_vs_triple_loop(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        assert np.abs(matmul(a, b) - matmul_triple_loop(a, b)).max() <= 1e-12
-
-    def test_triple_loop_up_to_32(self):
-        rng = np.random.default_rng(12)
-        for n, k, m in [(1, 1, 1), (4, 9, 2), (17, 3, 23), (32, 32, 32)]:
-            a = rng.uniform(-1, 1, size=(n, k))
-            b = rng.uniform(-1, 1, size=(k, m))
-            assert np.abs(matmul(a, b) - matmul_triple_loop(a, b)).max() <= 1e-12
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError) as exc:
-            matmul(np.ones((2, 3)), np.ones((4, 5)))
-        assert "2x3" in str(exc.value) and "4x5" in str(exc.value)
-
-    def test_propagates_non_finite(self):
-        got = matmul(np.array([[np.inf, 0.0]]), np.ones((2, 1)))
-        assert not np.isfinite(got[0, 0])
 
 
 class TestSoftmaxRows:
@@ -80,38 +48,42 @@ class TestSoftmaxRows:
 
 
 class TestCosineSimilarity:
+    """The mean of :func:`row_cosines` over a block's rows, as the pipeline forms s_txt and s_img."""
+
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(21)
         m = rng.normal(size=(5, 9))
-        assert cosine_similarity(m, m) == pytest.approx(1.0, abs=1e-12)
+        assert row_cosines(m, m).mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_antiparallel(self):
         rng = np.random.default_rng(22)
         m = rng.normal(size=(4, 6))
-        assert cosine_similarity(m, -m) == pytest.approx(-1.0, abs=1e-12)
+        assert row_cosines(m, -m).mean() == pytest.approx(-1.0, abs=1e-12)
 
     def test_random_pair_vs_oracle(self):
         rng = np.random.default_rng(23)
         a = rng.normal(size=(4, 8))
         b = rng.normal(size=(4, 8))
-        assert cosine_similarity(a, b) == pytest.approx(cosine_rows_mean(a, b), abs=1e-12)
+        assert row_cosines(a, b).mean() == pytest.approx(cosine_rows_mean(a, b), abs=1e-12)
 
     def test_zero_row_contributes_zero(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         b = np.array([[1.0, 0.0], [3.0, 4.0]])
         # first row cosine 1, zero row contributes 0 instead of NaN
-        assert cosine_similarity(a, b) == pytest.approx(0.5, abs=1e-12)
-        assert cosine_similarity(a, b) == pytest.approx(cosine_rows_mean(a, b), abs=1e-12)
+        assert row_cosines(a, b).mean() == pytest.approx(0.5, abs=1e-12)
+        assert row_cosines(a, b).mean() == pytest.approx(cosine_rows_mean(a, b), abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            cosine_similarity(np.ones((2, 3)), np.ones((3, 2)))
+            row_cosines(np.ones((2, 3)), np.ones((3, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_row_gives_nan(self, bad):
         a = np.array([[1.0, bad], [1.0, 0.0]])
-        with np.errstate(invalid="ignore"):  # inf / inf
-            assert math.isnan(cosine_similarity(a, np.ones((2, 2))))
+        # paired with a zero row too: only a pair of finite rows counts as zero
+        for b in (np.ones((2, 2)), np.zeros((2, 2))):
+            for got in (row_cosines(a, b), row_cosines(b, a)):
+                assert math.isnan(got[0]) and math.isnan(got.mean())
 
     @pytest.mark.parametrize(
         "a, b",
@@ -122,7 +94,7 @@ class TestCosineSimilarity:
         ],
     )
     def test_parallel_rows_far_from_unit_norm(self, a, b):
-        got = cosine_similarity(np.full((1, 4), a), np.full((1, 4), b))
+        got = row_cosines(np.full((1, 4), a), np.full((1, 4), b)).mean()
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_result_within_unit_interval(self):
@@ -130,7 +102,7 @@ class TestCosineSimilarity:
         for _ in range(50):
             a = rng.normal(size=(3, 5))
             b = rng.normal(size=(3, 5))
-            assert -1.0 <= cosine_similarity(a, b) <= 1.0
+            assert -1.0 <= row_cosines(a, b).mean() <= 1.0
 
     @given(
         # no subnormal entries: 5e-324 * 0.5 rounds to 0, so scaling such a
@@ -140,8 +112,8 @@ class TestCosineSimilarity:
         arrays(np.float64, (3,), elements=st.floats(0.1, 10.0)),
     )
     def test_invariant_to_positive_row_rescaling(self, a, b, scales):
-        base = cosine_similarity(a, b)
-        scaled = cosine_similarity(a * scales[:, None], b)
+        base = row_cosines(a, b).mean()
+        scaled = row_cosines(a * scales[:, None], b).mean()
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
@@ -158,9 +130,9 @@ class TestRowCosines:
         assert got.shape == (2, 3, 4)
         for i in range(2):
             for j in range(3):
-                assert np.mean(got[i, j]) == cosine_similarity(a[i, j], b[i, j])
+                np.testing.assert_array_equal(got[i, j], row_cosines(a[i, j], b[i, j]))
                 for r in range(4):
-                    assert got[i, j, r] == cosine_similarity(a[i, j, r:r + 1], b[i, j, r:r + 1])
+                    assert got[i, j, r] == row_cosines(a[i, j, r:r + 1], b[i, j, r:r + 1])[0]
 
     def test_shape_mismatch_and_empty_rows(self):
         with pytest.raises(ShapeError):
