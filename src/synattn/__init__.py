@@ -21,7 +21,6 @@ from .backbone import (
     BackboneConfig,
     BackboneParams,
     BlockParams,
-    SplitMix64,
     block_forward,
     denoise_step,
     derive_seed,
@@ -47,15 +46,10 @@ from .pipeline import (
     PipelineConfig,
     run_batch,
     run_edit,
-    run_groups,
 )
 from .rope import (
     RopeConfig,
-    apply_rope,
-    frequencies,
-    oracle_rotation_matrix,
     rotary_table,
-    scaled_inner_product,
 )
 
 __all__ = [
@@ -63,11 +57,7 @@ __all__ = [
     "ShapeError",
     "softmax_rows",
     "RopeConfig",
-    "frequencies",
-    "apply_rope",
     "rotary_table",
-    "oracle_rotation_matrix",
-    "scaled_inner_product",
     "BlockProjection",
     "grid_position_ids",
     "split_heads",
@@ -85,7 +75,6 @@ __all__ = [
     "BackboneConfig",
     "BackboneParams",
     "BlockParams",
-    "SplitMix64",
     "derive_seed",
     "fnv1a64",
     "FLUX_SHARED_BLOCKS",
@@ -99,6 +88,5 @@ __all__ = [
     "EditingTrace",
     "NumericalAbortError",
     "run_edit",
-    "run_groups",
     "run_batch",
 ]

@@ -19,7 +19,6 @@ depend on the split.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ from .rope import RopeConfig, RotaryTable
 
 __all__ = [
     "MASK64",
-    "SplitMix64",
     "derive_seed",
     "fnv1a64",
     "BackboneConfig",
@@ -124,39 +122,6 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-class SplitMix64:
-    """Deterministic splitmix64 stream with vectorized draws."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = int(seed) & MASK64
-
-    def next_uint(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        return _mix64(self._state)
-
-    def uniform(self, low: float, high: float, count: int) -> np.ndarray:
-        """Next ``count`` floats, uniform in [low, high].
-
-        Each entry is ``low + u * (high - low)`` with ``u = z / 2**64``
-        rounded once to float64. About 1 output ``z`` in 2**54
-        (``z >= 2**64 - 1024``) rounds to ``u = 1.0``, so an entry can be
-        exactly ``high``. Golden files and benchmark digests pin these
-        bytes, so the rounding stays.
-
-        The stream is mixed in tiles straight into the result, the only
-        full-size array, and a large draw splits its tiles across the usable
-        cores; the bytes are the scalar :meth:`next_uint` stream's, however
-        the draw is split. ``count`` is any integer, numpy's included;
-        anything else raises ``TypeError`` before the stream moves.
-        """
-        count = operator.index(count)
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        out = _draw_streams([self._state], count, low, high).reshape(count)
-        self._state = (self._state + count * _GAMMA) & MASK64
-        return out
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -166,6 +131,11 @@ def _usable_cores() -> int:
 
 def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
     """``(len(seeds), count)`` floats: row ``s`` is the first ``count`` of stream ``seeds[s]``.
+
+    Each entry is ``low + u * (high - low)`` with ``u = z / 2**64`` rounded
+    once to float64. About 1 output ``z`` in 2**54 (``z >= 2**64 - 1024``)
+    rounds to ``u = 1.0``, so an entry can be exactly ``high``. Golden files
+    and benchmark digests pin these bytes, so the rounding stays.
 
     The result is filled in tiles of at most ``_CHUNK`` entries: several
     short streams side by side, or one slice of a long stream. Entry ``j`` of

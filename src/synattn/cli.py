@@ -24,9 +24,9 @@ Config files are flat key-value text: one ``key = value`` per line, blank
 lines and lines starting with ``#`` ignored, unknown or repeated keys
 rejected. Keys and defaults are listed in ``run --help``.
 
-All output files are plain text, reproducible byte for byte from the config
-and tool version. Floats are serialized with 17 significant digits so every
-file round-trips losslessly.
+All output files are plain text, reproducible byte for byte from the config,
+tool version and OpenBLAS kernel. Floats are serialized with 17 significant
+digits so every file round-trips losslessly.
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical abort.
 """
@@ -393,7 +393,7 @@ def parse_matrix(text: str) -> np.ndarray:
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if shape is None and len(parts) == 3 and parts[1].isdigit():
-                shape = (int(parts[1]), int(parts[2]))
+                shape = (int(parts[1]), _parse_number(int, parts[2], f"line {lineno}"))
             continue
         row = [_parse_number(float, x, f"line {lineno}") for x in stripped.split()]
         if rows and len(row) != len(rows[0]):

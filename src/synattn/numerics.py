@@ -6,10 +6,12 @@ the rows of two ``(..., n, d)`` stacks. The block similarities are means of
 :func:`row_cosines`, in which rows with zero norm count 0 instead of NaN.
 
 Nothing here checks finiteness; inf and NaN propagate as numpy propagates
-them. Finiteness is checked once, where values enter: config values
-(``Thresholds``, ``RopeConfig``), weights (``BlockProjection``), positions
-(``rope.rotary_table``), the measurement (``adaptive_weight``), and in the
-loop by ``pipeline``, once per block per branch of every stacked case.
+them. Finiteness is checked once, where values enter or come out: config
+values (``Thresholds``, ``RopeConfig``), positions (``rope.rotary_table``),
+the measurement (``adaptive_weight``), in the loop by ``pipeline``, once per
+block per branch of every stacked case (so non-finite weights abort at their
+block), and by ``attention.attention_map``, which refuses a map whose mass
+is not a positive finite number.
 """
 
 from __future__ import annotations

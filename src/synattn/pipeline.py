@@ -27,7 +27,7 @@ stores its exception and leaves the stack; the others carry on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "EditingTrace",
     "NumericalAbortError",
     "run_edit",
-    "run_groups",
     "run_batch",
 ]
 
@@ -235,19 +234,6 @@ def run_edit(config: PipelineConfig) -> EditResult:
     return result
 
 
-def run_groups(
-    configs: Sequence[PipelineConfig],
-) -> Iterator[tuple[list[int], list[EditResult | Exception]]]:
-    """Run configs grouped by backbone, one stacked computation per group.
-
-    Yields each group's input indices and its results, in the same order, as
-    soon as that group finishes; groups come in order of first appearance. A
-    result is the case's final states and trace, or the exception it raised.
-    """
-    for indices in _backbone_groups(configs):
-        yield indices, _run_group([configs[i] for i in indices])
-
-
 def run_batch(configs: Sequence[PipelineConfig]) -> list[EditingTrace | Exception]:
     """Each config's trace, in input order, from one stacked computation per backbone.
 
@@ -258,7 +244,7 @@ def run_batch(configs: Sequence[PipelineConfig]) -> list[EditingTrace | Exceptio
     if not configs:
         raise ValueError("run_batch needs at least one config")
     results: list[EditingTrace | Exception] = [None] * len(configs)
-    for indices, group in run_groups(configs):
-        for i, result in zip(indices, group):
+    for indices in _backbone_groups(configs):
+        for i, result in zip(indices, _run_group([configs[i] for i in indices])):
             results[i] = result if isinstance(result, Exception) else result[2]
     return results

@@ -16,10 +16,8 @@ rotated vectors depend on positions only through their difference.
 :func:`rotary_table` is the one place rotation angles are formed: it builds
 the cos/sin of every row's channel pairs once per ``(positions, w)``, so a
 denoising step builds one table, and :func:`apply_rotary` applies it to
-every head of a token matrix in every block (:func:`apply_rope` is the
-one-vector case). The brute-force :func:`oracle_rotation_matrix` shares
-nothing with that path but the :class:`RopeConfig`: it forms each angle
-from ``axis_dims`` and ``theta_base`` in scalar math, entry by entry.
+every head of a token matrix in every block. One head vector is the case
+of a one-row table of a ``RopeConfig`` with ``num_heads=1``.
 """
 
 from __future__ import annotations
@@ -34,13 +32,9 @@ from .numerics import ShapeError
 
 __all__ = [
     "RopeConfig",
-    "frequencies",
-    "apply_rope",
     "RotaryTable",
     "rotary_table",
     "apply_rotary",
-    "oracle_rotation_matrix",
-    "scaled_inner_product",
 ]
 
 
@@ -71,7 +65,10 @@ class RopeConfig:
             raise ValueError(f"num_heads must be positive, got {self.num_heads}")
         # Derived once, not dataclass fields: the frequency of every channel
         # pair (axis segments concatenated) and the position axis it reads.
-        freqs = np.concatenate([frequencies(d, self.theta_base) for d in self.axis_dims])
+        freqs = np.concatenate([
+            self.theta_base ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
+            for d in self.axis_dims
+        ])
         axes = np.repeat(np.arange(self.n_axes), [d // 2 for d in self.axis_dims])
         freqs.flags.writeable = False
         axes.flags.writeable = False
@@ -85,30 +82,6 @@ class RopeConfig:
     @property
     def d_model(self) -> int:
         return self.num_heads * self.head_dim
-
-
-def frequencies(axis_dim: int, theta_base: float) -> np.ndarray:
-    """Per-pair angular frequencies ``theta_base ** (-2k / axis_dim)``.
-
-    Returns ``axis_dim / 2`` values, strictly decreasing from ``theta_0 = 1``.
-    """
-    if axis_dim <= 0 or axis_dim % 2:
-        raise ValueError(f"axis_dim must be positive and even, got {axis_dim}")
-    k = np.arange(axis_dim // 2, dtype=np.float64)
-    return theta_base ** (-2.0 * k / axis_dim)
-
-
-def apply_rope(v, pos, w: float, config: RopeConfig) -> np.ndarray:
-    """Rotate one head-dim vector in place of its position, at strength ``w``.
-
-    Norm-preserving; ``w = 0`` or an all-zero position returns ``v`` unchanged.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (config.head_dim,):
-        raise ShapeError(f"vector length {v.shape} does not match head_dim {config.head_dim}")
-    table = rotary_table(np.reshape(pos, (1, -1)), w, config)
-    half = config.head_dim // 2
-    return apply_rotary(v[None], RotaryTable(table.cos[:, :half], table.sin[:, :half]))[0]
 
 
 class RotaryTable(NamedTuple):
@@ -160,43 +133,3 @@ def apply_rotary(tokens: np.ndarray, table: RotaryTable) -> np.ndarray:
     out[..., 0::2] = x * table.cos - y * table.sin
     out[..., 1::2] = x * table.sin + y * table.cos
     return out
-
-
-def oracle_rotation_matrix(pos, w: float, config: RopeConfig) -> np.ndarray:
-    """Explicit block-diagonal rotation matrix for one head.
-
-    Built entry by entry from 2x2 rotation blocks, each angle formed in
-    scalar math from ``axis_dims`` and ``theta_base`` alone; deliberately
-    naive so it can cross-check the pairwise path. The matrix is orthogonal
-    and ``oracle_rotation_matrix(pos, w) == oracle_rotation_matrix(w * pos, 1)``.
-    """
-    p = np.asarray(pos, dtype=np.float64).reshape(-1)
-    if p.shape != (config.n_axes,):
-        raise ShapeError(f"position must have {config.n_axes} axes, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("position contains non-finite values")
-    n = config.head_dim
-    rot = np.zeros((n, n), dtype=np.float64)
-    i = 0
-    for axis, dim in enumerate(config.axis_dims):
-        for k in range(dim // 2):
-            phi = (w * p[axis]) * config.theta_base ** (-2.0 * k / dim)
-            c = math.cos(phi)
-            s = math.sin(phi)
-            rot[i, i] = c
-            rot[i, i + 1] = -s
-            rot[i + 1, i] = s
-            rot[i + 1, i + 1] = c
-            i += 2
-    return rot
-
-
-def scaled_inner_product(q, k, pos_q, pos_k, w: float, config: RopeConfig) -> float:
-    """Inner product of the two rotated vectors.
-
-    Equals ``q @ oracle_rotation_matrix(pos_k - pos_q, w) @ k``: the value
-    depends on the positions only through their displacement, scaled by ``w``.
-    """
-    rq = apply_rope(q, pos_q, w, config)
-    rk = apply_rope(k, pos_k, w, config)
-    return float(np.dot(rq, rk))

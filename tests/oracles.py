@@ -2,7 +2,8 @@
 
 Everything here recomputes results with explicit loops and scalar math, so
 it shares no numerical path with the library beyond plain array projection
-products. Keep it slow and obvious.
+products. It imports only the standard library and numpy, never synattn,
+and writes out its own constants. Keep it slow and obvious.
 """
 
 import math
@@ -23,21 +24,64 @@ def cosine_rows_mean(a: np.ndarray, b: np.ndarray) -> float:
     return sum(sims) / len(sims)
 
 
-def rotate_head_vector(v, pos, w, axis_dims, theta_base):
-    """Pairwise rotation written longhand, one axis segment at a time."""
-    out = np.array(v, dtype=float)
-    offset = 0
+def rotation_matrix(pos, w, axis_dims, theta_base):
+    """Explicit block-diagonal rotation matrix of one head, built entry by entry.
+
+    Each axis segment of ``axis_dims`` is split into channel pairs; pair
+    ``k`` of axis ``a``'s segment is a 2x2 rotation by
+    ``w * pos[a] * theta_base ** (-2k / axis_dims[a])``, each angle formed in
+    scalar math (RoFormer, Su et al., arXiv:2104.09864, with ``w`` scaling
+    every angle).
+    """
+    n = sum(axis_dims)
+    rot = np.zeros((n, n))
+    i = 0
     for axis, dim in enumerate(axis_dims):
         for k in range(dim // 2):
-            theta = theta_base ** (-2.0 * k / dim)
-            phi = w * pos[axis] * theta
+            phi = (w * pos[axis]) * theta_base ** (-2.0 * k / dim)
             c, s = math.cos(phi), math.sin(phi)
-            i0 = offset + 2 * k
-            x, y = v[i0], v[i0 + 1]
-            out[i0] = x * c - y * s
-            out[i0 + 1] = x * s + y * c
-        offset += dim
+            rot[i, i], rot[i, i + 1] = c, -s
+            rot[i + 1, i], rot[i + 1, i + 1] = s, c
+            i += 2
+    return rot
+
+
+def rotated_inner_product(q, k, pos_q, pos_k, w, axis_dims, theta_base):
+    """``q . k`` after rotating each to its position: ``q @ R(pos_k - pos_q) @ k``.
+
+    The relative-position identity: the product sees the positions only
+    through their displacement, scaled by ``w``.
+    """
+    displacement = [b - a for a, b in zip(pos_q, pos_k)]
+    return float(q @ rotation_matrix(displacement, w, axis_dims, theta_base) @ k)
+
+
+# splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014) with its published constants.
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+
+
+def splitmix64(seed, count):
+    """The first ``count`` outputs of the splitmix64 stream seeded by ``seed``, as ints."""
+    state = seed % 2**64
+    out = []
+    for _ in range(count):
+        state = (state + _SPLITMIX_GAMMA) % 2**64
+        z = state
+        for shift, mult in _SPLITMIX_MIX:
+            z = ((z ^ (z >> shift)) * mult) % 2**64
+        out.append(z ^ (z >> 31))
     return out
+
+
+def splitmix64_uniform(seed, count, low, high):
+    """The stream's first ``count`` outputs as floats ``low + (z / 2**64) * (high - low)``.
+
+    ``z / 2**64`` is Python's correctly rounded integer division, so each
+    entry is rounded once before the affine map.
+    """
+    return np.array([low + (z / 2**64) * (high - low) for z in splitmix64(seed, count)])
 
 
 def naive_joint_attention(
@@ -71,9 +115,8 @@ def naive_joint_attention(
         for r in range(rows.shape[0]):
             for h in range(num_heads):
                 seg = slice(h * head_dim, (h + 1) * head_dim)
-                rows[r, seg] = rotate_head_vector(
-                    rows[r, seg], positions[r], w, axis_dims, theta_base
-                )
+                rot = rotation_matrix(positions[r], w, axis_dims, theta_base)
+                rows[r, seg] = rot @ rows[r, seg]
         return rows
 
     if use_rope:

@@ -14,25 +14,24 @@ import pytest
 from oracles import (
     naive_joint_attention,
     percentile_nearest_rank,
-    rotate_head_vector,
+    rotated_inner_product,
+    rotation_matrix,
 )
 from synattn import (
     BlockProjection,
     RopeConfig,
     Thresholds,
     adaptive_weight,
-    apply_rope,
     encode_prompt,
     grid_position_ids,
     image_kv,
-    oracle_rotation_matrix,
     rotary_table,
-    scaled_inner_product,
 )
 from synattn.attention import joint_attention
 from synattn.cli import PROBE_BUMP_SCALE, main, parse_config_text, parse_matrix, parse_trace
+from synattn.rope import apply_rotary
 
-FULL = RopeConfig()  # head_dim 128, splits (16, 56, 56)
+FULL = RopeConfig(num_heads=1)  # one head of 128, splits (16, 56, 56)
 ATTN_CFG = RopeConfig(head_dim=8, axis_dims=(2, 2, 4), num_heads=2)
 
 CASE_PROMPTS = [
@@ -88,6 +87,15 @@ def synthetic_batch(tmp_path_factory):
     return traces
 
 
+def rotate(v, pos, w):
+    """One head vector of ``FULL`` rotated to position id ``pos`` at strength ``w``."""
+    return apply_rotary(v[None], rotary_table([pos], w, FULL))[0]
+
+
+def inner(q, k, pos_q, pos_k, w):
+    return float(rotate(q, pos_q, w) @ rotate(k, pos_k, w))
+
+
 def test_criterion_01_rope_oracle_equivalence():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
@@ -96,8 +104,8 @@ def test_criterion_01_rope_oracle_equivalence():
         v = rng.normal(size=128)
         pos = rng.uniform(-32.0, 32.0, size=3)
         w = rng.uniform(0.0, 1.0)
-        fast = apply_rope(v, pos, w, FULL)
-        slow = oracle_rotation_matrix(pos, w, FULL) @ v
+        fast = rotate(v, pos, w)
+        slow = rotation_matrix(pos, w, FULL.axis_dims, FULL.theta_base) @ v
         worst = max(worst, float(np.abs(fast - slow).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-9
@@ -116,11 +124,15 @@ def test_criterion_02_relative_displacement_law():
         pos_q = rng.uniform(-16.0, 16.0, size=3)
         pos_k = rng.uniform(-16.0, 16.0, size=3)
         offset = rng.uniform(-16.0, 16.0, size=3)
-        a = scaled_inner_product(q, k, pos_q, pos_k, 1.0, FULL)
-        b = scaled_inner_product(q, k, pos_q + offset, pos_k + offset, 1.0, FULL)
-        worst = max(worst, abs(a - b))
+        a = inner(q, k, pos_q, pos_k, 1.0)
+        b = inner(q, k, pos_q + offset, pos_k + offset, 1.0)
+        want = rotated_inner_product(q, k, pos_q, pos_k, 1.0, FULL.axis_dims, FULL.theta_base)
+        worst = max(worst, abs(a - b), abs(a - want))
     assert worst <= 1e-9
-    print(f"[criterion 2] PASS joint translation leaves inner products unchanged: max diff {worst:.3e}")
+    print(
+        f"[criterion 2] PASS joint translation leaves inner products unchanged, "
+        f"equal to the displacement-matrix form: max diff {worst:.3e}"
+    )
 
 
 def test_criterion_03_scaling_law():
@@ -131,11 +143,15 @@ def test_criterion_03_scaling_law():
         pos_q = rng.uniform(-16.0, 16.0, size=3)
         pos_k = rng.uniform(-16.0, 16.0, size=3)
         w = rng.uniform(0.0, 1.0)
-        a = scaled_inner_product(q, k, pos_q, pos_k, w, FULL)
-        b = scaled_inner_product(q, k, w * pos_q, w * pos_k, 1.0, FULL)
-        worst = max(worst, abs(a - b))
+        a = inner(q, k, pos_q, pos_k, w)
+        b = inner(q, k, w * pos_q, w * pos_k, 1.0)
+        want = rotated_inner_product(q, k, pos_q, pos_k, w, FULL.axis_dims, FULL.theta_base)
+        worst = max(worst, abs(a - b), abs(a - want))
     assert worst <= 1e-9
-    print(f"[criterion 3] PASS weight w equals pre-scaled positions at w=1: max diff {worst:.3e}")
+    print(
+        f"[criterion 3] PASS weight w equals pre-scaled positions at w=1 and the "
+        f"displacement-matrix form: max diff {worst:.3e}"
+    )
 
 
 def test_criterion_04_zero_weight_collapses_to_rotation_free_sharing():
@@ -275,12 +291,12 @@ def _brute_force_probe_map(config, w, cell):
     for head in range(bb.num_heads):
         lo = head * bb.head_dim
         seg = slice(lo, lo + bb.head_dim)
-        q = rotate_head_vector(image[qcell][seg], positions[qcell], w, bb.axis_dims, bb.theta_base)
+        q = rotation_matrix(positions[qcell], w, bb.axis_dims, bb.theta_base) @ image[qcell][seg]
         logits = []
         for trow in range(text.shape[0]):
             logits.append(sum(q[d] * text[trow][seg][d] for d in range(bb.head_dim)) / math.sqrt(bb.head_dim))
         for r in range(h * wid):
-            k = rotate_head_vector(image[r][seg], positions[r], w, bb.axis_dims, bb.theta_base)
+            k = rotation_matrix(positions[r], w, bb.axis_dims, bb.theta_base) @ image[r][seg]
             logits.append(sum(q[d] * k[d] for d in range(bb.head_dim)) / math.sqrt(bb.head_dim))
         mx = max(logits)
         exps = [math.exp(x - mx) for x in logits]

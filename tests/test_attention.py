@@ -244,3 +244,12 @@ class TestAttentionMap:
         proj = random_projection(rng, 2 * CFG.d_model)
         with pytest.raises(ShapeError):
             attention_map(tokens, tokens[2:], (2, 3), proj, CFG, 1.0, (0, 0))
+
+    def test_non_finite_weights_refused(self):
+        # projections are not scanned when built: the map refuses its NaN mass
+        rng = np.random.default_rng(65)
+        tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
+        proj = random_projection(rng, CFG.d_model)
+        proj.wk[3, 5] = np.nan
+        with pytest.raises(ValueError, match="not positive and finite"):
+            attention_map(tgt, tgt[2:], (2, 3), proj, CFG, 0.6, (1, 2))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import synattn.backbone as backbone
-from oracles import naive_joint_attention
+from oracles import naive_joint_attention, splitmix64, splitmix64_uniform
 from synattn import (
     BackboneConfig,
     BackboneParams,
@@ -19,7 +19,6 @@ from synattn import (
     FLUX_SHARED_BLOCKS,
     RopeConfig,
     ShapeError,
-    SplitMix64,
     block_forward,
     denoise_step,
     derive_seed,
@@ -76,44 +75,15 @@ class TestGenerators:
     @pytest.mark.parametrize("seed", [1234, MASK64 - 2])
     @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     def test_splitmix_vector_matches_scalar(self, seed, count):
-        a = SplitMix64(seed)
-        b = SplitMix64(seed)
-        vec = b.uniform(0.0, 1.0, count)
-        scalars = np.array([a.next_uint() / 2.0**64 for _ in range(count)])
-        np.testing.assert_array_equal(vec, scalars)
-        assert b.next_uint() == a.next_uint()
-
-    def test_splitmix_stream_continues_after_vector_draw(self):
-        n = 3 * _CHUNK + 5
-        a = SplitMix64(99)
-        first = a.uniform(0.0, 1.0, n)
-        b = SplitMix64(99)
-        both = b.uniform(0.0, 1.0, n + 4)
-        np.testing.assert_array_equal(both[:n], first)
-        np.testing.assert_array_equal(both[n:], a.uniform(0.0, 1.0, 4))
-
-    def test_splitmix_negative_count_rejected_without_moving_the_stream(self):
-        gen = SplitMix64(7)
-        with pytest.raises(ValueError):
-            gen.uniform(0.0, 1.0, -1)
-        assert gen.next_uint() == SplitMix64(7).next_uint()
-
-    def test_splitmix_numpy_integer_count_draws_like_int(self):
-        a, b = SplitMix64(11), SplitMix64(11)
-        np.testing.assert_array_equal(a.uniform(0.0, 1.0, np.int64(4)), b.uniform(0.0, 1.0, 4))
-        assert a.next_uint() == b.next_uint()
-
-    def test_splitmix_float_count_rejected_without_moving_the_stream(self):
-        gen = SplitMix64(7)
-        with pytest.raises(TypeError):
-            gen.uniform(0.0, 1.0, 4.0)
-        assert gen.next_uint() == SplitMix64(7).next_uint()
+        vec = _draw_streams([seed], count, 0.0, 1.0)
+        assert vec.shape == (1, count)
+        assert vec[0].tobytes() == splitmix64_uniform(seed, count, 0.0, 1.0).tobytes()
 
     def test_splitmix_vector_draw_allocates_only_its_result(self):
         count = 1 << 20
         tracemalloc.start()
         try:
-            SplitMix64(3).uniform(-1.0, 1.0, count)
+            _draw_streams([3], count, -1.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -148,12 +118,8 @@ class TestGenerators:
     def test_split_draw_matches_scalar(self, split, cores, count):
         pools = split(cores)
         for seed in (1234, MASK64 - 2):
-            a = SplitMix64(seed)
-            b = SplitMix64(seed)
-            vec = b.uniform(-0.5, 0.5, count)
-            want = np.array([a.next_uint() / 2.0**64 for _ in range(count)]) - 0.5
-            assert vec.tobytes() == want.tobytes()
-            assert b.next_uint() == a.next_uint()
+            vec = _draw_streams([seed], count, -0.5, 0.5)[0]
+            assert vec.tobytes() == splitmix64_uniform(seed, count, -0.5, 0.5).tobytes()
         tiles = -(-count // 4)
         assert pools == ([min(cores, tiles)] * 2 if min(cores, tiles) > 1 else [])
 
@@ -165,7 +131,7 @@ class TestGenerators:
         got = _draw_streams(seeds, count, -1.0, 1.0)
         assert got.shape == (len(seeds), count)
         for s, row in zip(seeds, got):
-            assert row.tobytes() == SplitMix64(s).uniform(-1.0, 1.0, count).tobytes()
+            assert row.tobytes() == splitmix64_uniform(s, count, -1.0, 1.0).tobytes()
 
     def test_float_conversion_rounds_like_the_scalar_division(self):
         # seeds whose first output is a chosen z: exact values, round-half-even
@@ -188,7 +154,7 @@ class TestGenerators:
             MASK64 - 1024, MASK64,
         ]
         seeds = [(unmix(z) - 0x9E3779B97F4A7C15) & MASK64 for z in targets]
-        assert [SplitMix64(s).next_uint() for s in seeds] == targets
+        assert [splitmix64(s, 1)[0] for s in seeds] == targets
         got = _draw_streams(seeds, 1, -1.0, 3.0)[:, 0]
         want = np.array([z / 2.0**64 for z in targets]) * 4.0 - 1.0
         assert got.tobytes() == want.tobytes()
@@ -250,8 +216,8 @@ class TestInitBackbone:
         blk = init_block(CFG, 5)
         mats = (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.mlp_in, blk.mlp_out)
         for r, m in enumerate(mats):
-            stream = SplitMix64(derive_seed(CFG.seed, 5, r))
-            want = stream.uniform(-WEIGHT_SCALE, WEIGHT_SCALE, d * d).reshape(d, d)
+            stream = derive_seed(CFG.seed, 5, r)
+            want = splitmix64_uniform(stream, d * d, -WEIGHT_SCALE, WEIGHT_SCALE).reshape(d, d)
             assert m.tobytes() == want.tobytes()
         assert blk.attn.wq.tobytes() == init_backbone(CFG).blocks[5].attn.wq.tobytes()
 

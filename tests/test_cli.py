@@ -264,16 +264,17 @@ class TestTraceSerialization:
         assert np.array_equal(got, m)
 
     @pytest.mark.parametrize(
-        "body, message",
+        "text, message",
         [
-            ("1 2\n3 x\n", "line 3: expected number, got 'x'"),
-            ("1 2\n3\n", "line 3: 1 values, the first row has 2"),
+            ("# matrix 2 2\n1 2\n3 x\n", "line 3: expected number, got 'x'"),
+            ("# matrix 2 2\n1 2\n3\n", "line 3: 1 values, the first row has 2"),
+            ("# matrix 2 x\n1 2\n", "line 1: expected integer, got 'x'"),
         ],
-        ids=["bad-number", "ragged-row"],
+        ids=["bad-number", "ragged-row", "bad-header-columns"],
     )
-    def test_malformed_matrix_row_names_its_line(self, body, message):
+    def test_malformed_matrix_row_names_its_line(self, text, message):
         with pytest.raises(ConfigError, match=message):
-            parse_matrix("# matrix 2 2\n" + body)
+            parse_matrix(text)
 
     def test_matrix_rows_print_each_float_as_format_17g(self):
         rows = [

@@ -40,7 +40,7 @@ import numpy as np
 import pytest
 
 import synattn.backbone as backbone
-from synattn import BackboneConfig, SplitMix64, derive_seed, init_block
+from synattn import BackboneConfig, derive_seed, init_block
 from synattn.cli import main, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +118,6 @@ def test_flux_width_weights_match_golden_however_split(cores, monkeypatch):
     # block 0's wq is stream derive_seed(0, 0, 0), drawn inline or in three runs
     monkeypatch.setattr(backbone, "_usable_cores", lambda: cores)
     scale = backbone.WEIGHT_SCALE
-    wq = SplitMix64(derive_seed(0, 0, 0)).uniform(-scale, scale, 3072 * 3072)
+    wq = backbone._draw_streams([derive_seed(0, 0, 0)], 3072 * 3072, -scale, scale)
     digest = hashlib.sha256(np.ascontiguousarray(wq, dtype="<f8").tobytes()).hexdigest()
     assert digest == (GOLDEN / "flux_width_wq.sha256").read_text().strip()

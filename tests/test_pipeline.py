@@ -14,7 +14,6 @@ from synattn import (
     initial_noise,
     run_batch,
     run_edit,
-    run_groups,
 )
 import synattn.pipeline as pipeline_mod
 
@@ -200,6 +199,21 @@ class TestRunEdit:
         assert exc.value.block_index == 0
         assert f"{branch} branch stream" in str(exc.value)
 
+    def test_non_finite_weight_aborts_at_its_block(self, monkeypatch):
+        # drawn weights are not scanned: a NaN weight aborts where block 2 uses it
+        real = pipeline_mod.init_backbone
+
+        def poisoned(bb):
+            params = real(bb)
+            params.blocks[2].attn.wv[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(pipeline_mod, "init_backbone", poisoned)
+        config = small_config()
+        with pytest.raises(NumericalAbortError) as exc:
+            run_edit(config)
+        assert (exc.value.timestep, exc.value.block_index) == (config.backbone.n_steps, 2)
+
 
 class TestRunBatch:
     def test_batch_of_one_equals_run_edit(self):
@@ -255,7 +269,7 @@ def mixed_configs():
 class TestStackedEngine:
     def test_groups_follow_the_backbone_in_order_of_first_appearance(self):
         configs = mixed_configs()
-        groups = [indices for indices, _ in run_groups(configs)]
+        groups = pipeline_mod._backbone_groups(configs)
         assert groups == [[0, 2, 4, 6], [1, 3, 5, 7]]
 
     def test_mixed_batch_matches_run_edit_case_by_case(self):
@@ -263,7 +277,8 @@ class TestStackedEngine:
         traces = run_batch(configs)
         for cfg, trace in zip(configs, traces):
             assert trace == run_edit(cfg)[2]
-        for indices, results in run_groups(configs):
+        for indices in pipeline_mod._backbone_groups(configs):
+            results = pipeline_mod._run_group([configs[i] for i in indices])
             for i, result in zip(indices, results):
                 assert_same_result(result, run_edit(configs[i]))
 
@@ -291,8 +306,8 @@ class TestStackedEngine:
             return out
 
         monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
-        ((indices, results),) = list(run_groups(configs))
-        assert indices == [0, 1, 2]
+        assert pipeline_mod._backbone_groups(configs) == [[0, 1, 2]]
+        results = pipeline_mod._run_group(configs)
         with pytest.raises(NumericalAbortError) as alone:
             run_edit(configs[1])
         got = results[1]
@@ -305,7 +320,7 @@ class TestStackedEngine:
 
     def test_tiny_budget_splits_the_group_without_changing_bytes(self, monkeypatch):
         configs = [small_config(w_override=w) for w in (None, 0.0, 1.0, 0.25, None)]
-        ((_, whole),) = list(run_groups(configs))
+        whole = pipeline_mod._run_group(configs)
         sizes = []
         real = pipeline_mod._run_stack
 
@@ -319,7 +334,7 @@ class TestStackedEngine:
         for budget, want in [(1, [1] * 5), (2 * case_bytes, [2, 2, 1])]:
             sizes.clear()
             monkeypatch.setattr(pipeline_mod, "_STACK_BYTES", budget)
-            ((_, split),) = list(run_groups(configs))
+            split = pipeline_mod._run_group(configs)
             assert sizes == want
             for got, ref in zip(split, whole):
                 assert_same_result(got, ref)

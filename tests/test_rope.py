@@ -4,24 +4,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import rotate_head_vector
-from synattn import (
-    RopeConfig,
-    ShapeError,
-    apply_rope,
-    frequencies,
-    oracle_rotation_matrix,
-    rotary_table,
-    scaled_inner_product,
-)
+from oracles import rotated_inner_product, rotation_matrix
+from synattn import RopeConfig, ShapeError, rotary_table
 from synattn.rope import apply_rotary
 
 FULL = RopeConfig()  # 24 heads x 128, splits (16, 56, 56)
 TOY = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=2)
+# one head of each geometry, for rotating a single head vector
+FULL_HEAD = RopeConfig(num_heads=1)
+TOY_HEAD = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=1)
 
 vectors16 = arrays(np.float64, (16,), elements=st.floats(-10.0, 10.0))
 positions = arrays(np.float64, (3,), elements=st.floats(-32.0, 32.0))
 weights = st.floats(0.0, 1.0)
+
+
+def rotate(v, pos, w, config):
+    """One head vector rotated to position id ``pos`` through a one-row table."""
+    return apply_rotary(np.asarray(v)[None], rotary_table([pos], w, config))[0]
+
+
+def inner(q, k, pos_q, pos_k, w, config):
+    """Inner product of ``q`` and ``k``, each rotated to its position."""
+    return float(rotate(q, pos_q, w, config) @ rotate(k, pos_k, w, config))
+
+
+def oracle(pos, w, config):
+    return rotation_matrix(pos, w, config.axis_dims, config.theta_base)
 
 
 class TestConfig:
@@ -49,117 +58,115 @@ class TestConfig:
 
 
 class TestFrequencies:
+    # the 56-wide row segment of the full geometry
+    ROW = FULL.pair_freqs[FULL.pair_axes == 1]
+
     def test_first_frequency_is_one(self):
-        assert frequencies(56, 10000.0)[0] == 1.0
+        assert self.ROW[0] == 1.0
 
     def test_direct_evaluation_at_k27(self):
         # 10000 ** (-54 / 56), roughly 1.3895e-4
         expected = 10000.0 ** (-54.0 / 56.0)
-        got = frequencies(56, 10000.0)[27]
+        got = self.ROW[27]
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(1.3895e-4, rel=1e-4)
 
     def test_minimal_axis(self):
-        np.testing.assert_array_equal(frequencies(2, 10000.0), [1.0])
+        minimal = RopeConfig(head_dim=6, axis_dims=(2, 2, 2), num_heads=1)
+        np.testing.assert_array_equal(minimal.pair_freqs, [1.0, 1.0, 1.0])
 
     def test_strictly_decreasing(self):
-        f = frequencies(56, 10000.0)
-        assert np.all(np.diff(f) < 0)
-
-    def test_odd_axis_rejected(self):
-        with pytest.raises(ValueError):
-            frequencies(7, 10000.0)
+        assert np.all(np.diff(self.ROW) < 0)
 
 
 class TestApplyRope:
+    """RoPE applied to one head vector, through a one-row table."""
+
     def test_zero_weight_is_identity(self):
         rng = np.random.default_rng(31)
         v = rng.normal(size=128)
         pos = rng.uniform(-9, 9, size=3)
-        np.testing.assert_array_equal(apply_rope(v, pos, 0.0, FULL), v)
+        np.testing.assert_array_equal(rotate(v, pos, 0.0, FULL_HEAD), v)
 
     def test_zero_position_is_identity(self):
         rng = np.random.default_rng(32)
         v = rng.normal(size=128)
-        np.testing.assert_array_equal(apply_rope(v, (0.0, 0.0, 0.0), 1.0, FULL), v)
+        np.testing.assert_array_equal(rotate(v, (0.0, 0.0, 0.0), 1.0, FULL_HEAD), v)
 
     def test_against_oracle_matrix(self):
         rng = np.random.default_rng(33)
         v = rng.normal(size=128)
         pos = np.array([0.0, 3.0, 5.0])
-        got = apply_rope(v, pos, 1.0, FULL)
-        want = oracle_rotation_matrix(pos, 1.0, FULL) @ v
+        got = rotate(v, pos, 1.0, FULL_HEAD)
+        want = oracle(pos, 1.0, FULL) @ v
         assert np.abs(got - want).max() <= 1e-9
 
     def test_against_longhand_rotation(self):
         rng = np.random.default_rng(34)
         v = rng.normal(size=16)
         pos = rng.uniform(-5, 5, size=3)
-        want = rotate_head_vector(v, pos, 0.37, TOY.axis_dims, TOY.theta_base)
-        assert np.abs(apply_rope(v, pos, 0.37, TOY) - want).max() <= 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            apply_rope(np.ones(64), (0, 1, 2), 1.0, FULL)
+        want = oracle(pos, 0.37, TOY) @ v
+        assert np.abs(rotate(v, pos, 0.37, TOY_HEAD) - want).max() <= 1e-12
 
     @given(vectors16, positions, weights)
     def test_norm_preserved(self, v, pos, w):
-        rotated = apply_rope(v, pos, w, TOY)
+        rotated = rotate(v, pos, w, TOY_HEAD)
         assert abs(np.linalg.norm(rotated) - np.linalg.norm(v)) <= 1e-12
 
     @given(vectors16, positions, positions, weights)
     def test_composition_adds_positions(self, v, p1, p2, w):
-        twice = apply_rope(apply_rope(v, p1, w, TOY), p2, w, TOY)
-        once = apply_rope(v, np.asarray(p1) + np.asarray(p2), w, TOY)
+        twice = rotate(rotate(v, p1, w, TOY_HEAD), p2, w, TOY_HEAD)
+        once = rotate(v, np.asarray(p1) + np.asarray(p2), w, TOY_HEAD)
         assert np.abs(twice - once).max() <= 1e-9
 
 
 class TestOracleMatrix:
+    """The explicit rotation matrix of ``oracles.py`` is a rotation, scaled by ``w``."""
+
     def test_zero_position_gives_identity(self):
-        np.testing.assert_array_equal(
-            oracle_rotation_matrix((0.0, 0.0, 0.0), 1.0, FULL), np.eye(128)
-        )
+        np.testing.assert_array_equal(oracle((0.0, 0.0, 0.0), 1.0, FULL), np.eye(128))
 
     @given(positions, weights)
     @settings(max_examples=25)
     def test_orthogonality(self, pos, w):
-        r = oracle_rotation_matrix(pos, w, TOY)
+        r = oracle(pos, w, TOY)
         assert np.abs(r.T @ r - np.eye(TOY.head_dim)).max() <= 1e-12
 
     def test_half_weight_equals_prescaled_position(self):
         rng = np.random.default_rng(35)
         pos = rng.uniform(-9, 9, size=3)
-        a = oracle_rotation_matrix(pos, 0.5, FULL)
-        b = oracle_rotation_matrix(0.5 * pos, 1.0, FULL)
+        a = oracle(pos, 0.5, FULL)
+        b = oracle(0.5 * pos, 1.0, FULL)
         np.testing.assert_array_equal(a, b)
 
     def test_independent_of_fast_path_pair_layout(self):
         # The oracle forms its angles from axis_dims and theta_base alone, so
         # a corrupted pair layout moves the fast path but not the oracle.
-        broken = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=2)
+        broken = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=1)
         object.__setattr__(broken, "pair_axes", broken.pair_axes[::-1].copy())
         object.__setattr__(broken, "pair_freqs", broken.pair_freqs[::-1].copy())
         rng = np.random.default_rng(41)
         v = rng.normal(size=16)
         pos = np.array([1.5, -3.0, 7.0])
-        want = rotate_head_vector(v, pos, 0.8, broken.axis_dims, broken.theta_base)
-        got = oracle_rotation_matrix(pos, 0.8, broken) @ v
-        assert np.abs(got - want).max() <= 1e-12
-        assert np.abs(apply_rope(v, pos, 0.8, broken) - want).max() > 1e-3
+        want = rotate(v, pos, 0.8, TOY_HEAD)
+        assert np.abs(oracle(pos, 0.8, broken) @ v - want).max() <= 1e-12
+        assert np.abs(rotate(v, pos, 0.8, broken) - want).max() > 1e-3
 
 
 class TestScaledInnerProduct:
+    """Inner products of two head vectors rotated at the same strength ``w``."""
+
     def test_equal_positions_give_plain_dot(self):
         rng = np.random.default_rng(36)
         q, k = rng.normal(size=(2, 128))
         pos = np.array([0.0, 4.0, 2.0])
-        got = scaled_inner_product(q, k, pos, pos, 0.8, FULL)
+        got = inner(q, k, pos, pos, 0.8, FULL_HEAD)
         assert got == pytest.approx(float(q @ k), abs=1e-12)
 
     def test_zero_weight_gives_plain_dot_exactly(self):
         rng = np.random.default_rng(37)
         q, k = rng.normal(size=(2, 128))
-        got = scaled_inner_product(q, k, (0, 1, 2), (0, 5, 3), 0.0, FULL)
+        got = inner(q, k, (0, 1, 2), (0, 5, 3), 0.0, FULL_HEAD)
         assert got == float(np.dot(q, k))
 
     def test_matches_displacement_matrix_form(self):
@@ -167,22 +174,20 @@ class TestScaledInnerProduct:
         q, k = rng.normal(size=(2, 128))
         pos_q = np.array([0.0, 2.0, 7.0])
         pos_k = np.array([0.0, 5.0, 1.0])
-        got = scaled_inner_product(q, k, pos_q, pos_k, 0.3, FULL)
-        want = q @ oracle_rotation_matrix(pos_k - pos_q, 0.3, FULL) @ k
-        assert got == pytest.approx(float(want), abs=1e-9)
+        got = inner(q, k, pos_q, pos_k, 0.3, FULL_HEAD)
+        want = rotated_inner_product(q, k, pos_q, pos_k, 0.3, FULL.axis_dims, FULL.theta_base)
+        assert got == pytest.approx(want, abs=1e-9)
 
     @given(vectors16, vectors16, positions, positions, positions)
     def test_translation_invariance(self, q, k, pos_q, pos_k, offset):
-        a = scaled_inner_product(q, k, pos_q, pos_k, 1.0, TOY)
-        b = scaled_inner_product(
-            q, k, np.asarray(pos_q) + offset, np.asarray(pos_k) + offset, 1.0, TOY
-        )
+        a = inner(q, k, pos_q, pos_k, 1.0, TOY_HEAD)
+        b = inner(q, k, np.asarray(pos_q) + offset, np.asarray(pos_k) + offset, 1.0, TOY_HEAD)
         assert abs(a - b) <= 1e-9
 
     @given(vectors16, vectors16, positions, positions, weights)
     def test_scaling_linearity(self, q, k, pos_q, pos_k, w):
-        a = scaled_inner_product(q, k, pos_q, pos_k, w, TOY)
-        b = scaled_inner_product(q, k, w * np.asarray(pos_q), w * np.asarray(pos_k), 1.0, TOY)
+        a = inner(q, k, pos_q, pos_k, w, TOY_HEAD)
+        b = inner(q, k, w * np.asarray(pos_q), w * np.asarray(pos_k), 1.0, TOY_HEAD)
         assert abs(a - b) <= 1e-9
 
 
@@ -195,9 +200,7 @@ class TestRotateTokens:
         for r in range(5):
             for h in range(TOY.num_heads):
                 seg = slice(h * TOY.head_dim, (h + 1) * TOY.head_dim)
-                want = rotate_head_vector(
-                    tokens[r, seg], pos[r], 0.6, TOY.axis_dims, TOY.theta_base
-                )
+                want = oracle(pos[r], 0.6, TOY) @ tokens[r, seg]
                 assert np.abs(got[r, seg] - want).max() <= 1e-12
 
     def test_rejects_wrong_widths(self):
@@ -208,12 +211,9 @@ class TestRotateTokens:
             rotary_table(np.zeros(3), 1.0, TOY)
 
 
-# Every entry point that takes a position: the table, the one-vector path and the oracle.
-ONE_POSITION = {
-    "rotary_table": lambda pos: rotary_table(np.reshape(pos, (1, -1)), 0.5, TOY),
-    "apply_rope": lambda pos: apply_rope(np.ones(16), pos, 0.5, TOY),
-    "oracle_rotation_matrix": lambda pos: oracle_rotation_matrix(pos, 0.5, TOY),
-}
+# Every entry point that takes a position id; the oracle in oracles.py
+# does not validate its inputs.
+ONE_POSITION = {"rotary_table": lambda pos: rotary_table([pos], 0.5, TOY)}
 
 
 @pytest.mark.parametrize("rotate", ONE_POSITION.values(), ids=ONE_POSITION.keys())
