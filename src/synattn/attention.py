@@ -180,8 +180,9 @@ def attention_map(
             f"{tokens.shape[0]} target rows and {src_image.shape[0]} source image rows "
             f"do not fill a {h}x{wid} grid"
         )
-    if tokens.shape[1] != rope.d_model:
-        raise ShapeError(f"token width {tokens.shape[1]} != num_heads*head_dim {rope.d_model}")
+    for name, rows in (("token", tokens), ("source image", src_image)):
+        if rows.shape[1] != rope.d_model:
+            raise ShapeError(f"{name} width {rows.shape[1]} != num_heads*head_dim {rope.d_model}")
     table = rotary_table(grid_position_ids(h, wid), w, rope)
     q = _queries(tokens, n_txt, proj.wq, table)
     k_img = apply_rotary(src_image @ proj.wk, table)

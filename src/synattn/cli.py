@@ -552,12 +552,8 @@ def _run_cases(cases: list[_Case]) -> list[_Failure]:
     Returns each failing case, in input order. Prints nothing and lets no
     exception escape, so it behaves the same inline and in a worker process.
     """
-    try:
-        results = _run_group([config for _, config, _ in cases])
-    except Exception as exc:  # noqa: BLE001 - every case of the group raised it
-        results = [exc] * len(cases)
     failures = []
-    for (i, _, target), result in zip(cases, results):
+    for (i, _, target), result in zip(cases, _run_group([config for _, config, _ in cases])):
         if not isinstance(result, Exception):
             try:
                 _write_case(target, *result)

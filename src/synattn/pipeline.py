@@ -20,8 +20,12 @@ and each distinct prompt's encoding are drawn once for the group, each
 branch is a ``(B, n, d)`` stack with one ``w`` per case, and each layer
 makes one numpy call for the whole stack. Every case still gets its own
 BLAS calls, so its bytes are the ones it gets alone. A case that aborts
-stores its exception and leaves the stack; the others carry on.
-:func:`run_edit` is the same engine on one case.
+numerically stores its exception and its row stays in the stack, masked:
+computed but never read again, while the others carry on. Any other
+failure in a group (a draw that cannot be allocated, say) is every case's
+of that group. A prompt with no tokens is refused when the
+:class:`PipelineConfig` is built. :func:`run_edit` is the same engine on
+one case.
 """
 
 from __future__ import annotations
@@ -88,6 +92,9 @@ class PipelineConfig:
     w_override: float | None = None
 
     def __post_init__(self) -> None:
+        for key in ("src_prompt", "tgt_prompt"):
+            if not getattr(self, key).split():
+                raise ValueError(f"{key} must contain at least one token")
         if self.w_override is not None and not 0.0 <= self.w_override <= 1.0:
             raise ValueError(f"w_override {self.w_override} outside [0, 1]")
 
@@ -112,7 +119,7 @@ def _run_stack(
     n_txt = bb.n_txt_tokens
     results: list[EditResult | Exception | None] = [None] * len(configs)
     records: list[list[StepRecord]] = [[] for _ in configs]
-    rows = np.arange(len(configs))  # the config index of each stacked row
+    live = list(range(len(configs)))  # the cases that have not aborted
     txt_src = np.stack([text[c.src_prompt] for c in configs])
     txt_tgt = np.stack([text[c.tgt_prompt] for c in configs])
     # read-only views of the one noise draw; each step's update makes new arrays
@@ -121,96 +128,72 @@ def _run_stack(
     positions = grid_position_ids(*bb.grid)
 
     # A non-finite value is reported once per case, as its abort, not as numpy warnings.
+    # An aborted case's row stays in the stack, computed but never read again.
     with np.errstate(all="ignore"):
         for t in range(bb.n_steps, 0, -1):
             table = rotary_table(positions, w, bb.rope)
             src = np.concatenate([txt_src, x_src], axis=1)
             tgt = np.concatenate([txt_tgt, x_tgt], axis=1)
-            blocks: list[list] = [[] for _ in rows]
+            blocks: list[list] = [[] for _ in configs]
             for l in range(bb.n_blocks):
                 src, src_attn, src_kv = block_forward(src, l, params, table)
                 shared = src_kv if l in bb.shared_blocks else None
                 tgt, tgt_attn, _ = block_forward(tgt, l, params, table, shared)
                 src_ok = np.isfinite(src).all(axis=(1, 2))
-                keep = src_ok & np.isfinite(tgt).all(axis=(1, 2))
+                ok = src_ok & np.isfinite(tgt).all(axis=(1, 2))
                 cos = row_cosines(src_attn, tgt_attn)
                 s_txt = cos[:, :n_txt].mean(axis=1)
                 s_img = cos[:, n_txt:].mean(axis=1)
-                for j, i in enumerate(rows):
-                    if not keep[j]:
-                        branch = "target" if src_ok[j] else "source"
+                for i in live:
+                    if not ok[i]:
+                        branch = "target" if src_ok[i] else "source"
                         results[i] = NumericalAbortError(t, l, f"{branch} branch stream")
                         continue
                     try:
-                        blocks[j].append(block_similarity(l, float(s_txt[j]), float(s_img[j])))
+                        blocks[i].append(block_similarity(l, float(s_txt[i]), float(s_img[i])))
                     except DegenerateSimilarityError as exc:
                         results[i] = exc
-                        keep[j] = False
-                if not keep.all():  # the failed cases leave the stack
-                    if not keep.any():
-                        return results
-                    rows, src, tgt, txt_src, txt_tgt, x_src, x_tgt, w = (
-                        a[keep] for a in (rows, src, tgt, txt_src, txt_tgt, x_src, x_tgt, w)
-                    )
-                    blocks = [b for b, k in zip(blocks, keep) if k]
-                    table = rotary_table(positions, w, bb.rope)
+                live = [i for i in live if results[i] is None]
+                if not live:
+                    return results
 
             x_src = denoise_step(x_src, src[:, n_txt:], t, bb.n_steps)
             x_tgt = denoise_step(x_tgt, tgt[:, n_txt:], t, bb.n_steps)
-            for j, i in enumerate(rows):
-                m_t = editing_measurement(blocks[j])
+            for i in live:
+                m_t = editing_measurement(blocks[i])
                 records[i].append(
-                    StepRecord(timestep=t, blocks=tuple(blocks[j]), m_mean=m_t,
-                               weight_applied=float(w[j]))
+                    StepRecord(timestep=t, blocks=tuple(blocks[i]), m_mean=m_t,
+                               weight_applied=float(w[i]))
                 )
                 # m_t is finite: every ratio has a finite s_img and |s_txt| >= 1e-6
                 if t > 1 and configs[i].w_override is None:
-                    w[j] = adaptive_weight(m_t, configs[i].thresholds)
+                    w[i] = adaptive_weight(m_t, configs[i].thresholds)
 
-    for j, i in enumerate(rows):
-        results[i] = (x_src[j], x_tgt[j], EditingTrace(steps=tuple(records[i]), config=configs[i]))
+    for i in live:
+        results[i] = (x_src[i], x_tgt[i], EditingTrace(steps=tuple(records[i]), config=configs[i]))
     return results
 
 
 def _run_group(configs: Sequence[PipelineConfig]) -> list[EditResult | Exception]:
     """Run configs that share one backbone, drawing its weights, noise and prompts once.
 
-    Each result is the case's final states and trace, or the exception it
-    raised. The cases run in sub-batches of at most ``_STACK_BYTES`` of state.
+    Each result is the case's final states and trace, or its exception: a
+    numerical abort is the case's own, and any other failure (a weight,
+    prompt or noise draw that cannot be allocated, say) is every case's.
+    The cases run in sub-batches of at most ``_STACK_BYTES`` of state.
     """
-    bb = configs[0].backbone
     try:
+        bb = configs[0].backbone
         params = init_backbone(bb)
+        prompts = dict.fromkeys(p for c in configs for p in (c.src_prompt, c.tgt_prompt))
+        text = {p: encode_prompt(p, bb) for p in prompts}
+        noise = initial_noise(bb)
+        case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
+        per_stack = max(1, _STACK_BYTES // case_bytes)
+        return [result for start in range(0, len(configs), per_stack)
+                for result in _run_stack(configs[start:start + per_stack], params, noise, text)]
     except Exception as exc:  # noqa: BLE001 - every case of the group raised it
         return [exc] * len(configs)
-    results: list[EditResult | Exception | None] = [None] * len(configs)
-    text: dict[str, np.ndarray | Exception] = {}
-    ready = []
-    for i, cfg in enumerate(configs):
-        for prompt in (cfg.src_prompt, cfg.tgt_prompt):
-            if prompt not in text:
-                try:
-                    text[prompt] = encode_prompt(prompt, bb)
-                except Exception as exc:  # noqa: BLE001 - this case's own failure
-                    text[prompt] = exc
-            if isinstance(text[prompt], Exception):
-                results[i] = text[prompt]
-                break
-        else:
-            ready.append(i)
-    if not ready:
-        return results
-    try:
-        noise = initial_noise(bb)
-    except Exception as exc:  # noqa: BLE001 - every remaining case raised it
-        return [exc if r is None else r for r in results]
-    case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
-    per_stack = max(1, _STACK_BYTES // case_bytes)
-    for start in range(0, len(ready), per_stack):
-        chunk = ready[start:start + per_stack]
-        for i, result in zip(chunk, _run_stack([configs[i] for i in chunk], params, noise, text)):
-            results[i] = result
-    return results
 
 
 def _backbone_groups(configs: Sequence[PipelineConfig]) -> list[list[int]]:
@@ -237,8 +220,9 @@ def run_edit(config: PipelineConfig) -> EditResult:
 def run_batch(configs: Sequence[PipelineConfig]) -> list[EditingTrace | Exception]:
     """Each config's trace, in input order, from one stacked computation per backbone.
 
-    A failing case stores its exception at that index, the exception it
-    raises alone, and the batch continues.
+    A failing case stores its exception at that index and the batch
+    continues: a numerical abort at the case's own index, the exception it
+    raises alone, and any other failure at every index of its backbone group.
     """
     configs = list(configs)
     if not configs:

@@ -238,12 +238,15 @@ class TestAttentionMap:
             attention_map(short, src_image, (2, 3), proj, CFG, 1.0, (0, 0))
 
     def test_width_mismatch(self):
-        # 32-wide tokens against 2 heads of 8: the heads would split wrongly
+        # 32-wide target tokens, or a 32-wide source image beside 16-wide
+        # tokens, against 2 heads of 8: the heads would split wrongly
         rng = np.random.default_rng(64)
-        tokens = rng.normal(size=(8, 2 * CFG.d_model))
-        proj = random_projection(rng, 2 * CFG.d_model)
-        with pytest.raises(ShapeError):
-            attention_map(tokens, tokens[2:], (2, 3), proj, CFG, 1.0, (0, 0))
+        wide = rng.normal(size=(8, 2 * CFG.d_model))
+        narrow = random_tokens(rng, 2, (2, 3), CFG.d_model)
+        for tokens, src_image, name in [(wide, wide[2:], "token"), (narrow, wide[2:], "source image")]:
+            proj = random_projection(rng, tokens.shape[1])
+            with pytest.raises(ShapeError, match=f"^{name} width 32 "):
+                attention_map(tokens, src_image, (2, 3), proj, CFG, 1.0, (0, 0))
 
     def test_non_finite_weights_refused(self):
         # projections are not scanned when built: the map refuses its NaN mass

@@ -17,7 +17,11 @@ one ``synattn run``, so ``adaptive``, ``w_zero`` and ``w_one``, which share a
 backbone, go through the stacked engine as one group of three, while each
 per-case test runs its config alone. All cases are toy width; at FLUX
 width the bytes depend on the BLAS thread count, so such a case could not
-be pinned.
+be pinned. On OpenBLAS's ``SkylakeX`` kernels the product that differs
+between 1 and 2 threads is the ``attention_weights`` ``QKᵀ`` logits over
+260 tokens, ``(24, 260, 128) @ (24, 128, 260)``; the ``(260, 3072) @
+(3072, 3072)`` projections, and ``QKᵀ`` over 64, 128 or 200 tokens, give
+the same bytes on 1 and 2 threads.
 
 Weight draws involve no BLAS, so one FLUX-width draw is pinned:
 ``flux_width_wq.sha256`` holds the sha256 of block 0's ``wq`` from

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -159,8 +160,10 @@ class TestRunEdit:
         assert all(step.m_mean == 1.0 for step in trace.steps)
 
     def test_blank_prompt_fails(self):
-        with pytest.raises(ValueError):
-            run_edit(small_config(src_prompt="   "))
+        # refused when the config is built, before any run
+        for key in ("src_prompt", "tgt_prompt"):
+            with pytest.raises(ValueError, match=f"^{key} must contain at least one token"):
+                PipelineConfig(**{"src_prompt": "a dog", "tgt_prompt": "a dog", key: " \t "})
 
     def test_non_finite_aborts_with_location(self, monkeypatch):
         real = pipeline_mod.block_forward
@@ -232,12 +235,41 @@ class TestRunBatch:
         shuffled = run_batch([configs[i] for i in order])
         assert shuffled == [base[i] for i in order]
 
-    def test_failures_reported_per_index(self):
-        good = small_config()
-        bad = small_config(src_prompt="   ")
-        results = run_batch([good, bad, good])
-        assert results[0] == results[2]
-        assert isinstance(results[1], ValueError)
+    def test_failures_reported_per_index(self, monkeypatch):
+        # a numerical abort is its case's alone; any other failure is every
+        # case's of its backbone group, and the other group is untouched
+        other = BackboneConfig(seed=7)
+        configs = [
+            small_config(),
+            small_config(backbone=other),
+            small_config(tgt_prompt="a poisoned dog", w_override=0.5),
+            small_config(backbone=other, w_override=0.0),
+            small_config(w_override=0.0),
+        ]
+        real_encode, real_init = pipeline_mod.encode_prompt, pipeline_mod.init_backbone
+        no_memory = MemoryError("Unable to allocate the weights")
+
+        def poisoned(prompt, bb):
+            out = real_encode(prompt, bb)
+            if prompt == "a poisoned dog":
+                out[0, 0] = np.nan
+            return out
+
+        def init(bb):
+            if bb == other:
+                raise no_memory
+            return real_init(bb)
+
+        monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
+        monkeypatch.setattr(pipeline_mod, "init_backbone", init)
+        results = run_batch(configs)
+        with pytest.raises(NumericalAbortError) as alone:
+            run_edit(configs[2])
+        assert type(results[2]) is NumericalAbortError
+        assert str(results[2]) == str(alone.value)
+        assert results[1] is no_memory and results[3] is no_memory
+        for i in (0, 4):
+            assert results[i] == run_edit(configs[i])[2]
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -317,6 +349,44 @@ class TestStackedEngine:
         assert "target branch stream" in str(got)
         assert_same_result(results[0], run_edit(configs[0]))
         assert_same_result(results[2], run_edit(configs[2]))
+
+    def test_row_masked_after_contributing_records_leaves_the_others(self, monkeypatch):
+        # inf in one case's target row at block 3 of step T-1, after that
+        # case has run a whole step in the stack: it aborts as it does
+        # alone, and its row, kept and computed on, leaves the others' bytes
+        configs = [
+            small_config(),
+            small_config(tgt_prompt="a jumping dog"),
+            small_config(w_override=0.25),
+        ]
+        wants = [run_edit(configs[0]), run_edit(configs[2])]
+        real = pipeline_mod.block_forward
+
+        def poison_row(row):
+            calls = itertools.count()
+
+            def poisoned(tokens, block_index, params, table, shared_kv=None):
+                out, attn, kv = real(tokens, block_index, params, table, shared_kv)
+                # per step each block runs the source, then the target branch
+                step, call = divmod(next(calls), 2 * params.config.n_blocks)
+                if (step, call) == (1, 2 * 3 + 1):
+                    out[row, params.config.n_txt_tokens, 0] = np.inf
+                return out, attn, kv
+
+            return poisoned
+
+        monkeypatch.setattr(pipeline_mod, "block_forward", poison_row(1))
+        results = pipeline_mod._run_group(configs)
+        monkeypatch.setattr(pipeline_mod, "block_forward", poison_row(0))
+        with pytest.raises(NumericalAbortError) as alone:
+            run_edit(configs[1])
+        n_steps = configs[1].backbone.n_steps
+        assert (alone.value.timestep, alone.value.block_index) == (n_steps - 1, 3)
+        assert "target branch stream" in str(alone.value)
+        assert type(results[1]) is NumericalAbortError
+        assert str(results[1]) == str(alone.value)
+        assert_same_result(results[0], wants[0])
+        assert_same_result(results[2], wants[1])
 
     def test_tiny_budget_splits_the_group_without_changing_bytes(self, monkeypatch):
         configs = [small_config(w_override=w) for w in (None, 0.0, 1.0, 0.25, None)]
