@@ -3,10 +3,11 @@
 A branch's state is one ``[text; image]`` matrix: its first ``n_txt`` rows
 are text tokens, the rest image tokens laid out row-major on a grid
 (:func:`grid_position_ids`). The forward-pass functions also take a stack
-of such matrices, ``(..., n, d)``, one per case, and treat each case as if
-it ran alone: products are ``@`` against the shared ``(d, d)`` projections, which
-numpy carries out as one BLAS call per case, so a case's bytes do not depend
-on what it is stacked with. Attention always runs over the whole matrix.
+of such matrices, ``(..., n, d)``, one per case and branch, and treat each
+as if it ran alone: products are ``@`` against the shared ``(d, d)``
+projections, which numpy carries out as one BLAS call per matrix, so a
+case's bytes do not depend on what it is stacked with. Attention always
+runs over the whole matrix.
 Image-token queries and keys are rotated by a :class:`~synattn.rope.RotaryTable`
 built at strength ``w``; text tokens are never rotated.
 
@@ -17,10 +18,11 @@ so target tokens retrieve visual content from the source branch. With
 ``w = 0`` the rotation is the identity and retrieval is purely semantic;
 with ``w = 1`` positional proximity shapes it fully. Without it, the branch
 attends to its own image keys/values. The denoising loop calls it through
-:func:`synattn.backbone.block_forward`, which hands the source branch's
-image keys/values to the target instead of projecting them a second time.
-:func:`attention_map` reads one target query's weights from the same
-arithmetic.
+:func:`synattn.backbone.block_forward` on one ``(2, B, n, d)`` stack of
+both branches; at a shared block it hands the whole stack the source
+branch's :func:`image_kv`, which the source attends to as its own and the
+target in place of its own. :func:`attention_map` reads one target query's
+weights from the same arithmetic.
 
 Outputs are returned before the output projection is applied; the block
 wrapper in :mod:`synattn.backbone` owns the projection and residuals.
@@ -96,7 +98,7 @@ def merge_heads(heads: np.ndarray) -> np.ndarray:
 def image_kv(
     image: np.ndarray, proj: BlockProjection, table: RotaryTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotated image keys and image values of one branch: what a shared block hands the target."""
+    """Rotated image keys and values of one branch: what a shared block hands both branches."""
     return apply_rotary(image @ proj.wk, table), image @ proj.wv
 
 
@@ -116,16 +118,18 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     pass's own arithmetic.
     """
     # K^T as a contiguous copy: a strided transpose changes the output bytes.
-    logits = np.matmul(q, np.ascontiguousarray(k.swapaxes(-1, -2))) * scale
-    return softmax_rows(logits)
+    logits = np.matmul(q, np.ascontiguousarray(k.swapaxes(-1, -2)))
+    logits *= scale
+    return softmax_rows(logits, out=logits)
 
 
-def _multi_head(q: np.ndarray, k: np.ndarray, v: np.ndarray, rope: RopeConfig) -> np.ndarray:
-    scale = 1.0 / math.sqrt(rope.head_dim)
-    weights = attention_weights(
-        split_heads(q, rope.num_heads), split_heads(k, rope.num_heads), scale
-    )
-    return merge_heads(np.matmul(weights, split_heads(v, rope.num_heads)))
+def _join_rows(text: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """``[text; image]`` rows in one new buffer, ``image`` broadcast over the leading axes."""
+    n_txt = text.shape[-2]
+    out = np.empty((*text.shape[:-2], n_txt + image.shape[-2], text.shape[-1]))
+    out[..., :n_txt, :] = text
+    out[..., n_txt:, :] = image
+    return out
 
 
 def joint_attention(
@@ -140,17 +144,25 @@ def joint_attention(
 
     ``tokens`` is ``(n, d)`` or a stack ``(..., n, d)``. ``table`` rotates the
     image queries (and the image keys this call projects itself). ``kv_img``
-    is another branch's :func:`image_kv`, taken in place of the branch's own.
+    is an :func:`image_kv`, taken in place of the stack's own; it broadcasts
+    over the leading axes, so a ``(B, m, d)`` pair of the source's keys and
+    values serves every branch of a ``(2, B, n, d)`` source/target pair.
     Returns the output before the output projection, shaped like ``tokens``,
     and the image keys/values it attended to.
     """
-    q = _queries(tokens, n_txt, proj.wq, table)
     if kv_img is None:
         kv_img = image_kv(tokens[..., n_txt:, :], proj, table)
     text = tokens[..., :n_txt, :]
-    k = np.concatenate([text @ proj.wk, kv_img[0]], axis=-2)
-    v = np.concatenate([text @ proj.wv, kv_img[1]], axis=-2)
-    return _multi_head(q, k, v, rope), kv_img
+    heads = rope.num_heads
+    # Q and K are freed once the weights are formed, and V is built only
+    # then: neither product holds all of Q, K, V and the weights at once.
+    weights = attention_weights(
+        split_heads(_queries(tokens, n_txt, proj.wq, table), heads),
+        split_heads(_join_rows(text @ proj.wk, kv_img[0]), heads),
+        1.0 / math.sqrt(rope.head_dim),
+    )
+    v = _join_rows(text @ proj.wv, kv_img[1])
+    return merge_heads(np.matmul(weights, split_heads(v, heads))), kv_img
 
 
 def attention_map(
@@ -186,7 +198,7 @@ def attention_map(
     table = rotary_table(grid_position_ids(h, wid), w, rope)
     q = _queries(tokens, n_txt, proj.wq, table)
     k_img = apply_rotary(src_image @ proj.wk, table)
-    k = np.vstack([tokens[:n_txt] @ proj.wk, k_img])
+    k = _join_rows(tokens[:n_txt] @ proj.wk, k_img)
     row = n_txt + r * wid + c
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit

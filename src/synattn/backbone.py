@@ -357,14 +357,16 @@ def block_forward(
     """One block: attention, output projection, residual, 2-layer tanh MLP, residual.
 
     ``tokens`` is one branch's ``[text; image]`` matrix, its first
-    ``n_txt_tokens`` rows text, or a ``(B, n, d)`` stack of such matrices,
-    one per case; ``table`` rotates its image rows (with a ``(B,)`` weight
-    for a stack whose cases differ in ``w``). When
-    ``shared_kv`` is given (the source branch's rotated image keys and image
-    values of this block, as this function returns them), the target side of
-    a shared block attends to those; otherwise the block runs ordinary
-    self-attention. Returns the updated matrix, the raw pre-projection
-    attention output for the measurement, and the image keys/values used.
+    ``n_txt_tokens`` rows text, or a stack ``(..., n, d)`` of such matrices,
+    such as ``(B, n, d)``, one per case, or the engine's ``(2, B, n, d)``
+    source/target pair; ``table`` rotates its image rows (with a ``(B,)``
+    weight for a stack whose cases differ in ``w``). When ``shared_kv`` is
+    given (rotated image keys and image values, as
+    :func:`~synattn.attention.image_kv` builds them from the source branch),
+    every matrix of the stack attends to those, broadcast over the leading
+    axes; otherwise the block runs ordinary self-attention. Returns the
+    updated stack, the raw pre-projection attention output for the
+    measurement, and the image keys/values used.
     """
     config = params.config
     if not 0 <= block_index < config.n_blocks:
@@ -374,7 +376,8 @@ def block_forward(
         tokens, config.n_txt_tokens, bp.attn, config.rope, table, shared_kv
     )
     tokens = tokens + attn @ bp.attn.wo
-    tokens = tokens + np.tanh(tokens @ bp.mlp_in) @ bp.mlp_out
+    # in place on the sum just made, never on the caller's array
+    tokens += np.tanh(tokens @ bp.mlp_in) @ bp.mlp_out
     return tokens, attn, kv_img
 
 

@@ -284,10 +284,11 @@ def write_trace(trace: EditingTrace) -> str:
     for cfg_line in render_config(trace.config).splitlines():
         lines.append(f"# config: {cfg_line}")
     for step in trace.steps:
-        fields = [str(step.timestep), _fmt(step.m_mean), _fmt(step.weight_applied)]
+        values = [step.timestep, step.m_mean, step.weight_applied]
         for blk in step.blocks:
-            fields += [_fmt(blk.s_txt), _fmt(blk.s_img), _fmt(blk.ratio)]
-        lines.append(" ".join(fields))
+            values += [blk.s_txt, blk.s_img, blk.ratio]
+        # one format per row; "%.17g" prints a float as _fmt does
+        lines.append(("%s" + " %.17g" * (len(values) - 1)) % tuple(values))
     return "\n".join(lines) + "\n"
 
 

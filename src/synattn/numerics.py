@@ -1,17 +1,19 @@
 """The float64 kernels shared by every other module: a softmax and a cosine.
 
-Both are pure functions over stacks of rows, the last axis being a row:
-:func:`softmax_rows` normalizes each row, and :func:`row_cosines` pairs up
-the rows of two ``(..., n, d)`` stacks. The block similarities are means of
+Both work on stacks of rows, the last axis being a row: :func:`softmax_rows`
+normalizes each row, into a new array or a buffer the caller gives (the
+input itself included), and :func:`row_cosines` pairs up the rows of two
+``(..., n, d)`` stacks. The block similarities are means of
 :func:`row_cosines`, in which rows with zero norm count 0 instead of NaN.
 
 Nothing here checks finiteness; inf and NaN propagate as numpy propagates
 them. Finiteness is checked once, where values enter or come out: config
-values (``Thresholds``, ``RopeConfig``), positions (``rope.rotary_table``),
-the measurement (``adaptive_weight``), in the loop by ``pipeline``, once per
-block per branch of every stacked case (so non-finite weights abort at their
-block), and by ``attention.attention_map``, which refuses a map whose mass
-is not a positive finite number.
+values (``Thresholds``, ``RopeConfig``), positions and ``w``
+(``rope.rotary_table``), the measurement (``adaptive_weight``), in the loop
+by ``pipeline``, once per block per branch of every stacked case (so
+non-finite weights abort at their block), and by
+``attention.attention_map``, which refuses a map whose mass is not a
+positive finite number.
 """
 
 from __future__ import annotations
@@ -29,12 +31,21 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Softmax over the last axis of a float64 stack, stabilized by subtracting each row's max."""
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_rows(m, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of a float64 stack, stabilized by subtracting each row's max.
+
+    The result is written into ``out``, a C-contiguous float64 array of
+    ``m``'s shape (``m`` itself included), or else into one new array; ``m``
+    is only written when it is ``out``. Every step after the subtraction
+    works in place on the result.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if out is None:
+        out = np.empty(m.shape)
+    np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,4 +86,7 @@ def row_cosines(a, b) -> np.ndarray:
             # np.maximum keeps a NaN, so a NaN or inf row never counts as zero
             zero = (np.minimum(max_a, max_b) == 0.0) & (np.maximum(max_a, max_b) < np.inf)
             sims[~normal] = np.where(zero, 0.0, rescaled)
-    return np.clip(sims, -1.0, 1.0).reshape(a.shape[:-1])
+    # clamped in place; like np.clip, a NaN stays NaN and -0.0 stays -0.0
+    np.maximum(sims, -1.0, out=sims)
+    np.minimum(sims, 1.0, out=sims)
+    return sims.reshape(a.shape[:-1])

@@ -16,12 +16,15 @@ through ``w`` alone.
 
 Cases whose :class:`BackboneConfig` is the same, every field and the seed
 included, run as one stacked computation: the weights, the initial noise
-and each distinct prompt's encoding are drawn once for the group, each
-branch is a ``(B, n, d)`` stack with one ``w`` per case, and each layer
-makes one numpy call for the whole stack. Every case still gets its own
-BLAS calls, so its bytes are the ones it gets alone. A case that aborts
-numerically stores its exception and its row stays in the stack, masked:
-computed but never read again, while the others carry on. Any other
+and each distinct prompt's encoding are drawn once for the group, and both
+branches of every case are one ``(2, B, n, d)`` pair, axis 0 the source
+and the target, with one ``w`` per case. Each layer makes one numpy call
+for the whole pair, one block call per block; a shared block hands the
+whole pair the source's image keys/values, so the source attends to its
+own and the target to the source's. Every branch of every case still gets
+its own BLAS calls, so its bytes are the ones it gets alone. A case that
+aborts numerically stores its exception and its rows stay in the pair,
+masked: computed but never read again, while the others carry on. Any other
 failure in a group (a draw that cannot be allocated, say) is every case's
 of that group. A prompt with no tokens is refused when the
 :class:`PipelineConfig` is built. :func:`run_edit` is the same engine on
@@ -35,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .attention import grid_position_ids
+from .attention import grid_position_ids, image_kv
 from .backbone import (
     BackboneConfig,
     BackboneParams,
@@ -114,36 +117,40 @@ def _run_stack(
     configs: Sequence[PipelineConfig], params: BackboneParams, noise: np.ndarray,
     text: dict[str, np.ndarray],
 ) -> list[EditResult | Exception]:
-    """The paired loop for configs sharing ``params``, one row of each stack per case."""
+    """The paired loop for configs sharing ``params``, one row of each branch's stack per case."""
     bb = params.config
     n_txt = bb.n_txt_tokens
     results: list[EditResult | Exception | None] = [None] * len(configs)
     records: list[list[StepRecord]] = [[] for _ in configs]
     live = list(range(len(configs)))  # the cases that have not aborted
-    txt_src = np.stack([text[c.src_prompt] for c in configs])
-    txt_tgt = np.stack([text[c.tgt_prompt] for c in configs])
-    # read-only views of the one noise draw; each step's update makes new arrays
-    x_src = x_tgt = np.broadcast_to(noise, (len(configs), *noise.shape))
+    # axis 0 of every pair is (source, target), axis 1 the case
+    txt = np.array([[text[c.src_prompt] for c in configs], [text[c.tgt_prompt] for c in configs]])
+    # read-only views of the one noise draw; each step's update makes a new array
+    x = np.broadcast_to(noise, (2, len(configs), *noise.shape))
     w = np.array([1.0 if c.w_override is None else float(c.w_override) for c in configs])
     positions = grid_position_ids(*bb.grid)
 
     # A non-finite value is reported once per case, as its abort, not as numpy warnings.
-    # An aborted case's row stays in the stack, computed but never read again.
+    # An aborted case's rows stay in the pair, computed but never read again.
     with np.errstate(all="ignore"):
         for t in range(bb.n_steps, 0, -1):
             table = rotary_table(positions, w, bb.rope)
-            src = np.concatenate([txt_src, x_src], axis=1)
-            tgt = np.concatenate([txt_tgt, x_tgt], axis=1)
+            pair = np.concatenate([txt, x], axis=2)
             blocks: list[list] = [[] for _ in configs]
             for l in range(bb.n_blocks):
-                src, src_attn, src_kv = block_forward(src, l, params, table)
-                shared = src_kv if l in bb.shared_blocks else None
-                tgt, tgt_attn, _ = block_forward(tgt, l, params, table, shared)
-                src_ok = np.isfinite(src).all(axis=(1, 2))
-                ok = src_ok & np.isfinite(tgt).all(axis=(1, 2))
-                cos = row_cosines(src_attn, tgt_attn)
-                s_txt = cos[:, :n_txt].mean(axis=1)
-                s_img = cos[:, n_txt:].mean(axis=1)
+                # a shared block hands both branches the source's image keys/values:
+                # the source attends to its own, the target to the source's
+                shared = None
+                if l in bb.shared_blocks:
+                    shared = image_kv(pair[0, :, n_txt:], params.blocks[l].attn, table)
+                pair, attn, _ = block_forward(pair, l, params, table, shared)
+                finite = np.isfinite(pair).all(axis=(2, 3))
+                src_ok = finite[0]
+                ok = src_ok & finite[1]
+                cos = row_cosines(attn[0], attn[1])
+                # sum / count is np.mean's own arithmetic, without its overhead
+                s_txt = cos[:, :n_txt].sum(axis=1) / n_txt
+                s_img = cos[:, n_txt:].sum(axis=1) / bb.n_img
                 for i in live:
                     if not ok[i]:
                         branch = "target" if src_ok[i] else "source"
@@ -157,8 +164,7 @@ def _run_stack(
                 if not live:
                     return results
 
-            x_src = denoise_step(x_src, src[:, n_txt:], t, bb.n_steps)
-            x_tgt = denoise_step(x_tgt, tgt[:, n_txt:], t, bb.n_steps)
+            x = denoise_step(x, pair[:, :, n_txt:], t, bb.n_steps)
             for i in live:
                 m_t = editing_measurement(blocks[i])
                 records[i].append(
@@ -170,7 +176,7 @@ def _run_stack(
                     w[i] = adaptive_weight(m_t, configs[i].thresholds)
 
     for i in live:
-        results[i] = (x_src[i], x_tgt[i], EditingTrace(steps=tuple(records[i]), config=configs[i]))
+        results[i] = (x[0, i], x[1, i], EditingTrace(steps=tuple(records[i]), config=configs[i]))
     return results
 
 

@@ -100,11 +100,12 @@ class RotaryTable(NamedTuple):
 def rotary_table(positions, w, config: RopeConfig) -> RotaryTable:
     """The rotation of ``n`` rows at strength ``w``, built once for all heads and blocks.
 
-    ``w`` is a scalar or a ``(B,)`` vector, one weight per stacked case. Row
-    ``r``'s pair angles are ``(w * positions)[..., r, axis] * theta_k``. The
-    ids are scaled by ``w`` first, so scaling the ids and scaling the angles
-    are the same operation down to the float, and case ``b`` of a vector ``w``
-    gets the bytes of a scalar ``w[b]``.
+    ``w`` is a scalar or a ``(B,)`` vector, one weight per stacked case;
+    both it and the positions must be finite. Row ``r``'s pair angles are
+    ``(w * positions)[..., r, axis] * theta_k``. The ids are scaled by ``w``
+    first, so scaling the ids and scaling the angles are the same operation
+    down to the float, and case ``b`` of a vector ``w`` gets the bytes of a
+    scalar ``w[b]``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != config.n_axes:
@@ -116,6 +117,8 @@ def rotary_table(positions, w, config: RopeConfig) -> RotaryTable:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim > 1:
         raise ShapeError(f"w must be a scalar or a vector, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"w contains non-finite values: {w}")
     angles = (w[..., None, None] * positions)[..., config.pair_axes] * config.pair_freqs
     heads = config.num_heads
     return RotaryTable(np.tile(np.cos(angles), heads), np.tile(np.sin(angles), heads))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,22 @@ def test_grid_position_ids_layout():
     ids = grid_position_ids(2, 3)
     np.testing.assert_array_equal(ids[4], [0.0, 1.0, 1.0])  # row 4 -> cell (1, 1)
     assert ids.shape == (6, 3)
+
+
+def test_attention_weights_peak_stays_near_the_logits():
+    # the logits are the one full-size buffer: scaled and normalized in place
+    rng = np.random.default_rng(59)
+    q = rng.normal(size=(2, 4, 128, 16))
+    k = rng.normal(size=(2, 4, 128, 16))
+    logits_bytes = 2 * 4 * 128 * 128 * 8
+    tracemalloc.start()
+    try:
+        weights = attention_weights(q, k, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == (2, 4, 128, 128)
+    assert peak <= 1.5 * logits_bytes
 
 
 class TestSelfAttention:

@@ -397,6 +397,28 @@ class TestBlockForward:
                               (tgt_out, want_tgt), (tgt_attn, want_tgt_attn)]:
                 np.testing.assert_array_equal(got[b], want)
 
+    @pytest.mark.parametrize("n_cases", [1, 3])
+    @pytest.mark.parametrize("block", [0, 1])  # block 0 is shared, block 1 is not
+    def test_pair_matches_each_branch_alone(self, block, n_cases):
+        # the engine's (2, B, n, d) source/target pair, handed the source's
+        # image keys/values at a shared block, gives each branch the bytes of
+        # its own call: the source alone, the target with the source's K/V
+        assert (0 in CFG.shared_blocks, 1 in CFG.shared_blocks) == (True, False)
+        params = init_backbone(CFG)
+        rng = np.random.default_rng(88)
+        table = grid_table(np.array([1.0, 0.0, 0.35])[:n_cases])
+        pair = np.stack([np.stack([random_tokens(rng) for _ in range(n_cases)]) for _ in "st"])
+        n = CFG.n_txt_tokens
+        shared = block in CFG.shared_blocks
+        kv = image_kv(pair[0, :, n:], params.blocks[block].attn, table) if shared else None
+        out, attn, _ = block_forward(pair, block, params, table, kv)
+        src, src_attn, src_kv = block_forward(pair[0].copy(), block, params, table)
+        tgt, tgt_attn, _ = block_forward(
+            pair[1].copy(), block, params, table, src_kv if shared else None
+        )
+        for got, want in [(out[0], src), (attn[0], src_attn), (out[1], tgt), (attn[1], tgt_attn)]:
+            np.testing.assert_array_equal(got, want)
+
     def test_block_index_validated(self):
         params = init_backbone(CFG)
         tokens = np.zeros((CFG.n_txt_tokens + CFG.n_img, CFG.d_model))

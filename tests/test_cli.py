@@ -32,6 +32,7 @@ from synattn.backbone import (
 from synattn.cli import (
     CONFIG_FIELDS,
     ConfigError,
+    _fmt,
     build_map_inputs,
     cmd_run,
     compute_stats,
@@ -283,6 +284,14 @@ class TestTraceSerialization:
         ]
         body = write_matrix(np.array(rows)).splitlines()[1:]
         assert body == [" ".join(format(x, ".17g") for x in row) for row in rows]
+
+    def test_trace_rows_print_each_float_as_fmt_does(self):
+        values = [0.1, 1e-300, 5e-324, -0.0, 1.0 / 3.0, -2.2250738585072e-309, 1e300, 0.0]
+        blocks = (BlockSimilarity(0, *values[2:5]), BlockSimilarity(1, *values[5:8]))
+        config = parse_config_text(MINIMAL + "blocks = 2\nshared_blocks = 0\nsteps = 1\n")
+        step = StepRecord(timestep=1, blocks=blocks, m_mean=values[0], weight_applied=values[1])
+        body = write_trace(EditingTrace(steps=(step,), config=config)).splitlines()[-1]
+        assert body == " ".join(["1"] + [_fmt(x) for x in values])
 
 
 def mutate_record(text, row, col, value):

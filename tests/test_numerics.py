@@ -46,6 +46,21 @@ class TestSoftmaxRows:
     def test_rows_nonnegative(self, m):
         assert np.all(softmax_rows(m) >= 0.0)
 
+    def test_out_may_be_the_input(self):
+        # in place on the input gives the bytes of a fresh result
+        m = np.random.default_rng(3).normal(size=(2, 3, 5, 7)) * 30.0
+        want = softmax_rows(m.copy())
+        got = softmax_rows(m, out=m)
+        assert got is m
+        np.testing.assert_array_equal(got, want)
+
+    def test_input_left_unchanged(self):
+        m = np.random.default_rng(4).normal(size=(3, 5, 7))
+        before = m.copy()
+        got = softmax_rows(m)
+        assert not np.shares_memory(got, m)
+        np.testing.assert_array_equal(m, before)
+
 
 class TestCosineSimilarity:
     """The mean of :func:`row_cosines` over a block's rows, as the pipeline forms s_txt and s_img."""

@@ -367,10 +367,10 @@ class TestStackedEngine:
 
             def poisoned(tokens, block_index, params, table, shared_kv=None):
                 out, attn, kv = real(tokens, block_index, params, table, shared_kv)
-                # per step each block runs the source, then the target branch
-                step, call = divmod(next(calls), 2 * params.config.n_blocks)
-                if (step, call) == (1, 2 * 3 + 1):
-                    out[row, params.config.n_txt_tokens, 0] = np.inf
+                # one call per block runs the (source, target) pair
+                step, call = divmod(next(calls), params.config.n_blocks)
+                if (step, call) == (1, 3):
+                    out[1, row, params.config.n_txt_tokens, 0] = np.inf
                 return out, attn, kv
 
             return poisoned
@@ -387,6 +387,22 @@ class TestStackedEngine:
         assert str(results[1]) == str(alone.value)
         assert_same_result(results[0], wants[0])
         assert_same_result(results[2], wants[1])
+
+    def test_one_block_call_per_block_on_the_pair(self, monkeypatch):
+        # source and target run as one (2, B, n, d) pair: one call per block and step
+        config = small_config()
+        bb = config.backbone
+        shapes = []
+        real = pipeline_mod.block_forward
+
+        def recording(tokens, *args):
+            shapes.append(tokens.shape)
+            return real(tokens, *args)
+
+        monkeypatch.setattr(pipeline_mod, "block_forward", recording)
+        run_edit(config)
+        pair = (2, 1, bb.n_txt_tokens + bb.n_img, bb.d_model)
+        assert shapes == [pair] * (bb.n_steps * bb.n_blocks)
 
     def test_tiny_budget_splits_the_group_without_changing_bytes(self, monkeypatch):
         configs = [small_config(w_override=w) for w in (None, 0.0, 1.0, 0.25, None)]

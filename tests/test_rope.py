@@ -258,3 +258,12 @@ def test_rotary_table_scales_positions_first():
     b = rotary_table(0.25 * pos, 1.0, FULL)
     np.testing.assert_array_equal(a.cos, b.cos)
     np.testing.assert_array_equal(a.sin, b.sin)
+
+
+@pytest.mark.parametrize(
+    "w", [np.nan, np.inf, np.array([1.0, np.inf, 0.25])], ids=["nan", "inf", "vector-with-inf"]
+)
+def test_rotary_table_rejects_a_non_finite_weight(w):
+    pos = np.zeros((4, TOY.n_axes))
+    with pytest.raises(ValueError, match="^w contains non-finite values"):
+        rotary_table(pos, w, TOY)
