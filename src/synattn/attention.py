@@ -24,6 +24,11 @@ branch's :func:`image_kv`, which the source attends to as its own and the
 target in place of its own. :func:`attention_map` reads one target query's
 weights from the same arithmetic.
 
+Every product is written into the buffer it ends in, with the BLAS shape
+it has alone: the queries and image keys are rotated in place, the keys go
+into one per-head ``K^T`` buffer, the text values into the joined value
+matrix, and each head's output into its columns of the merged result.
+
 Outputs are returned before the output projection is applied; the block
 wrapper in :mod:`synattn.backbone` owns the projection and residuals.
 """
@@ -99,13 +104,15 @@ def image_kv(
     image: np.ndarray, proj: BlockProjection, table: RotaryTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotated image keys and values of one branch: what a shared block hands both branches."""
-    return apply_rotary(image @ proj.wk, table), image @ proj.wv
+    k = image @ proj.wk
+    return apply_rotary(k, table, out=k), image @ proj.wv
 
 
 def _queries(tokens: np.ndarray, n_txt: int, wq: np.ndarray, table: RotaryTable) -> np.ndarray:
     """Queries of a ``[text; image]`` matrix, the image rows rotated by ``table``."""
     q = tokens @ wq
-    q[..., n_txt:, :] = apply_rotary(q[..., n_txt:, :], table)
+    image = q[..., n_txt:, :]
+    apply_rotary(image, table, out=image)
     return q
 
 
@@ -123,13 +130,33 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     return softmax_rows(logits, out=logits)
 
 
-def _join_rows(text: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """``[text; image]`` rows in one new buffer, ``image`` broadcast over the leading axes."""
+def _join_rows(text: np.ndarray, w: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """``[text @ w; image]`` rows in one new buffer, ``image`` broadcast over the leading axes.
+
+    The text product is written straight into the buffer, one BLAS call per
+    matrix of the same shape as ``text @ w`` makes, so its bytes are that
+    product's.
+    """
     n_txt = text.shape[-2]
-    out = np.empty((*text.shape[:-2], n_txt + image.shape[-2], text.shape[-1]))
-    out[..., :n_txt, :] = text
+    out = np.empty((*text.shape[:-2], n_txt + image.shape[-2], w.shape[1]))
+    np.matmul(text, w, out=out[..., :n_txt, :])
     out[..., n_txt:, :] = image
     return out
+
+
+def _keys(text: np.ndarray, wk: np.ndarray, k_img: np.ndarray, heads: int) -> np.ndarray:
+    """Split-head keys of ``[text @ wk; k_img]``, ``(..., heads, m, hd)``, ``k_img`` broadcast.
+
+    They are the transposed view of one contiguous ``(..., heads, hd, m)``
+    buffer, so :func:`attention_weights` forms ``K^T`` without a copy, and
+    no joined ``[text; image]`` key matrix is ever held.
+    """
+    n_txt = text.shape[-2]
+    kt = np.empty((*text.shape[:-2], heads, wk.shape[1] // heads, n_txt + k_img.shape[-2]))
+    columns = kt.reshape(*kt.shape[:-3], wk.shape[1], kt.shape[-1])  # channel c = head * hd + j
+    columns[..., :n_txt] = (text @ wk).swapaxes(-1, -2)
+    columns[..., n_txt:] = k_img.swapaxes(-1, -2)
+    return kt.swapaxes(-1, -2)
 
 
 def joint_attention(
@@ -158,11 +185,14 @@ def joint_attention(
     # then: neither product holds all of Q, K, V and the weights at once.
     weights = attention_weights(
         split_heads(_queries(tokens, n_txt, proj.wq, table), heads),
-        split_heads(_join_rows(text @ proj.wk, kv_img[0]), heads),
+        _keys(text, proj.wk, kv_img[0], heads),
         1.0 / math.sqrt(rope.head_dim),
     )
-    v = _join_rows(text @ proj.wv, kv_img[1])
-    return merge_heads(np.matmul(weights, split_heads(v, heads))), kv_img
+    v = _join_rows(text, proj.wv, kv_img[1])
+    # each head's product is written into its columns of the merged output
+    out = np.empty(tokens.shape)
+    np.matmul(weights, split_heads(v, heads), out=split_heads(out, heads))
+    return out, kv_img
 
 
 def attention_map(
@@ -197,14 +227,14 @@ def attention_map(
             raise ShapeError(f"{name} width {rows.shape[1]} != num_heads*head_dim {rope.d_model}")
     table = rotary_table(grid_position_ids(h, wid), w, rope)
     q = _queries(tokens, n_txt, proj.wq, table)
-    k_img = apply_rotary(src_image @ proj.wk, table)
-    k = _join_rows(tokens[:n_txt] @ proj.wk, k_img)
+    k_img = src_image @ proj.wk
+    apply_rotary(k_img, table, out=k_img)
     row = n_txt + r * wid + c
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit
     weights = attention_weights(
         split_heads(q[row : row + 1], rope.num_heads),
-        split_heads(k, rope.num_heads),
+        _keys(tokens[:n_txt], proj.wk, k_img, rope.num_heads),
         1.0 / math.sqrt(rope.head_dim),
     )
     acc = weights[:, 0, n_txt:].sum(axis=0) / rope.num_heads

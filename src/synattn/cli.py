@@ -34,6 +34,7 @@ Exit codes: 0 success, 1 usage or config error, 2 numerical abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -706,7 +707,13 @@ def _parse_cell(raw: str) -> tuple[int, int]:
         raise ConfigError(f"--cell expects integers, got '{raw}'") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call and reused.
+
+    Parsing never changes it, so many :func:`main` calls in one process
+    (a batch driven from Python) build it once.
+    """
     parser = argparse.ArgumentParser(
         prog="synattn",
         description="Deterministic toy pipeline for adaptive position-weighted attention sharing.",

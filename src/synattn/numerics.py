@@ -4,7 +4,10 @@ Both work on stacks of rows, the last axis being a row: :func:`softmax_rows`
 normalizes each row, into a new array or a buffer the caller gives (the
 input itself included), and :func:`row_cosines` pairs up the rows of two
 ``(..., n, d)`` stacks. The block similarities are means of
-:func:`row_cosines`, in which rows with zero norm count 0 instead of NaN.
+:func:`row_cosines`, in which rows with zero norm count 0 instead of NaN;
+each row is computed alone, so the engine closes a step's measurement with
+one call over an ``(L, B, n, d)`` stack of its blocks and gets each block's
+bytes.
 
 Nothing here checks finiteness; inf and NaN propagate as numpy propagates
 them. Finiteness is checked once, where values enter or come out: config

@@ -7,7 +7,9 @@ branch additionally reads the source branch's image keys/values. After the
 block loop the per-block branch similarities are aggregated into the step's
 editing measurement, which sets ``w`` for the next step (first step: w = 1,
 or the fixed override for ablations). One Euler update per branch closes
-the step.
+the step. The measurement is closed once per step, not once per block:
+each block's attention output is held, and one pass over all of them gives
+every block's similarities and each case's first failure, in block order.
 
 The source branch never reads target state: with a fixed override weight
 its trajectory is independent of the target prompt and of which blocks
@@ -69,7 +71,10 @@ __all__ = [
 
 # Bytes of branch state (both branches' [text; image] stacks) one stacked
 # computation may hold; a larger group runs as several sub-batches, and one
-# case always fits. A toy case takes 20 KB and a FLUX-width one 13 MB.
+# case always fits. A toy case takes 20 KB and a FLUX-width one 13 MB. The
+# attention outputs held for a step's measurement have the same bound, and
+# one block's always fit: 160 KB for a toy step, 26 MB at FLUX width with 2
+# blocks (a real 57-block FLUX step closes its measurement in parts).
 _STACK_BYTES = 1 << 25
 
 
@@ -117,9 +122,22 @@ def _run_stack(
     configs: Sequence[PipelineConfig], params: BackboneParams, noise: np.ndarray,
     text: dict[str, np.ndarray],
 ) -> list[EditResult | Exception]:
-    """The paired loop for configs sharing ``params``, one row of each branch's stack per case."""
+    """The paired loop for configs sharing ``params``, one row of each branch's stack per case.
+
+    Each block's attention output is copied into one held buffer, branch
+    first, ``(2, L, B, n, d)``, and whether each branch of each case is still
+    finite is recorded; the measurement of the held blocks is then closed at
+    once: one :func:`row_cosines` call over the whole stack, one sum per
+    similarity, and one pass per live case over its blocks in order, where
+    the first failure wins (a non-finite block, else a degenerate ``s_txt``),
+    as if each block had been closed on its own. The buffer holds at most
+    ``max(one block, _STACK_BYTES)`` of outputs; when it is full the held
+    blocks are closed and the step goes on; the toy and the 2-block
+    FLUX-width shapes close each step in one pass.
+    """
     bb = params.config
     n_txt = bb.n_txt_tokens
+    n_blocks = bb.n_blocks
     results: list[EditResult | Exception | None] = [None] * len(configs)
     records: list[list[StepRecord]] = [[] for _ in configs]
     live = list(range(len(configs)))  # the cases that have not aborted
@@ -129,6 +147,11 @@ def _run_stack(
     x = np.broadcast_to(noise, (2, len(configs), *noise.shape))
     w = np.array([1.0 if c.w_override is None else float(c.w_override) for c in configs])
     positions = grid_position_ids(*bb.grid)
+    block_shape = (len(configs), n_txt + bb.n_img, bb.d_model)
+    n_held = min(n_blocks, max(1, _STACK_BYTES // (2 * 8 * np.prod(block_shape))))
+    # branch first, so held[0] and held[1] are contiguous and row_cosines copies nothing
+    held = np.empty((2, n_held, *block_shape))
+    finite = np.empty((n_held, 2, len(configs)), dtype=bool)  # block, branch, case
 
     # A non-finite value is reported once per case, as its abort, not as numpy warnings.
     # An aborted case's rows stay in the pair, computed but never read again.
@@ -137,29 +160,40 @@ def _run_stack(
             table = rotary_table(positions, w, bb.rope)
             pair = np.concatenate([txt, x], axis=2)
             blocks: list[list] = [[] for _ in configs]
-            for l in range(bb.n_blocks):
+            for l in range(n_blocks):
                 # a shared block hands both branches the source's image keys/values:
                 # the source attends to its own, the target to the source's
                 shared = None
                 if l in bb.shared_blocks:
                     shared = image_kv(pair[0, :, n_txt:], params.blocks[l].attn, table)
                 pair, attn, _ = block_forward(pair, l, params, table, shared)
-                finite = np.isfinite(pair).all(axis=(2, 3))
-                src_ok = finite[0]
-                ok = src_ok & finite[1]
-                cos = row_cosines(attn[0], attn[1])
+                j = l % n_held
+                held[:, j] = attn
+                np.isfinite(pair).all(axis=(2, 3), out=finite[j])
+                attn = None
+                if j + 1 < n_held and l + 1 < n_blocks:
+                    continue
+                # the buffer is full or the step's blocks are done: close held blocks first .. l
+                first = l - j
+                cos = row_cosines(held[0, :j + 1], held[1, :j + 1])
                 # sum / count is np.mean's own arithmetic, without its overhead
-                s_txt = cos[:, :n_txt].sum(axis=1) / n_txt
-                s_img = cos[:, n_txt:].sum(axis=1) / bb.n_img
+                s_txt = (cos[..., :n_txt].sum(axis=2) / n_txt).tolist()
+                s_img = (cos[..., n_txt:].sum(axis=2) / bb.n_img).tolist()
+                ok = finite[:j + 1].tolist()
                 for i in live:
-                    if not ok[i]:
-                        branch = "target" if src_ok[i] else "source"
-                        results[i] = NumericalAbortError(t, l, f"{branch} branch stream")
-                        continue
-                    try:
-                        blocks[i].append(block_similarity(l, float(s_txt[i]), float(s_img[i])))
-                    except DegenerateSimilarityError as exc:
-                        results[i] = exc
+                    for k in range(j + 1):
+                        src_ok, tgt_ok = ok[k][0][i], ok[k][1][i]
+                        if not (src_ok and tgt_ok):
+                            branch = "target" if src_ok else "source"
+                            results[i] = NumericalAbortError(
+                                t, first + k, f"{branch} branch stream"
+                            )
+                            break
+                        try:
+                            blocks[i].append(block_similarity(first + k, s_txt[k][i], s_img[k][i]))
+                        except DegenerateSimilarityError as exc:
+                            results[i] = exc
+                            break
                 live = [i for i in live if results[i] is None]
                 if not live:
                     return results

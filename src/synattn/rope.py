@@ -14,10 +14,12 @@ the effective relative displacement between tokens. Inner products of
 rotated vectors depend on positions only through their difference.
 
 :func:`rotary_table` is the one place rotation angles are formed: it builds
-the cos/sin of every row's channel pairs once per ``(positions, w)``, so a
-denoising step builds one table, and :func:`apply_rotary` applies it to
-every head of a token matrix in every block. One head vector is the case
-of a one-row table of a ``RopeConfig`` with ``num_heads=1``.
+the cos/sin of every row's channel pairs once per ``(positions, w)``, laid
+out channel by channel over the full token width, so a denoising step
+builds one table, and :func:`apply_rotary` applies it to every head of a
+token matrix in every block with two products and one sum, in place if
+asked. One head vector is the case of a one-row table of a ``RopeConfig``
+with ``num_heads=1``.
 """
 
 from __future__ import annotations
@@ -70,10 +72,15 @@ class RopeConfig:
             for d in self.axis_dims
         ])
         axes = np.repeat(np.arange(self.n_axes), [d // 2 for d in self.axis_dims])
-        freqs.flags.writeable = False
-        axes.flags.writeable = False
-        object.__setattr__(self, "pair_freqs", freqs)
-        object.__setattr__(self, "pair_axes", axes)
+        # Channel c of a token vector belongs to its head's pair (c % head_dim) // 2;
+        # the pair's first channel takes -sin in the interleaved table, its second +sin.
+        channels = np.arange(self.d_model)
+        channel_pairs = channels % self.head_dim // 2
+        channel_signs = np.where(channels % 2, 1.0, -1.0)
+        for name, value in (("pair_freqs", freqs), ("pair_axes", axes),
+                            ("channel_pairs", channel_pairs), ("channel_signs", channel_signs)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_axes(self) -> int:
@@ -85,12 +92,15 @@ class RopeConfig:
 
 
 class RotaryTable(NamedTuple):
-    """cos/sin of every channel-pair angle of every row, each ``(..., n, d_model // 2)``.
+    """The rotation of every row, channel-interleaved: each ``(..., n, d_model)``.
 
-    Pair ``p`` of a row is channel pair ``p`` of the row's token vector: the
-    one head's ``head_dim // 2`` angles repeat once per head. The leading axes
-    are those of the weight: none for a scalar ``w``, ``(B,)`` for one weight
-    per stacked case.
+    Channels ``2k`` and ``2k + 1`` of a row hold pair ``k``'s angle: ``cos``
+    holds its cosine in both, ``sin`` holds ``-sin`` in the first and
+    ``+sin`` in the second, so that a rotation is ``x * cos + swap(x) * sin``
+    with ``swap`` exchanging each pair's channels. The one head's
+    ``head_dim // 2`` angles repeat once per head. The leading axes are those
+    of the weight: none for a scalar ``w``, ``(B,)`` for one weight per
+    stacked case.
     """
 
     cos: np.ndarray
@@ -120,19 +130,27 @@ def rotary_table(positions, w, config: RopeConfig) -> RotaryTable:
     if not np.all(np.isfinite(w)):
         raise ValueError(f"w contains non-finite values: {w}")
     angles = (w[..., None, None] * positions)[..., config.pair_axes] * config.pair_freqs
-    heads = config.num_heads
-    return RotaryTable(np.tile(np.cos(angles), heads), np.tile(np.sin(angles), heads))
+    sin = np.sin(angles).take(config.channel_pairs, axis=-1)
+    sin *= config.channel_signs  # exact: a sign flip
+    return RotaryTable(np.cos(angles).take(config.channel_pairs, axis=-1), sin)
 
 
-def apply_rotary(tokens: np.ndarray, table: RotaryTable) -> np.ndarray:
-    """Rotate every channel pair of each row of ``(..., n, 2 * pairs)`` tokens.
+def apply_rotary(
+    tokens: np.ndarray, table: RotaryTable, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rotate every channel pair of each row of ``(..., n, d_model)`` tokens.
 
-    ``pairs`` is the table's last axis; the table's leading axes broadcast
-    against the tokens' own.
+    Computes ``tokens * cos + swap(tokens) * sin`` (RoFormer's efficient
+    form), into ``out`` when given (``tokens`` itself included) or else one
+    new array. Pair ``(x, y)`` becomes ``(x cos + y (-sin), y cos + x sin)``,
+    the bytes of ``(x cos - y sin, x sin + y cos)``: IEEE ``a - b`` is
+    ``a + (-b)`` and the sum commutes, signed zeros included. The table's
+    leading axes broadcast against the tokens' own.
     """
-    x = tokens[..., 0::2]
-    y = tokens[..., 1::2]
-    out = np.empty_like(tokens)
-    out[..., 0::2] = x * table.cos - y * table.sin
-    out[..., 1::2] = x * table.sin + y * table.cos
+    swapped = np.empty_like(tokens)
+    swapped[..., 0::2] = tokens[..., 1::2]
+    swapped[..., 1::2] = tokens[..., 0::2]
+    swapped *= table.sin
+    out = np.multiply(tokens, table.cos, out=out)
+    out += swapped
     return out

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -892,3 +893,17 @@ class TestUsage:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+    def test_parser_built_once_per_process(self, monkeypatch):
+        parsers = []
+        real = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsers.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        assert main(["--help"]) == 0
+        assert main(["run", "--jobs", "x"]) == 1
+        assert main(["--help"]) == 0
+        assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]

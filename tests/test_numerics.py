@@ -132,22 +132,33 @@ class TestCosineSimilarity:
         assert scaled == pytest.approx(base, abs=1e-12)
 
 
+def assert_same_bytes(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+
+
 class TestRowCosines:
     def test_each_row_is_computed_alone(self):
         # rows of a normal scale, a zero row, and rows the rescale path takes
+        # (a subnormal squared norm and an overflowing one), in (L, B, n, d)
+        # stacks: a small one and the toy engine's 8 blocks of a 2-case pair.
+        # A stack of blocks gives each block's bytes alone, as the engine's
+        # one call per step needs.
         rng = np.random.default_rng(25)
-        a = rng.normal(size=(2, 3, 4, 6))
-        b = rng.normal(size=(2, 3, 4, 6))
-        a[0, 1, 2] = 0.0
-        a[1, 0, 1] *= 1e-170
-        b[1, 2, 3] *= 1e170
-        got = row_cosines(a, b)
-        assert got.shape == (2, 3, 4)
-        for i in range(2):
-            for j in range(3):
-                np.testing.assert_array_equal(got[i, j], row_cosines(a[i, j], b[i, j]))
-                for r in range(4):
-                    assert got[i, j, r] == row_cosines(a[i, j, r:r + 1], b[i, j, r:r + 1])[0]
+        for shape in [(2, 3, 4, 6), (8, 2, 20, 64)]:
+            a = rng.normal(size=shape)
+            b = rng.normal(size=shape)
+            a[0, 1, 2] = 0.0
+            a[1, 0, 1] *= 1e-170
+            b[1, shape[1] - 1, 3] *= 1e170
+            got = row_cosines(a, b)
+            assert got.shape == shape[:-1]
+            for i in range(shape[0]):
+                assert_same_bytes(got[i], row_cosines(a[i], b[i]))
+                for j in range(shape[1]):
+                    assert_same_bytes(got[i, j], row_cosines(a[i, j], b[i, j]))
+                    for r in range(shape[2]):
+                        row = row_cosines(a[i, j, r:r + 1], b[i, j, r:r + 1])
+                        assert_same_bytes(got[i, j, r:r + 1], row)
 
     def test_shape_mismatch_and_empty_rows(self):
         with pytest.raises(ShapeError):

@@ -6,6 +6,7 @@ import pytest
 
 from synattn import (
     BackboneConfig,
+    DegenerateSimilarityError,
     NumericalAbortError,
     PipelineConfig,
     Thresholds,
@@ -180,6 +181,35 @@ class TestRunEdit:
         assert exc.value.timestep == 10
         assert exc.value.block_index == 3
         assert "timestep 10" in str(exc.value) and "block 3" in str(exc.value)
+
+    @pytest.mark.parametrize("non_finite, degenerate", [(3, 5), (5, 3)])
+    def test_first_failure_in_block_order_wins(self, non_finite, degenerate, monkeypatch):
+        # one step with inf at one block and zero text outputs (s_txt = 0, even
+        # after the inf) at another: the step's one measurement pass reports
+        # the earlier block
+        real = pipeline_mod.block_forward
+        calls = itertools.count()
+
+        def poisoned(tokens, block_index, params, table, shared_kv=None):
+            out, attn, kv = real(tokens, block_index, params, table, shared_kv)
+            n_txt = params.config.n_txt_tokens
+            if next(calls) < params.config.n_blocks:  # the first step only
+                if block_index == non_finite:
+                    out[..., n_txt, 0] = np.inf
+                if block_index == degenerate:
+                    attn[..., :n_txt, :] = 0.0
+            return out, attn, kv
+
+        monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
+        config = small_config()
+        with pytest.raises((NumericalAbortError, DegenerateSimilarityError)) as exc:
+            run_edit(config)
+        if non_finite < degenerate:
+            assert type(exc.value) is NumericalAbortError
+            assert (exc.value.timestep, exc.value.block_index) == (config.backbone.n_steps, 3)
+        else:
+            assert type(exc.value) is DegenerateSimilarityError
+            assert str(exc.value).startswith("block 3: |s_txt| = 0.000e+00")
 
     @pytest.mark.parametrize(
         "poison, branch", [("initial_noise", "source"), ("encode_prompt", "target")]
@@ -403,6 +433,38 @@ class TestStackedEngine:
         run_edit(config)
         pair = (2, 1, bb.n_txt_tokens + bb.n_img, bb.d_model)
         assert shapes == [pair] * (bb.n_steps * bb.n_blocks)
+
+    def test_one_measurement_pass_per_step(self, monkeypatch):
+        config = small_config()
+        bb = config.backbone
+        shapes = []
+        real = pipeline_mod.row_cosines
+        monkeypatch.setattr(
+            pipeline_mod, "row_cosines", lambda a, b: shapes.append(a.shape) or real(a, b)
+        )
+        run_edit(config)
+        assert shapes == [(bb.n_blocks, 1, bb.n_txt_tokens + bb.n_img, bb.d_model)] * bb.n_steps
+
+    @pytest.mark.parametrize("blocks_held, parts", [(1, [1] * 8), (3, [3, 3, 2])])
+    def test_small_budget_closes_the_measurement_in_parts(self, blocks_held, parts, monkeypatch):
+        # no benchmark shape reaches the flush: a budget holding blocks_held
+        # blocks of one stack closes each step in parts, with the same bytes
+        configs = [small_config(w_override=w) for w in (None, 0.0, 1.0)]
+        whole = pipeline_mod._run_group(configs)
+        traces = run_batch(configs)
+        bb = configs[0].backbone
+        assert bb.n_blocks == sum(parts)
+        case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
+        monkeypatch.setattr(pipeline_mod, "_STACK_BYTES", blocks_held * len(configs) * case_bytes)
+        held = []
+        real = pipeline_mod.row_cosines
+        monkeypatch.setattr(
+            pipeline_mod, "row_cosines", lambda a, b: held.append(len(a)) or real(a, b)
+        )
+        for got, want in zip(pipeline_mod._run_group(configs), whole):
+            assert_same_result(got, want)
+        assert held == parts * bb.n_steps
+        assert run_batch(configs) == traces
 
     def test_tiny_budget_splits_the_group_without_changing_bytes(self, monkeypatch):
         configs = [small_config(w_override=w) for w in (None, 0.0, 1.0, 0.25, None)]

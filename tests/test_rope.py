@@ -29,6 +29,21 @@ def inner(q, k, pos_q, pos_k, w, config):
     return float(rotate(q, pos_q, w, config) @ rotate(k, pos_k, w, config))
 
 
+def pair_formula(tokens, pos, w, config):
+    """Each head's channel pairs ``(x, y)`` as ``(x cos - y sin, x sin + y cos)``, pair by pair."""
+    w = np.asarray(w, dtype=np.float64)
+    angles = (w[..., None, None] * pos)[..., config.pair_axes] * config.pair_freqs
+    cos, sin = np.cos(angles), np.sin(angles)
+    out = np.empty_like(tokens)
+    for h in range(config.num_heads):
+        for k in range(config.head_dim // 2):
+            c = h * config.head_dim + 2 * k
+            x, y = tokens[..., c], tokens[..., c + 1]
+            out[..., c] = x * cos[..., k] - y * sin[..., k]
+            out[..., c + 1] = x * sin[..., k] + y * cos[..., k]
+    return out
+
+
 def oracle(pos, w, config):
     return rotation_matrix(pos, w, config.axis_dims, config.theta_base)
 
@@ -202,6 +217,33 @@ class TestRotateTokens:
                 seg = slice(h * TOY.head_dim, (h + 1) * TOY.head_dim)
                 want = oracle(pos[r], 0.6, TOY) @ tokens[r, seg]
                 assert np.abs(got[r, seg] - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("w", [0.6, np.array([1.0, 0.37, 0.0])], ids=["scalar", "vector"])
+    def test_bytes_of_the_pair_formula(self, w):
+        # (x cos - y sin, x sin + y cos) per channel pair, bit for bit, signed zeros,
+        # subnormals and huge values included
+        rng = np.random.default_rng(42)
+        pos = rng.uniform(-6, 6, size=(5, 3))
+        tokens = rng.normal(size=(3, 5, TOY.d_model))
+        tokens[:, 0, :8] = -0.0
+        tokens[:, 1, ::3] = 5e-324
+        tokens[:, 2, 1::4] = -1e300
+        tokens[:, 3, ::5] = 1e300
+        tokens[0, 4] = -0.0
+        tokens[1, 4, 1::2] = 0.0
+        got = apply_rotary(tokens, rotary_table(pos, w, TOY))
+        want = pair_formula(tokens, pos, w, TOY)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_in_place_gives_the_fresh_bytes(self):
+        rng = np.random.default_rng(43)
+        pos = rng.uniform(-6, 6, size=(5, 3))
+        table = rotary_table(pos, np.array([0.25, 1.0]), TOY)
+        tokens = rng.normal(size=(2, 5, TOY.d_model))
+        tokens[0, 0] = -0.0
+        fresh = apply_rotary(tokens, table)
+        assert apply_rotary(tokens, table, out=tokens) is tokens
+        np.testing.assert_array_equal(tokens.view(np.uint64), fresh.view(np.uint64))
 
     def test_rejects_wrong_widths(self):
         # positions need one column per axis; custom positions enter here
