@@ -10,7 +10,7 @@ neighborhood, at w = 0 it retrieves the bright token wherever it sits.
 
 import numpy as np
 
-from synattn import BlockProjection, attention_map, encode_prompt
+from synattn import attention_map, encode_prompt
 from synattn.backbone import BackboneConfig
 
 bb = BackboneConfig(grid=(6, 6))
@@ -25,8 +25,9 @@ image = np.tile(base, (h * w, 1))
 image[bump_cell[0] * w + bump_cell[1]] *= 1.2
 
 tokens = np.vstack([encode_prompt("probe tokens", bb), image])
-eye = np.eye(bb.d_model)
-proj = BlockProjection(eye, eye, eye, eye)
+# a block's six (d, d) weight matrices, all identities here
+d = bb.d_model
+block = np.broadcast_to(np.eye(d), (6, d, d))
 
 
 def ascii_heatmap(grid):
@@ -44,7 +45,7 @@ def ascii_heatmap(grid):
 
 print(f"query cell: {query_cell}   bright content cell: {bump_cell}\n")
 for weight in (1.0, 0.5, 0.0):
-    grid = attention_map(tokens, image, bb.grid, proj, cfg, weight, query_cell)
+    grid = attention_map(tokens, image, bb.grid, block, cfg, weight, query_cell)
     peak = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"w = {weight:4.2f}   peak at {tuple(int(x) for x in peak)}   sum = {grid.sum():.12f}")
     print(ascii_heatmap(grid))

@@ -8,21 +8,16 @@ every number is reproducible and checkable against brute-force oracles.
 
 from ._version import __version__
 from .attention import (
-    BlockProjection,
     attention_map,
     attention_weights,
     grid_position_ids,
     image_kv,
-    merge_heads,
     split_heads,
 )
 from .backbone import (
     FLUX_SHARED_BLOCKS,
     BackboneConfig,
-    BackboneParams,
-    BlockParams,
     block_forward,
-    denoise_step,
     derive_seed,
     encode_prompt,
     fnv1a64,
@@ -58,10 +53,8 @@ __all__ = [
     "softmax_rows",
     "RopeConfig",
     "rotary_table",
-    "BlockProjection",
     "grid_position_ids",
     "split_heads",
-    "merge_heads",
     "attention_weights",
     "image_kv",
     "attention_map",
@@ -73,8 +66,6 @@ __all__ = [
     "editing_measurement",
     "adaptive_weight",
     "BackboneConfig",
-    "BackboneParams",
-    "BlockParams",
     "derive_seed",
     "fnv1a64",
     "FLUX_SHARED_BLOCKS",
@@ -83,7 +74,6 @@ __all__ = [
     "encode_prompt",
     "initial_noise",
     "block_forward",
-    "denoise_step",
     "PipelineConfig",
     "EditingTrace",
     "NumericalAbortError",

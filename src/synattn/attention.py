@@ -7,7 +7,8 @@ of such matrices, ``(..., n, d)``, one per case and branch, and treat each
 as if it ran alone: products are ``@`` against the shared ``(d, d)``
 projections, which numpy carries out as one BLAS call per matrix, so a
 case's bytes do not depend on what it is stacked with. Attention always
-runs over the whole matrix.
+runs over the whole matrix. A block's weights are one ``(6, d, d)`` array,
+its matrices in ``_ROLES`` order.
 Image-token queries and keys are rotated by a :class:`~synattn.rope.RotaryTable`
 built at strength ``w``; text tokens are never rotated.
 
@@ -36,7 +37,6 @@ wrapper in :mod:`synattn.backbone` owns the projection and residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +44,18 @@ from .numerics import ShapeError, softmax_rows
 from .rope import RopeConfig, RotaryTable, apply_rotary, rotary_table
 
 __all__ = [
-    "BlockProjection",
     "grid_position_ids",
     "split_heads",
-    "merge_heads",
     "attention_weights",
     "image_kv",
     "joint_attention",
     "attention_map",
 ]
+
+# A block's weights are one (6, d, d) array, matrix r playing role _ROLES[r];
+# block b's matrix r is drawn from the stream derive_seed(seed, b, r).
+_ROLES = ("wq", "wk", "wv", "wo", "mlp_in", "mlp_out")
+_WQ, _WK, _WV, _WO, _MLP_IN, _MLP_OUT = range(len(_ROLES))
 
 
 def grid_position_ids(height: int, width: int) -> np.ndarray:
@@ -63,29 +66,6 @@ def grid_position_ids(height: int, width: int) -> np.ndarray:
     return np.column_stack([np.zeros(height * width), rows, cols])
 
 
-@dataclass(frozen=True)
-class BlockProjection:
-    """Square projection matrices of one attention block.
-
-    Entries are not checked for finiteness: drawn weights cannot be
-    non-finite, and a hand-built non-finite one surfaces where the values
-    are used, as the engine's per-block abort or :func:`attention_map`'s
-    refusal.
-    """
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("wq", "wk", "wv", "wo"):
-            m = np.asarray(getattr(self, name), dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ShapeError(f"{name} must be square, got shape {m.shape}")
-            object.__setattr__(self, name, m)
-
-
 def split_heads(tokens: np.ndarray, num_heads: int) -> np.ndarray:
     """(..., n, d_model) -> (..., num_heads, n, head_dim), contiguous chunks per head."""
     *lead, n, d = tokens.shape
@@ -94,18 +74,12 @@ def split_heads(tokens: np.ndarray, num_heads: int) -> np.ndarray:
     return tokens.reshape(*lead, n, num_heads, d // num_heads).swapaxes(-3, -2)
 
 
-def merge_heads(heads: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`split_heads`."""
-    *lead, nh, n, hd = heads.shape
-    return heads.swapaxes(-3, -2).reshape(*lead, n, nh * hd)
-
-
 def image_kv(
-    image: np.ndarray, proj: BlockProjection, table: RotaryTable
+    image: np.ndarray, block: np.ndarray, table: RotaryTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotated image keys and values of one branch: what a shared block hands both branches."""
-    k = image @ proj.wk
-    return apply_rotary(k, table, out=k), image @ proj.wv
+    k = image @ block[_WK]
+    return apply_rotary(k, table, out=k), image @ block[_WV]
 
 
 def _queries(tokens: np.ndarray, n_txt: int, wq: np.ndarray, table: RotaryTable) -> np.ndarray:
@@ -162,14 +136,15 @@ def _keys(text: np.ndarray, wk: np.ndarray, k_img: np.ndarray, heads: int) -> np
 def joint_attention(
     tokens: np.ndarray,
     n_txt: int,
-    proj: BlockProjection,
+    block: np.ndarray,
     rope: RopeConfig,
     table: RotaryTable,
     kv_img: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt`` rows text.
 
-    ``tokens`` is ``(n, d)`` or a stack ``(..., n, d)``. ``table`` rotates the
+    ``tokens`` is ``(n, d)`` or a stack ``(..., n, d)``, and ``block`` one
+    block's ``(6, d, d)`` weights, unchecked. ``table`` rotates the
     image queries (and the image keys this call projects itself). ``kv_img``
     is an :func:`image_kv`, taken in place of the stack's own; it broadcasts
     over the leading axes, so a ``(B, m, d)`` pair of the source's keys and
@@ -178,17 +153,17 @@ def joint_attention(
     and the image keys/values it attended to.
     """
     if kv_img is None:
-        kv_img = image_kv(tokens[..., n_txt:, :], proj, table)
+        kv_img = image_kv(tokens[..., n_txt:, :], block, table)
     text = tokens[..., :n_txt, :]
     heads = rope.num_heads
     # Q and K are freed once the weights are formed, and V is built only
     # then: neither product holds all of Q, K, V and the weights at once.
     weights = attention_weights(
-        split_heads(_queries(tokens, n_txt, proj.wq, table), heads),
-        _keys(text, proj.wk, kv_img[0], heads),
+        split_heads(_queries(tokens, n_txt, block[_WQ], table), heads),
+        _keys(text, block[_WK], kv_img[0], heads),
         1.0 / math.sqrt(rope.head_dim),
     )
-    v = _join_rows(text, proj.wv, kv_img[1])
+    v = _join_rows(text, block[_WV], kv_img[1])
     # each head's product is written into its columns of the merged output
     out = np.empty(tokens.shape)
     np.matmul(weights, split_heads(v, heads), out=split_heads(out, heads))
@@ -199,7 +174,7 @@ def attention_map(
     tokens: np.ndarray,
     src_image: np.ndarray,
     grid: tuple[int, int],
-    proj: BlockProjection,
+    block: np.ndarray,
     rope: RopeConfig,
     w: float,
     query_cell: tuple[int, int],
@@ -207,7 +182,8 @@ def attention_map(
     """Where one target image query looks inside the source image.
 
     ``tokens`` is the target's ``[text; image]`` matrix and ``src_image`` the
-    source's image rows, both on the row-major ``grid``. Takes the
+    source's image rows, both on the row-major ``grid``, and ``block`` one
+    block's ``(6, d, d)`` weights, ``d = rope.d_model``. Takes the
     post-softmax attention weights of the query token at ``query_cell``,
     averaged over heads, restricted to source image keys and renormalized
     to sum to 1. Returned as a (height, width) grid.
@@ -225,16 +201,20 @@ def attention_map(
     for name, rows in (("token", tokens), ("source image", src_image)):
         if rows.shape[1] != rope.d_model:
             raise ShapeError(f"{name} width {rows.shape[1]} != num_heads*head_dim {rope.d_model}")
+    if block.shape != (len(_ROLES), rope.d_model, rope.d_model):
+        raise ShapeError(
+            f"block shape {block.shape} != ({len(_ROLES)}, {rope.d_model}, {rope.d_model})"
+        )
     table = rotary_table(grid_position_ids(h, wid), w, rope)
-    q = _queries(tokens, n_txt, proj.wq, table)
-    k_img = src_image @ proj.wk
+    q = _queries(tokens, n_txt, block[_WQ], table)
+    k_img = src_image @ block[_WK]
     apply_rotary(k_img, table, out=k_img)
     row = n_txt + r * wid + c
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit
     weights = attention_weights(
         split_heads(q[row : row + 1], rope.num_heads),
-        _keys(tokens[:n_txt], proj.wk, k_img, rope.num_heads),
+        _keys(tokens[:n_txt], block[_WK], k_img, rope.num_heads),
         1.0 / math.sqrt(rope.head_dim),
     )
     acc = weights[:, 0, n_txt:].sum(axis=0) / rope.num_heads

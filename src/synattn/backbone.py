@@ -1,10 +1,12 @@
 """Deterministic toy transformer backbone.
 
 Stands in for a pretrained multimodal diffusion transformer at desk scale:
-seeded pseudo-random projections, a hash-based prompt encoder, a stack of
-attention+MLP blocks, and a single Euler-style denoising update. Everything
-is a pure function of the configuration, so two runs with the same config
-agree bit for bit.
+seeded pseudo-random projections, a hash-based prompt encoder and a stack of
+attention+MLP blocks. A backbone's weights are one ``(n_blocks, 6, d, d)``
+array, and one block's a ``(6, d, d)`` slice of it, its matrices in
+:data:`~synattn.attention._ROLES` order; the config travels beside it.
+Everything is a pure function of the configuration, so two runs with the
+same config agree bit for bit.
 
 Randomness is generated by splitmix64 streams. A stream's output sequence
 is ``mix(seed + i * GAMMA)`` for i = 1, 2, ... where ``mix`` is the
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import BlockProjection, joint_attention
-from .numerics import ShapeError
+from .attention import _MLP_IN, _MLP_OUT, _ROLES, _WO, joint_attention
 from .rope import RopeConfig, RotaryTable
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "derive_seed",
     "fnv1a64",
     "BackboneConfig",
-    "BlockParams",
-    "BackboneParams",
     "FLUX_SHARED_BLOCKS",
     "WEIGHT_SCALE",
     "MAX_HEADS",
@@ -49,7 +48,6 @@ __all__ = [
     "encode_prompt",
     "initial_noise",
     "block_forward",
-    "denoise_step",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -87,10 +85,10 @@ FLUX_SHARED_BLOCKS = frozenset({0, 7, 8, 9, 10, 18, 25, 28, 37, 42, 45, 50, 56})
 # Entry bound for the uniform weight initializer.
 WEIGHT_SCALE = 0.05
 
-# Largest accepted value of each size field of a BackboneConfig. Full-scale
-# FLUX (24x128 heads, 57 blocks, a 64x64 grid, 512 text tokens, 50 steps)
-# fits with room to spare, and building a config inside them allocates
-# nothing large.
+# Largest accepted value of each size field of a BackboneConfig. They admit
+# full-scale FLUX's shape (24x128 heads, 57 blocks, a 64x64 grid, 512 text
+# tokens, 50 steps), not its memory: its weights are 25.8 GB, 453 MB per
+# block. Building a config inside them allocates nothing large.
 MAX_HEADS = 256
 MAX_HEAD_DIM = 1024
 MAX_BLOCKS = 1024
@@ -275,38 +273,20 @@ class BackboneConfig:
         return self.grid[0] * self.grid[1]
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    attn: BlockProjection
-    mlp_in: np.ndarray
-    mlp_out: np.ndarray
-
-
-@dataclass(frozen=True)
-class BackboneParams:
-    config: BackboneConfig
-    blocks: tuple[BlockParams, ...]
-
-
-# Role index of each weight matrix inside a block's seeding scheme.
-_ROLES = ("wq", "wk", "wv", "wo", "mlp_in", "mlp_out")
-
-
-def _draw_blocks(config: BackboneConfig, blocks: range) -> tuple[BlockParams, ...]:
-    """Every matrix of ``blocks`` in one draw, each from its own stream."""
+def _draw_blocks(config: BackboneConfig, blocks: range) -> np.ndarray:
+    """Every matrix of ``blocks``, ``(len(blocks), 6, d, d)``, in one draw, each its own stream."""
     d = config.d_model
     seeds = [derive_seed(config.seed, b, r) for b in blocks for r in range(len(_ROLES))]
-    mats = _draw_streams(seeds, d * d, -WEIGHT_SCALE, WEIGHT_SCALE).reshape(
+    return _draw_streams(seeds, d * d, -WEIGHT_SCALE, WEIGHT_SCALE).reshape(
         len(blocks), len(_ROLES), d, d
     )
-    return tuple(BlockParams(BlockProjection(*m[:4]), m[4], m[5]) for m in mats)
 
 
-def init_block(config: BackboneConfig, b: int) -> BlockParams:
-    """Draw block ``b``'s weights deterministically from the config seed.
+def init_block(config: BackboneConfig, b: int) -> np.ndarray:
+    """Draw block ``b``'s ``(6, d, d)`` weights deterministically from the config seed.
 
-    Matrix ``role`` (index r in wq, wk, wv, wo, mlp_in, mlp_out) uses the
-    stream seeded by ``derive_seed(seed, b, r)``; entries are uniform in
+    Matrix r (its role ``_ROLES[r]``) is the stream seeded by
+    ``derive_seed(seed, b, r)``; entries are uniform in
     [-WEIGHT_SCALE, WEIGHT_SCALE]. Every matrix has its own stream, so a
     block drawn alone equals the same block of :func:`init_backbone`.
     """
@@ -315,9 +295,13 @@ def init_block(config: BackboneConfig, b: int) -> BlockParams:
     return _draw_blocks(config, range(b, b + 1))[0]
 
 
-def init_backbone(config: BackboneConfig) -> BackboneParams:
-    """Draw every block's weights, all ``n_blocks * 6`` streams in one draw."""
-    return BackboneParams(config, _draw_blocks(config, range(config.n_blocks)))
+def init_backbone(config: BackboneConfig) -> np.ndarray:
+    """Draw every block's weights, all ``n_blocks * 6`` streams in one draw.
+
+    The result is one C-contiguous float64 ``(n_blocks, 6, d, d)`` array,
+    its block ``b`` the bytes of ``init_block(config, b)``.
+    """
+    return _draw_blocks(config, range(config.n_blocks))
 
 
 def encode_prompt(prompt: str, config: BackboneConfig) -> np.ndarray:
@@ -349,8 +333,8 @@ def initial_noise(config: BackboneConfig) -> np.ndarray:
 
 def block_forward(
     tokens: np.ndarray,
-    block_index: int,
-    params: BackboneParams,
+    block: np.ndarray,
+    config: BackboneConfig,
     table: RotaryTable,
     shared_kv: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -359,7 +343,8 @@ def block_forward(
     ``tokens`` is one branch's ``[text; image]`` matrix, its first
     ``n_txt_tokens`` rows text, or a stack ``(..., n, d)`` of such matrices,
     such as ``(B, n, d)``, one per case, or the engine's ``(2, B, n, d)``
-    source/target pair; ``table`` rotates its image rows (with a ``(B,)``
+    source/target pair, and ``block`` one block's ``(6, d, d)`` weights,
+    unchecked; ``table`` rotates its image rows (with a ``(B,)``
     weight for a stack whose cases differ in ``w``). When ``shared_kv`` is
     given (rotated image keys and image values, as
     :func:`~synattn.attention.image_kv` builds them from the source branch),
@@ -368,25 +353,10 @@ def block_forward(
     updated stack, the raw pre-projection attention output for the
     measurement, and the image keys/values used.
     """
-    config = params.config
-    if not 0 <= block_index < config.n_blocks:
-        raise ValueError(f"block index {block_index} outside [0, {config.n_blocks})")
-    bp = params.blocks[block_index]
     attn, kv_img = joint_attention(
-        tokens, config.n_txt_tokens, bp.attn, config.rope, table, shared_kv
+        tokens, config.n_txt_tokens, block, config.rope, table, shared_kv
     )
-    tokens = tokens + attn @ bp.attn.wo
+    tokens = tokens + attn @ block[_WO]
     # in place on the sum just made, never on the caller's array
-    tokens += np.tanh(tokens @ bp.mlp_in) @ bp.mlp_out
+    tokens += np.tanh(tokens @ block[_MLP_IN]) @ block[_MLP_OUT]
     return tokens, attn, kv_img
-
-
-def denoise_step(x: np.ndarray, f_out: np.ndarray, t: int, n_steps: int) -> np.ndarray:
-    """Euler update toward the backbone output: x + (f_out - x) / n_steps."""
-    if not 1 <= t <= n_steps:
-        raise ValueError(f"timestep {t} outside [1, {n_steps}]")
-    x = np.asarray(x, dtype=np.float64)
-    f_out = np.asarray(f_out, dtype=np.float64)
-    if x.shape != f_out.shape:
-        raise ShapeError(f"state shape {x.shape} != output shape {f_out.shape}")
-    return x + (f_out - x) / n_steps

@@ -46,7 +46,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .attention import BlockProjection, attention_map
+from .attention import _ROLES, attention_map
 from .backbone import BackboneConfig, _usable_cores, encode_prompt, init_block, initial_noise
 from .measurement import (
     BlockSimilarity,
@@ -473,10 +473,10 @@ def build_map_inputs(
     block: int | None,
     query_cell: tuple[int, int],
 ):
-    """Target ``[text; image]`` matrix, source image rows, projections and block index for one map.
+    """Target ``[text; image]`` matrix, source image rows, weights and block index for one map.
 
     probe = 'prompts': both branches at the start of denoising (shared
-    noise, prompt-encoded text), projections of the chosen block.
+    noise, prompt-encoded text), the chosen block's ``(6, d, d)`` weights.
 
     probe = 'constant-field': every image token is the same all-ones vector
     except a single bump token, scaled by PROBE_BUMP_SCALE, half a grid away
@@ -494,7 +494,7 @@ def build_map_inputs(
     if probe == "prompts":
         noise = initial_noise(bb)
         tokens = np.vstack([encode_prompt(config.tgt_prompt, bb), noise])
-        return tokens, noise, init_block(bb, block).attn, block
+        return tokens, noise, init_block(bb, block), block
 
     if probe == "constant-field":
         dr, dc = h // 2, w // 2
@@ -506,8 +506,8 @@ def build_map_inputs(
         bump = ((r + dr) % h) * w + ((c + dc) % w)
         image[bump] *= PROBE_BUMP_SCALE
         tokens = np.vstack([encode_prompt(config.src_prompt, bb), image])
-        eye = np.eye(bb.d_model)
-        return tokens, image, BlockProjection(eye, eye, eye, eye), block
+        d = bb.d_model
+        return tokens, image, np.broadcast_to(np.eye(d), (len(_ROLES), d, d)), block
 
     raise ConfigError(f"unknown probe '{probe}'")
 
@@ -680,9 +680,9 @@ def cmd_map(
     if not 0.0 <= w_value <= 1.0:
         raise ConfigError(f"--w must be in [0, 1], got {w_value}")
     config = parse_config_text(Path(config_path).read_text())
-    tokens, src_image, proj, block_used = build_map_inputs(config, probe, block, cell)
+    tokens, src_image, weights, block_used = build_map_inputs(config, probe, block, cell)
     bb = config.backbone
-    grid = attention_map(tokens, src_image, bb.grid, proj, bb.rope, w_value, cell)
+    grid = attention_map(tokens, src_image, bb.grid, weights, bb.rope, w_value, cell)
     comments = (
         f"query_cell: {cell[0]} {cell[1]}",
         f"w: {_fmt(w_value)}",

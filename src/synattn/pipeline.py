@@ -43,9 +43,7 @@ import numpy as np
 from .attention import grid_position_ids, image_kv
 from .backbone import (
     BackboneConfig,
-    BackboneParams,
     block_forward,
-    denoise_step,
     encode_prompt,
     init_backbone,
     initial_noise,
@@ -119,10 +117,10 @@ EditResult = tuple[np.ndarray, np.ndarray, EditingTrace]
 
 
 def _run_stack(
-    configs: Sequence[PipelineConfig], params: BackboneParams, noise: np.ndarray,
+    configs: Sequence[PipelineConfig], weights: np.ndarray, noise: np.ndarray,
     text: dict[str, np.ndarray],
 ) -> list[EditResult | Exception]:
-    """The paired loop for configs sharing ``params``, one row of each branch's stack per case.
+    """The paired loop for configs sharing ``weights``, one row of each branch's stack per case.
 
     Each block's attention output is copied into one held buffer, branch
     first, ``(2, L, B, n, d)``, and whether each branch of each case is still
@@ -135,7 +133,7 @@ def _run_stack(
     blocks are closed and the step goes on; the toy and the 2-block
     FLUX-width shapes close each step in one pass.
     """
-    bb = params.config
+    bb = configs[0].backbone
     n_txt = bb.n_txt_tokens
     n_blocks = bb.n_blocks
     results: list[EditResult | Exception | None] = [None] * len(configs)
@@ -165,8 +163,8 @@ def _run_stack(
                 # the source attends to its own, the target to the source's
                 shared = None
                 if l in bb.shared_blocks:
-                    shared = image_kv(pair[0, :, n_txt:], params.blocks[l].attn, table)
-                pair, attn, _ = block_forward(pair, l, params, table, shared)
+                    shared = image_kv(pair[0, :, n_txt:], weights[l], table)
+                pair, attn, _ = block_forward(pair, weights[l], bb, table, shared)
                 j = l % n_held
                 held[:, j] = attn
                 np.isfinite(pair).all(axis=(2, 3), out=finite[j])
@@ -198,7 +196,8 @@ def _run_stack(
                 if not live:
                     return results
 
-            x = denoise_step(x, pair[:, :, n_txt:], t, bb.n_steps)
+            # the Euler update toward the step's output
+            x = x + (pair[:, :, n_txt:] - x) / bb.n_steps
             for i in live:
                 m_t = editing_measurement(blocks[i])
                 records[i].append(
@@ -224,14 +223,14 @@ def _run_group(configs: Sequence[PipelineConfig]) -> list[EditResult | Exception
     """
     try:
         bb = configs[0].backbone
-        params = init_backbone(bb)
+        weights = init_backbone(bb)
         prompts = dict.fromkeys(p for c in configs for p in (c.src_prompt, c.tgt_prompt))
         text = {p: encode_prompt(p, bb) for p in prompts}
         noise = initial_noise(bb)
         case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
         per_stack = max(1, _STACK_BYTES // case_bytes)
         return [result for start in range(0, len(configs), per_stack)
-                for result in _run_stack(configs[start:start + per_stack], params, noise, text)]
+                for result in _run_stack(configs[start:start + per_stack], weights, noise, text)]
     except Exception as exc:  # noqa: BLE001 - every case of the group raised it
         return [exc] * len(configs)
 

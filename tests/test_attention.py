@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,19 +7,17 @@ import pytest
 
 from oracles import naive_joint_attention
 from synattn import (
-    BlockProjection,
     RopeConfig,
     ShapeError,
     attention_map,
     attention_weights,
     grid_position_ids,
     image_kv,
-    merge_heads,
     rotary_table,
     softmax_rows,
     split_heads,
 )
-from synattn.attention import joint_attention
+from synattn.attention import _ROLES, _WK, _WQ, _WV, joint_attention
 
 CFG = RopeConfig(head_dim=8, axis_dims=(2, 2, 4), num_heads=2)  # d_model 16
 
@@ -32,16 +31,23 @@ def grid_table(grid, w):
     return rotary_table(grid_position_ids(*grid), w, CFG)
 
 
-def random_projection(rng, d_model):
-    return BlockProjection(*(rng.normal(size=(d_model, d_model)) * 0.3 for _ in range(4)))
+def random_block(rng, d_model):
+    """A block's (6, d, d) weights: random attention projections, zero MLP."""
+    block = np.zeros((len(_ROLES), d_model, d_model))
+    block[:4] = rng.normal(size=(4, d_model, d_model)) * 0.3
+    return block
 
 
-def oracle(tgt, n_txt, src_image, proj, w, use_rope=True):
+def identity_block(d_model):
+    return np.broadcast_to(np.eye(d_model), (len(_ROLES), d_model, d_model))
+
+
+def oracle(tgt, n_txt, src_image, block, w, use_rope=True):
     """Loop-written shared attention of ``tgt`` over a 2x2 ``src_image``, stacked like joint_attention's output."""
     positions = grid_position_ids(2, 2)
     want_txt, want_img = naive_joint_attention(
         tgt[:n_txt], tgt[n_txt:], src_image, positions, positions,
-        proj.wq, proj.wk, proj.wv,
+        block[_WQ], block[_WK], block[_WV],
         CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base,
         w=w, use_rope=use_rope,
     )
@@ -79,11 +85,8 @@ class TestSelfAttention:
         rng = np.random.default_rng(50)
         t = rng.normal(size=6)
         i = rng.normal(size=6)
-        eye = np.eye(6)
         table = rotary_table(grid_position_ids(1, 1), 1.0, cfg)
-        out, _ = joint_attention(
-            np.vstack([t, i]), 1, BlockProjection(eye, eye, eye, eye), cfg, table
-        )
+        out, _ = joint_attention(np.vstack([t, i]), 1, identity_block(6), cfg, table)
 
         scale = 1.0 / math.sqrt(6.0)
         for query, got in ((t, out[0]), (i, out[1])):
@@ -97,9 +100,9 @@ class TestSelfAttention:
     def test_zero_weight_equals_zero_positions(self):
         rng = np.random.default_rng(51)
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
-        a, _ = joint_attention(tokens, 3, proj, CFG, grid_table((2, 2), 0.0))
-        b, _ = joint_attention(tokens, 3, proj, CFG, rotary_table(np.zeros((4, 3)), 1.0, CFG))
+        block = random_block(rng, CFG.d_model)
+        a, _ = joint_attention(tokens, 3, block, CFG, grid_table((2, 2), 0.0))
+        b, _ = joint_attention(tokens, 3, block, CFG, rotary_table(np.zeros((4, 3)), 1.0, CFG))
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance(self):
@@ -108,12 +111,12 @@ class TestSelfAttention:
         rng = np.random.default_rng(52)
         n_txt = 2
         tokens = random_tokens(rng, n_txt, (2, 3), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
+        block = random_block(rng, CFG.d_model)
         perm = rng.permutation(6)
         permuted = np.vstack([tokens[:n_txt], tokens[n_txt:][perm]])
         moved_table = rotary_table(grid_position_ids(2, 3)[perm], 0.7, CFG)
-        base, _ = joint_attention(tokens, n_txt, proj, CFG, grid_table((2, 3), 0.7))
-        moved, _ = joint_attention(permuted, n_txt, proj, CFG, moved_table)
+        base, _ = joint_attention(tokens, n_txt, block, CFG, grid_table((2, 3), 0.7))
+        moved, _ = joint_attention(permuted, n_txt, block, CFG, moved_table)
         assert np.abs(moved[n_txt:] - base[n_txt:][perm]).max() <= 1e-12
         assert np.abs(moved[:n_txt] - base[:n_txt]).max() <= 1e-12
 
@@ -122,12 +125,12 @@ class TestSharedAttention:
     def test_own_image_kv_matches_default_bitwise(self):
         rng = np.random.default_rng(53)
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
+        block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.4)
-        a, kv = joint_attention(tokens, 3, proj, CFG, table)
-        b, _ = joint_attention(tokens, 3, proj, CFG, table, image_kv(tokens[3:], proj, table))
+        a, kv = joint_attention(tokens, 3, block, CFG, table)
+        b, _ = joint_attention(tokens, 3, block, CFG, table, image_kv(tokens[3:], block, table))
         np.testing.assert_array_equal(a, b)
-        want_k, want_v = image_kv(tokens[3:], proj, table)
+        want_k, want_v = image_kv(tokens[3:], block, table)
         np.testing.assert_array_equal(kv[0], want_k)
         np.testing.assert_array_equal(kv[1], want_v)
 
@@ -135,37 +138,38 @@ class TestSharedAttention:
         rng = np.random.default_rng(54)
         tgt = random_tokens(rng, 2, (2, 2), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 2), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
+        block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.0)
-        got, _ = joint_attention(tgt, 2, proj, CFG, table, image_kv(src_image, proj, table))
-        want = oracle(tgt, 2, src_image, proj, 0.0, use_rope=False)
+        got, _ = joint_attention(tgt, 2, block, CFG, table, image_kv(src_image, block, table))
+        want = oracle(tgt, 2, src_image, block, 0.0, use_rope=False)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_matches_naive_concatenation_oracle(self):
         rng = np.random.default_rng(55)
         tgt = random_tokens(rng, 1, (2, 2), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 2), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
+        block = random_block(rng, CFG.d_model)
         for w in (0.0, 0.3, 1.0):
             table = grid_table((2, 2), w)
-            got, _ = joint_attention(tgt, 1, proj, CFG, table, image_kv(src_image, proj, table))
-            assert np.abs(got - oracle(tgt, 1, src_image, proj, w)).max() <= 1e-12
+            got, _ = joint_attention(tgt, 1, block, CFG, table, image_kv(src_image, block, table))
+            assert np.abs(got - oracle(tgt, 1, src_image, block, w)).max() <= 1e-12
 
     def test_grid_mismatch_rejected(self):
         rng = np.random.default_rng(56)
         tgt = random_tokens(rng, 2, (2, 2), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
+        block = random_block(rng, CFG.d_model)
         with pytest.raises(ShapeError):
-            attention_map(tgt, src_image, (2, 2), proj, CFG, 1.0, (0, 0))
+            attention_map(tgt, src_image, (2, 2), block, CFG, 1.0, (0, 0))
 
     def test_output_linear_in_values(self):
         rng = np.random.default_rng(57)
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
-        doubled = BlockProjection(proj.wq, proj.wk, 2.0 * proj.wv, proj.wo)
+        block = random_block(rng, CFG.d_model)
+        doubled = block.copy()
+        doubled[_WV] *= 2.0
         table = grid_table((2, 2), 0.8)
-        a, _ = joint_attention(tokens, 3, proj, CFG, table)
+        a, _ = joint_attention(tokens, 3, block, CFG, table)
         b, _ = joint_attention(tokens, 3, doubled, CFG, table)
         assert np.abs(b - 2.0 * a).max() <= 1e-12
 
@@ -185,11 +189,6 @@ class TestHeads:
             want = softmax_rows((q[h] @ np.ascontiguousarray(k[h].T)) * scale)
             np.testing.assert_array_equal(stacked[h], want)
 
-    def test_split_merge_round_trip(self):
-        rng = np.random.default_rng(58)
-        tokens = rng.normal(size=(5, 16))
-        np.testing.assert_array_equal(merge_heads(split_heads(tokens, 4)), tokens)
-
     def test_split_requires_divisibility(self):
         with pytest.raises(ShapeError):
             split_heads(np.ones((2, 10)), 3)
@@ -207,17 +206,16 @@ class TestAttentionMap:
         rng = np.random.default_rng(59)
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
-        m = attention_map(tgt, src_image, (2, 3), proj, CFG, 0.6, (1, 2))
+        block = random_block(rng, CFG.d_model)
+        m = attention_map(tgt, src_image, (2, 3), block, CFG, 0.6, (1, 2))
         assert m.shape == (2, 3)
         assert abs(m.sum() - 1.0) <= 1e-12
 
     def test_position_dominance_puts_argmax_on_query_cell(self):
         tokens, image = self._position_dominant_tokens()
-        eye = np.eye(CFG.d_model)
-        proj = BlockProjection(eye, eye, eye, eye)
+        block = identity_block(CFG.d_model)
         for cell in [(0, 0), (0, 2), (1, 1)]:
-            m = attention_map(tokens, image, (2, 3), proj, CFG, 1.0, cell)
+            m = attention_map(tokens, image, (2, 3), block, CFG, 1.0, cell)
             # brute force: the map cell with the largest weight, checked
             # against every grid cell
             best = np.unravel_index(np.argmax(m), m.shape)
@@ -233,26 +231,26 @@ class TestAttentionMap:
         rng = np.random.default_rng(60)
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
-        base = attention_map(tgt, src_image, (2, 3), proj, CFG, 0.0, (0, 1)).reshape(-1)
+        block = random_block(rng, CFG.d_model)
+        base = attention_map(tgt, src_image, (2, 3), block, CFG, 0.0, (0, 1)).reshape(-1)
         perm = rng.permutation(6)
-        moved = attention_map(tgt, src_image[perm], (2, 3), proj, CFG, 0.0, (0, 1)).reshape(-1)
+        moved = attention_map(tgt, src_image[perm], (2, 3), block, CFG, 0.0, (0, 1)).reshape(-1)
         assert np.abs(moved - base[perm]).max() <= 1e-12
 
     def test_out_of_range_cell(self):
         rng = np.random.default_rng(61)
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
+        block = random_block(rng, CFG.d_model)
         with pytest.raises(ValueError):
-            attention_map(tgt, tgt[2:], (2, 3), proj, CFG, 1.0, (2, 0))
+            attention_map(tgt, tgt[2:], (2, 3), block, CFG, 1.0, (2, 0))
 
     def test_token_count_must_fill_grid(self):
         rng = np.random.default_rng(63)
-        proj = random_projection(rng, CFG.d_model)
+        block = random_block(rng, CFG.d_model)
         short = rng.normal(size=(5, CFG.d_model))  # fewer rows than the 2x3 grid's cells
         src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
         with pytest.raises(ShapeError):
-            attention_map(short, src_image, (2, 3), proj, CFG, 1.0, (0, 0))
+            attention_map(short, src_image, (2, 3), block, CFG, 1.0, (0, 0))
 
     def test_width_mismatch(self):
         # 32-wide target tokens, or a 32-wide source image beside 16-wide
@@ -261,15 +259,23 @@ class TestAttentionMap:
         wide = rng.normal(size=(8, 2 * CFG.d_model))
         narrow = random_tokens(rng, 2, (2, 3), CFG.d_model)
         for tokens, src_image, name in [(wide, wide[2:], "token"), (narrow, wide[2:], "source image")]:
-            proj = random_projection(rng, tokens.shape[1])
+            block = random_block(rng, tokens.shape[1])
             with pytest.raises(ShapeError, match=f"^{name} width 32 "):
-                attention_map(tokens, src_image, (2, 3), proj, CFG, 1.0, (0, 0))
+                attention_map(tokens, src_image, (2, 3), block, CFG, 1.0, (0, 0))
+
+    @pytest.mark.parametrize("shape", [(4, 16, 16), (6, 32, 32), (16, 16)])
+    def test_block_shape_validated(self, shape):
+        # a block is (6, d, d) with d = num_heads * head_dim, checked once, here
+        rng = np.random.default_rng(66)
+        tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
+        with pytest.raises(ShapeError, match=f"^block shape {re.escape(str(shape))} "):
+            attention_map(tgt, tgt[2:], (2, 3), np.ones(shape), CFG, 0.6, (1, 2))
 
     def test_non_finite_weights_refused(self):
-        # projections are not scanned when built: the map refuses its NaN mass
+        # weights are not scanned: the map refuses its NaN mass
         rng = np.random.default_rng(65)
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
-        proj = random_projection(rng, CFG.d_model)
-        proj.wk[3, 5] = np.nan
+        block = random_block(rng, CFG.d_model)
+        block[_WK, 3, 5] = np.nan
         with pytest.raises(ValueError, match="not positive and finite"):
-            attention_map(tgt, tgt[2:], (2, 3), proj, CFG, 0.6, (1, 2))
+            attention_map(tgt, tgt[2:], (2, 3), block, CFG, 0.6, (1, 2))

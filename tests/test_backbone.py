@@ -13,14 +13,9 @@ import synattn.backbone as backbone
 from oracles import naive_joint_attention, splitmix64, splitmix64_uniform
 from synattn import (
     BackboneConfig,
-    BackboneParams,
-    BlockParams,
-    BlockProjection,
     FLUX_SHARED_BLOCKS,
     RopeConfig,
-    ShapeError,
     block_forward,
-    denoise_step,
     derive_seed,
     encode_prompt,
     fnv1a64,
@@ -31,6 +26,7 @@ from synattn import (
     initial_noise,
     rotary_table,
 )
+from synattn.attention import _MLP_IN, _MLP_OUT, _ROLES, _WK, _WO, _WQ, _WV
 from synattn.backbone import (
     MASK64,
     MAX_BLOCKS,
@@ -57,13 +53,13 @@ def random_tokens(rng):
     return rng.normal(size=(CFG.n_txt_tokens + CFG.n_img, CFG.d_model))
 
 
-def oracle_attention(tokens, src_image, proj, w):
+def oracle_attention(tokens, src_image, block, w):
     """Loop-written attention of ``tokens`` over ``src_image``'s keys/values at ``CFG``'s shape."""
     n = CFG.n_txt_tokens
     positions = grid_position_ids(*CFG.grid)
     txt, img = naive_joint_attention(
         tokens[:n], tokens[n:], src_image, positions, positions,
-        proj.wq, proj.wk, proj.wv,
+        block[_WQ], block[_WK], block[_WV],
         CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base, w=w,
     )
     return np.vstack([txt, img])
@@ -187,39 +183,41 @@ class TestGenerators:
 
 class TestInitBackbone:
     def test_same_config_gives_identical_bytes(self):
-        p1 = init_backbone(CFG)
-        p2 = init_backbone(CFG)
-        for b1, b2 in zip(p1.blocks, p2.blocks):
-            assert b1.attn.wq.tobytes() == b2.attn.wq.tobytes()
-            assert b1.mlp_in.tobytes() == b2.mlp_in.tobytes()
-            assert b1.mlp_out.tobytes() == b2.mlp_out.tobytes()
+        assert init_backbone(CFG).tobytes() == init_backbone(CFG).tobytes()
 
     def test_different_seeds_differ(self):
         p1 = init_backbone(CFG)
         p2 = init_backbone(BackboneConfig(seed=1))
-        assert not np.array_equal(p1.blocks[0].attn.wq, p2.blocks[0].attn.wq)
+        assert not np.array_equal(p1[0, _WQ], p2[0, _WQ])
 
     def test_entry_bounds(self):
-        params = init_backbone(CFG)
-        for blk in params.blocks:
-            for m in (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.mlp_in, blk.mlp_out):
-                assert np.abs(m).max() <= WEIGHT_SCALE
+        assert np.abs(init_backbone(CFG)).max() <= WEIGHT_SCALE
 
     def test_blocks_and_roles_get_distinct_streams(self):
-        params = init_backbone(CFG)
-        assert not np.array_equal(params.blocks[0].attn.wq, params.blocks[1].attn.wq)
-        assert not np.array_equal(params.blocks[0].attn.wq, params.blocks[0].attn.wk)
+        weights = init_backbone(CFG)
+        assert not np.array_equal(weights[0, _WQ], weights[1, _WQ])
+        assert not np.array_equal(weights[0, _WQ], weights[0, _WK])
+
+    def test_layout_is_block_role_stream(self):
+        # one C-contiguous float64 (n_blocks, 6, d, d) array whose [b, r] is
+        # the stream derive_seed(seed, b, r)
+        d = CFG.d_model
+        weights = init_backbone(CFG)
+        assert weights.shape == (CFG.n_blocks, len(_ROLES), d, d)
+        assert weights.dtype == np.float64 and weights.flags.c_contiguous
+        for b in range(CFG.n_blocks):
+            for r in range(len(_ROLES)):
+                stream = derive_seed(CFG.seed, b, r)
+                want = splitmix64_uniform(stream, d * d, -WEIGHT_SCALE, WEIGHT_SCALE)
+                assert weights[b, r].tobytes() == want.tobytes()
 
     def test_block_drawn_alone_reads_its_own_streams(self):
-        # matrix r of block b is the stream derive_seed(seed, b, r), whatever else is drawn
-        d = CFG.d_model
-        blk = init_block(CFG, 5)
-        mats = (blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo, blk.mlp_in, blk.mlp_out)
-        for r, m in enumerate(mats):
-            stream = derive_seed(CFG.seed, 5, r)
-            want = splitmix64_uniform(stream, d * d, -WEIGHT_SCALE, WEIGHT_SCALE).reshape(d, d)
-            assert m.tobytes() == want.tobytes()
-        assert blk.attn.wq.tobytes() == init_backbone(CFG).blocks[5].attn.wq.tobytes()
+        # block b drawn alone is init_backbone's block b, whatever else is drawn
+        weights = init_backbone(CFG)
+        for b in range(CFG.n_blocks):
+            block = init_block(CFG, b)
+            assert block.shape == weights.shape[1:] and block.flags.c_contiguous
+            assert block.tobytes() == weights[b].tobytes()
 
     @pytest.mark.parametrize("b", [-1, CFG.n_blocks])
     def test_block_index_out_of_range(self, b):
@@ -324,35 +322,27 @@ class TestConfigValidation:
 class TestBlockForward:
     def test_zero_weights_pass_stream_through(self):
         d = CFG.d_model
-        zero = np.zeros((d, d))
-        params = BackboneParams(
-            config=CFG,
-            blocks=tuple(
-                BlockParams(BlockProjection(zero, zero, zero, zero), zero, zero)
-                for _ in range(CFG.n_blocks)
-            ),
-        )
         tokens = random_tokens(np.random.default_rng(80))
-        out, attn, _ = block_forward(tokens, 0, params, grid_table(1.0))
+        out, attn, _ = block_forward(tokens, np.zeros((6, d, d)), CFG, grid_table(1.0))
         np.testing.assert_array_equal(out, tokens)
         np.testing.assert_array_equal(attn, np.zeros_like(tokens))
 
     def test_without_source_kv_matches_oracle(self):
-        params = init_backbone(CFG)
+        block = init_block(CFG, 1)
         tokens = random_tokens(np.random.default_rng(81))
-        _, attn, _ = block_forward(tokens, 1, params, grid_table(0.6))
-        want = oracle_attention(tokens, tokens[CFG.n_txt_tokens :], params.blocks[1].attn, 0.6)
+        _, attn, _ = block_forward(tokens, block, CFG, grid_table(0.6))
+        want = oracle_attention(tokens, tokens[CFG.n_txt_tokens :], block, 0.6)
         assert np.abs(attn - want).max() <= 1e-12
 
     def test_shared_src_changes_target_output(self):
-        params = init_backbone(CFG)
+        block = init_block(CFG, 0)
         rng = np.random.default_rng(82)
         tokens = random_tokens(rng)
         other = rng.normal(size=(CFG.n_img, CFG.d_model))
         table = grid_table(1.0)
-        plain, _, _ = block_forward(tokens, 0, params, table)
-        kv = image_kv(other, params.blocks[0].attn, table)
-        shared, _, _ = block_forward(tokens, 0, params, table, kv)
+        plain, _, _ = block_forward(tokens, block, CFG, table)
+        kv = image_kv(other, block, table)
+        shared, _, _ = block_forward(tokens, block, CFG, table, kv)
         n = CFG.n_txt_tokens
         assert not np.array_equal(plain[n:], shared[n:])
 
@@ -360,38 +350,37 @@ class TestBlockForward:
         # the denoising loop hands the target the keys/values the source
         # block computed from its own token matrix; recomputing them from a
         # copy of the source's image rows gives the same bytes
-        params = init_backbone(CFG)
+        block = init_block(CFG, 2)
         rng = np.random.default_rng(86)
         n = CFG.n_txt_tokens
         src = random_tokens(rng)
         tgt = random_tokens(rng)
         table = grid_table(0.7)
-        _, _, src_kv = block_forward(src, 2, params, table)
-        reused, reused_attn, _ = block_forward(tgt, 2, params, table, src_kv)
+        _, _, src_kv = block_forward(src, block, CFG, table)
+        reused, reused_attn, _ = block_forward(tgt, block, CFG, table, src_kv)
 
-        attn_proj = params.blocks[2].attn
-        kv = image_kv(src[n:].copy(), attn_proj, table)
-        recomputed, attn, _ = block_forward(tgt.copy(), 2, params, table, kv)
+        kv = image_kv(src[n:].copy(), block, table)
+        recomputed, attn, _ = block_forward(tgt.copy(), block, CFG, table, kv)
         np.testing.assert_array_equal(reused, recomputed)
         np.testing.assert_array_equal(reused_attn, attn)
-        assert np.abs(reused_attn - oracle_attention(tgt, src[n:], attn_proj, 0.7)).max() <= 1e-12
+        assert np.abs(reused_attn - oracle_attention(tgt, src[n:], block, 0.7)).max() <= 1e-12
 
     @pytest.mark.parametrize("block", [0, 1])  # block 0 is shared, block 1 is not
     def test_stack_matches_each_case_alone(self, block):
         # a (B, n, d) stack with one w per case gives each case the bytes it
         # gets alone, through attention, projections, MLP and the handed-on K/V
-        params = init_backbone(CFG)
+        blk = init_block(CFG, block)
         rng = np.random.default_rng(87)
         weights = np.array([1.0, 0.0, 0.35])
         src = np.stack([random_tokens(rng) for _ in weights])
         tgt = np.stack([random_tokens(rng) for _ in weights])
         table = grid_table(weights)
-        src_out, src_attn, src_kv = block_forward(src, block, params, table)
-        tgt_out, tgt_attn, _ = block_forward(tgt, block, params, table, src_kv)
+        src_out, src_attn, src_kv = block_forward(src, blk, CFG, table)
+        tgt_out, tgt_attn, _ = block_forward(tgt, blk, CFG, table, src_kv)
         for b, w in enumerate(weights):
             one = grid_table(w)
-            want_src, want_src_attn, kv = block_forward(src[b], block, params, one)
-            want_tgt, want_tgt_attn, _ = block_forward(tgt[b], block, params, one, kv)
+            want_src, want_src_attn, kv = block_forward(src[b], blk, CFG, one)
+            want_tgt, want_tgt_attn, _ = block_forward(tgt[b], blk, CFG, one, kv)
             for got, want in [(src_out, want_src), (src_attn, want_src_attn),
                               (src_kv[0], kv[0]), (src_kv[1], kv[1]),
                               (tgt_out, want_tgt), (tgt_attn, want_tgt_attn)]:
@@ -404,26 +393,20 @@ class TestBlockForward:
         # image keys/values at a shared block, gives each branch the bytes of
         # its own call: the source alone, the target with the source's K/V
         assert (0 in CFG.shared_blocks, 1 in CFG.shared_blocks) == (True, False)
-        params = init_backbone(CFG)
+        blk = init_block(CFG, block)
         rng = np.random.default_rng(88)
         table = grid_table(np.array([1.0, 0.0, 0.35])[:n_cases])
         pair = np.stack([np.stack([random_tokens(rng) for _ in range(n_cases)]) for _ in "st"])
         n = CFG.n_txt_tokens
         shared = block in CFG.shared_blocks
-        kv = image_kv(pair[0, :, n:], params.blocks[block].attn, table) if shared else None
-        out, attn, _ = block_forward(pair, block, params, table, kv)
-        src, src_attn, src_kv = block_forward(pair[0].copy(), block, params, table)
+        kv = image_kv(pair[0, :, n:], blk, table) if shared else None
+        out, attn, _ = block_forward(pair, blk, CFG, table, kv)
+        src, src_attn, src_kv = block_forward(pair[0].copy(), blk, CFG, table)
         tgt, tgt_attn, _ = block_forward(
-            pair[1].copy(), block, params, table, src_kv if shared else None
+            pair[1].copy(), blk, CFG, table, src_kv if shared else None
         )
         for got, want in [(out[0], src), (attn[0], src_attn), (out[1], tgt), (attn[1], tgt_attn)]:
             np.testing.assert_array_equal(got, want)
-
-    def test_block_index_validated(self):
-        params = init_backbone(CFG)
-        tokens = np.zeros((CFG.n_txt_tokens + CFG.n_img, CFG.d_model))
-        with pytest.raises(ValueError):
-            block_forward(tokens, CFG.n_blocks, params, grid_table(1.0))
 
     def test_scalar_grid_closed_form(self):
         # 1x1 grid, one text token, one head: replay the whole block with
@@ -432,14 +415,13 @@ class TestBlockForward:
             d_model=6, num_heads=1, head_dim=6, axis_dims=(2, 2, 2),
             n_blocks=1, shared_blocks=frozenset(), n_txt_tokens=1, grid=(1, 1),
         )
-        params = init_backbone(cfg)
+        block = init_block(cfg, 0)
         rng = np.random.default_rng(83)
         t = rng.normal(size=6)
         i = rng.normal(size=6)
-        out, attn, _ = block_forward(np.vstack([t, i]), 0, params, grid_table(1.0, cfg))
+        out, attn, _ = block_forward(np.vstack([t, i]), block, cfg, grid_table(1.0, cfg))
 
-        blk = params.blocks[0]
-        wq, wk, wv, wo = blk.attn.wq, blk.attn.wk, blk.attn.wv, blk.attn.wo
+        wq, wk, wv, wo = block[_WQ], block[_WK], block[_WV], block[_WO]
 
         def project(vec, mat):
             return [sum(vec[r] * mat[r][c] for r in range(6)) for c in range(6)]
@@ -467,45 +449,11 @@ class TestBlockForward:
             proj_row = project(expected_rows[r], wo)
             tokens[r] = [tokens[r][d] + proj_row[d] for d in range(6)]
         for r in range(2):
-            hidden = [math.tanh(x) for x in project(tokens[r], blk.mlp_in)]
-            mlp_row = project(hidden, blk.mlp_out)
+            hidden = [math.tanh(x) for x in project(tokens[r], block[_MLP_IN])]
+            mlp_row = project(hidden, block[_MLP_OUT])
             tokens[r] = [tokens[r][d] + mlp_row[d] for d in range(6)]
         assert np.abs(out[0] - tokens[0]).max() <= 1e-12
         assert np.abs(out[1] - tokens[1]).max() <= 1e-12
-
-
-class TestDenoiseStep:
-    def test_fixed_point(self):
-        x = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(denoise_step(x, x, 5, 10), x)
-
-    def test_single_step_reaches_output(self):
-        rng = np.random.default_rng(84)
-        x = rng.normal(size=(3, 4))
-        f = rng.normal(size=(3, 4))
-        assert np.abs(denoise_step(x, f, 1, 1) - f).max() <= 1e-12
-
-    def test_two_steps_vs_geometric_form(self):
-        rng = np.random.default_rng(85)
-        x0 = rng.normal(size=(2, 3))
-        f = rng.normal(size=(2, 3))
-        n = 10
-        x = denoise_step(denoise_step(x0, f, n, n), f, n - 1, n)
-        shrink = (1.0 - 1.0 / n) ** 2
-        want = shrink * x0 + (1.0 - shrink) * f
-        assert np.abs(x - want).max() <= 1e-12
-
-    def test_zero_steps_rejected(self):
-        with pytest.raises(ValueError):
-            denoise_step(np.ones((1, 1)), np.ones((1, 1)), 1, 0)
-
-    def test_timestep_bounds(self):
-        with pytest.raises(ValueError):
-            denoise_step(np.ones((1, 1)), np.ones((1, 1)), 11, 10)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            denoise_step(np.ones((2, 2)), np.ones((2, 3)), 1, 10)
 
 
 class TestInitialNoise:

@@ -112,7 +112,7 @@ def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
 
 def test_flux_width_weights_match_golden():
     config = BackboneConfig(d_model=3072, num_heads=24, head_dim=128, axis_dims=(16, 56, 56))
-    wq = init_block(config, 0).attn.wq
+    wq = init_block(config, 0)[backbone._ROLES.index("wq")]
     digest = hashlib.sha256(np.ascontiguousarray(wq, dtype="<f8").tobytes()).hexdigest()
     assert digest == (GOLDEN / "flux_width_wq.sha256").read_text().strip()
 

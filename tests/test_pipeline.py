@@ -17,6 +17,7 @@ from synattn import (
     run_batch,
     run_edit,
 )
+from synattn.attention import _ROLES
 import synattn.pipeline as pipeline_mod
 
 
@@ -33,7 +34,7 @@ def rotation_free_target_final(config: PipelineConfig) -> np.ndarray:
     and rebuilds the block loop with plain numpy attention.
     """
     bb = config.backbone
-    params = init_backbone(bb)
+    weights = init_backbone(bb)
     txt_src = encode_prompt(config.src_prompt, bb)
     txt_tgt = encode_prompt(config.tgt_prompt, bb)
     x_src = initial_noise(bb)
@@ -41,9 +42,10 @@ def rotation_free_target_final(config: PipelineConfig) -> np.ndarray:
     scale = 1.0 / math.sqrt(bb.head_dim)
 
     def attention(q_tokens, kv_text, kv_image, blk):
-        q = np.vstack(q_tokens) @ blk.attn.wq
-        k = np.vstack([kv_text @ blk.attn.wk, kv_image @ blk.attn.wk])
-        v = np.vstack([kv_text @ blk.attn.wv, kv_image @ blk.attn.wv])
+        wq, wk, wv, _, _, _ = blk
+        q = np.vstack(q_tokens) @ wq
+        k = np.vstack([kv_text @ wk, kv_image @ wk])
+        v = np.vstack([kv_text @ wv, kv_image @ wv])
         out = np.zeros_like(q)
         for h in range(bb.num_heads):
             sl = slice(h * bb.head_dim, (h + 1) * bb.head_dim)
@@ -56,15 +58,16 @@ def rotation_free_target_final(config: PipelineConfig) -> np.ndarray:
 
     def block(text, image, blk, kv_text, kv_image):
         attn = attention((text, image), kv_text, kv_image, blk)
+        _, _, _, wo, mlp_in, mlp_out = blk
         tokens = np.vstack([text, image])
-        tokens = tokens + attn @ blk.attn.wo
-        tokens = tokens + np.tanh(tokens @ blk.mlp_in) @ blk.mlp_out
+        tokens = tokens + attn @ wo
+        tokens = tokens + np.tanh(tokens @ mlp_in) @ mlp_out
         return tokens[: text.shape[0]], tokens[text.shape[0] :]
 
     for t in range(bb.n_steps, 0, -1):
         s_text, s_image = txt_src, x_src
         g_text, g_image = txt_tgt, x_tgt
-        for l, blk in enumerate(params.blocks):
+        for l, blk in enumerate(weights):
             s_in_text, s_in_image = s_text, s_image
             s_text, s_image = block(s_text, s_image, blk, s_in_text, s_in_image)
             if l in bb.shared_blocks:
@@ -168,11 +171,12 @@ class TestRunEdit:
 
     def test_non_finite_aborts_with_location(self, monkeypatch):
         real = pipeline_mod.block_forward
+        calls = itertools.count()
 
-        def poisoned(tokens, block_index, params, table, shared_kv=None):
-            out, attn, kv = real(tokens, block_index, params, table, shared_kv)
-            if block_index == 3:
-                out[..., params.config.n_txt_tokens, 0] = np.inf
+        def poisoned(tokens, block, config, table, shared_kv=None):
+            out, attn, kv = real(tokens, block, config, table, shared_kv)
+            if next(calls) % config.n_blocks == 3:
+                out[..., config.n_txt_tokens, 0] = np.inf
             return out, attn, kv
 
         monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
@@ -190,10 +194,11 @@ class TestRunEdit:
         real = pipeline_mod.block_forward
         calls = itertools.count()
 
-        def poisoned(tokens, block_index, params, table, shared_kv=None):
-            out, attn, kv = real(tokens, block_index, params, table, shared_kv)
-            n_txt = params.config.n_txt_tokens
-            if next(calls) < params.config.n_blocks:  # the first step only
+        def poisoned(tokens, block, config, table, shared_kv=None):
+            out, attn, kv = real(tokens, block, config, table, shared_kv)
+            n_txt = config.n_txt_tokens
+            block_index = next(calls)
+            if block_index < config.n_blocks:  # the first step only
                 if block_index == non_finite:
                     out[..., n_txt, 0] = np.inf
                 if block_index == degenerate:
@@ -237,9 +242,9 @@ class TestRunEdit:
         real = pipeline_mod.init_backbone
 
         def poisoned(bb):
-            params = real(bb)
-            params.blocks[2].attn.wv[0, 0] = np.nan
-            return params
+            weights = real(bb)
+            weights[2, _ROLES.index("wv"), 0, 0] = np.nan
+            return weights
 
         monkeypatch.setattr(pipeline_mod, "init_backbone", poisoned)
         config = small_config()
@@ -395,12 +400,12 @@ class TestStackedEngine:
         def poison_row(row):
             calls = itertools.count()
 
-            def poisoned(tokens, block_index, params, table, shared_kv=None):
-                out, attn, kv = real(tokens, block_index, params, table, shared_kv)
+            def poisoned(tokens, block, config, table, shared_kv=None):
+                out, attn, kv = real(tokens, block, config, table, shared_kv)
                 # one call per block runs the (source, target) pair
-                step, call = divmod(next(calls), params.config.n_blocks)
+                step, call = divmod(next(calls), config.n_blocks)
                 if (step, call) == (1, 3):
-                    out[1, row, params.config.n_txt_tokens, 0] = np.inf
+                    out[1, row, config.n_txt_tokens, 0] = np.inf
                 return out, attn, kv
 
             return poisoned
