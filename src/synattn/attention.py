@@ -140,7 +140,7 @@ def joint_attention(
     rope: RopeConfig,
     table: RotaryTable,
     kv_img: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> np.ndarray:
     """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt`` rows text.
 
     ``tokens`` is ``(n, d)`` or a stack ``(..., n, d)``, and ``block`` one
@@ -149,8 +149,7 @@ def joint_attention(
     is an :func:`image_kv`, taken in place of the stack's own; it broadcasts
     over the leading axes, so a ``(B, m, d)`` pair of the source's keys and
     values serves every branch of a ``(2, B, n, d)`` source/target pair.
-    Returns the output before the output projection, shaped like ``tokens``,
-    and the image keys/values it attended to.
+    Returns the output before the output projection, shaped like ``tokens``.
     """
     if kv_img is None:
         kv_img = image_kv(tokens[..., n_txt:, :], block, table)
@@ -167,7 +166,7 @@ def joint_attention(
     # each head's product is written into its columns of the merged output
     out = np.empty(tokens.shape)
     np.matmul(weights, split_heads(v, heads), out=split_heads(out, heads))
-    return out, kv_img
+    return out
 
 
 def attention_map(

@@ -21,6 +21,7 @@ depend on the split.
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -213,6 +214,14 @@ def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
     return out
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an int: numpy integers pass, and a float is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be integral, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Shape and seeding of the toy backbone.
@@ -235,9 +244,17 @@ class BackboneConfig:
     theta_base: float = 10000.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis_dims", tuple(int(d) for d in self.axis_dims))
-        object.__setattr__(self, "shared_blocks", frozenset(int(b) for b in self.shared_blocks))
-        object.__setattr__(self, "grid", (int(self.grid[0]), int(self.grid[1])))
+        for name in ("d_model", "num_heads", "head_dim", "n_blocks", "n_txt_tokens", "seed",
+                     "n_steps"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        for name, collect, values in (
+            ("axis_dims", tuple, self.axis_dims),
+            ("shared_blocks", frozenset, self.shared_blocks),
+            ("grid", tuple, self.grid),
+        ):
+            object.__setattr__(self, name, collect(_integral(name, v) for v in values))
+        if len(self.grid) != 2:
+            raise ValueError(f"grid must be (height, width), got {self.grid}")
         for name, value, limit in (
             ("num_heads", self.num_heads, MAX_HEADS),
             ("head_dim", self.head_dim, MAX_HEAD_DIM),
@@ -337,7 +354,7 @@ def block_forward(
     config: BackboneConfig,
     table: RotaryTable,
     shared_kv: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One block: attention, output projection, residual, 2-layer tanh MLP, residual.
 
     ``tokens`` is one branch's ``[text; image]`` matrix, its first
@@ -350,13 +367,11 @@ def block_forward(
     :func:`~synattn.attention.image_kv` builds them from the source branch),
     every matrix of the stack attends to those, broadcast over the leading
     axes; otherwise the block runs ordinary self-attention. Returns the
-    updated stack, the raw pre-projection attention output for the
-    measurement, and the image keys/values used.
+    updated stack and the raw pre-projection attention output for the
+    measurement.
     """
-    attn, kv_img = joint_attention(
-        tokens, config.n_txt_tokens, block, config.rope, table, shared_kv
-    )
+    attn = joint_attention(tokens, config.n_txt_tokens, block, config.rope, table, shared_kv)
     tokens = tokens + attn @ block[_WO]
     # in place on the sum just made, never on the caller's array
     tokens += np.tanh(tokens @ block[_MLP_IN]) @ block[_MLP_OUT]
-    return tokens, attn, kv_img
+    return tokens, attn

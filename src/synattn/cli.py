@@ -49,10 +49,11 @@ from ._version import __version__
 from .attention import _ROLES, attention_map
 from .backbone import BackboneConfig, _usable_cores, encode_prompt, init_block, initial_noise
 from .measurement import (
-    BlockSimilarity,
     DegenerateSimilarityError,
     StepRecord,
     Thresholds,
+    block_similarity,
+    editing_measurement,
 )
 from .pipeline import (
     EditingTrace,
@@ -298,10 +299,11 @@ def parse_trace(text: str) -> EditingTrace:
 
     Refuses a trace that contradicts itself: a ``# blocks per step`` header
     that differs from the config's ``blocks``, a record count other than the
-    config's ``steps``, a block ratio that is not ``s_img / s_txt``, an
-    ``m_mean`` that is not the in-order mean of its block ratios, or
-    timesteps that do not run from the record count down to 1. A malformed
-    number is refused naming its line and field.
+    config's ``steps``, a row that ``block_similarity`` refuses (a degenerate
+    ``s_txt``, which the engine never writes) or whose ratios and ``m_mean``
+    differ from what it and ``editing_measurement`` make of it, or timesteps
+    that do not run from the record count down to 1. A malformed number is
+    refused naming its line and field.
     """
     config_lines = []
     header_blocks = None
@@ -353,21 +355,15 @@ def parse_trace(text: str) -> EditingTrace:
                 _parse_number(float, raw, f"line {lineno}: block {b} {name}")
                 for name, raw in zip(("s_txt", "s_img", "ratio"), values[3 + 3 * b : 6 + 3 * b])
             )
-            if s_txt == 0.0 or ratio != s_img / s_txt:
+            try:
+                blocks.append(block_similarity(b, s_txt, s_img))
+            except DegenerateSimilarityError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from exc
+            if ratio != blocks[-1].ratio:
                 raise ConfigError(f"line {lineno}: block {b} ratio is not s_img / s_txt")
-            blocks.append(
-                BlockSimilarity(block_index=b, s_txt=s_txt, s_img=s_img, ratio=ratio)
-            )
-        if not blocks or m_mean != sum(blk.ratio for blk in blocks) / len(blocks):
+        if m_mean != editing_measurement(blocks):
             raise ConfigError(f"line {lineno}: m_mean is not the mean of the block ratios")
-        steps.append(
-            StepRecord(
-                timestep=timestep,
-                blocks=tuple(blocks),
-                m_mean=m_mean,
-                weight_applied=weight,
-            )
-        )
+        steps.append(StepRecord(timestep, tuple(blocks), m_mean, weight))
     return EditingTrace(steps=tuple(steps), config=config)
 
 

@@ -75,16 +75,12 @@ class StepRecord:
     weight_applied: float
 
 
-def _check_s_txt(block_index: int, s_txt: float) -> None:
+def block_similarity(block_index: int, s_txt: float, s_img: float) -> BlockSimilarity:
+    """Build a block record; the one place a degenerate text similarity is refused."""
     if abs(s_txt) < DEGENERATE_S_TXT:
         raise DegenerateSimilarityError(
             f"block {block_index}: |s_txt| = {abs(s_txt):.3e} is below {DEGENERATE_S_TXT:.0e}"
         )
-
-
-def block_similarity(block_index: int, s_txt: float, s_img: float) -> BlockSimilarity:
-    """Build a block record, guarding against a degenerate text similarity."""
-    _check_s_txt(block_index, s_txt)
     return BlockSimilarity(
         block_index=int(block_index),
         s_txt=float(s_txt),
@@ -94,12 +90,10 @@ def block_similarity(block_index: int, s_txt: float, s_img: float) -> BlockSimil
 
 
 def editing_measurement(records) -> float:
-    """Mean of ``s_img / s_txt`` over all block records of one step."""
+    """Mean of the ratios of one step's block records, each from :func:`block_similarity`."""
     records = list(records)
     if not records:
         raise ValueError("editing measurement needs at least one block record")
-    for rec in records:
-        _check_s_txt(rec.block_index, rec.s_txt)
     return sum(rec.ratio for rec in records) / len(records)
 
 

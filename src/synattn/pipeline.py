@@ -3,13 +3,11 @@
 Both branches start from the same deterministic noise and walk the same
 timestep loop. At every step the current positional weight ``w`` is applied
 to all rotary embeddings of both branches; in shared blocks the target
-branch additionally reads the source branch's image keys/values. After the
-block loop the per-block branch similarities are aggregated into the step's
-editing measurement, which sets ``w`` for the next step (first step: w = 1,
-or the fixed override for ablations). One Euler update per branch closes
-the step. The measurement is closed once per step, not once per block:
-each block's attention output is held, and one pass over all of them gives
-every block's similarities and each case's first failure, in block order.
+branch additionally reads the source branch's image keys/values. The block
+loop ends in one Euler update per branch. One pass over the live cases then
+closes the step's editing measurement, each case's blocks in order: its
+first failure aborts the case, else its per-block similarities set ``w``
+for the next step (first step: w = 1, or the fixed override for ablations).
 
 The source branch never reads target state: with a fixed override weight
 its trajectory is independent of the target prompt and of which blocks
@@ -122,16 +120,14 @@ def _run_stack(
 ) -> list[EditResult | Exception]:
     """The paired loop for configs sharing ``weights``, one row of each branch's stack per case.
 
-    Each block's attention output is copied into one held buffer, branch
-    first, ``(2, L, B, n, d)``, and whether each branch of each case is still
-    finite is recorded; the measurement of the held blocks is then closed at
-    once: one :func:`row_cosines` call over the whole stack, one sum per
-    similarity, and one pass per live case over its blocks in order, where
-    the first failure wins (a non-finite block, else a degenerate ``s_txt``),
-    as if each block had been closed on its own. The buffer holds at most
-    ``max(one block, _STACK_BYTES)`` of outputs; when it is full the held
-    blocks are closed and the step goes on; the toy and the 2-block
-    FLUX-width shapes close each step in one pass.
+    Each block records which branches are still finite and copies its
+    attention output into one held buffer, branch first, ``(2, L, B, n, d)``,
+    of at most ``max(one block, _STACK_BYTES)``. A flush, when it is full or
+    the step's blocks are done, writes every held block's ``s_txt`` and
+    ``s_img`` from one :func:`row_cosines` call; the toy and the 2-block
+    FLUX-width shapes flush once per step. After the Euler update, one pass
+    over the live cases walks each case's blocks in order, the first failure
+    winning (a non-finite block, else a degenerate ``s_txt``).
     """
     bb = configs[0].backbone
     n_txt = bb.n_txt_tokens
@@ -149,7 +145,8 @@ def _run_stack(
     n_held = min(n_blocks, max(1, _STACK_BYTES // (2 * 8 * np.prod(block_shape))))
     # branch first, so held[0] and held[1] are contiguous and row_cosines copies nothing
     held = np.empty((2, n_held, *block_shape))
-    finite = np.empty((n_held, 2, len(configs)), dtype=bool)  # block, branch, case
+    finite = np.empty((n_blocks, 2, len(configs)), dtype=bool)  # block, branch, case
+    s_txt, s_img = np.empty((2, n_blocks, len(configs)))  # block, case
 
     # A non-finite value is reported once per case, as its abort, not as numpy warnings.
     # An aborted case's rows stay in the pair, computed but never read again.
@@ -157,56 +154,54 @@ def _run_stack(
         for t in range(bb.n_steps, 0, -1):
             table = rotary_table(positions, w, bb.rope)
             pair = np.concatenate([txt, x], axis=2)
-            blocks: list[list] = [[] for _ in configs]
             for l in range(n_blocks):
                 # a shared block hands both branches the source's image keys/values:
                 # the source attends to its own, the target to the source's
                 shared = None
                 if l in bb.shared_blocks:
                     shared = image_kv(pair[0, :, n_txt:], weights[l], table)
-                pair, attn, _ = block_forward(pair, weights[l], bb, table, shared)
+                pair, attn = block_forward(pair, weights[l], bb, table, shared)
                 j = l % n_held
                 held[:, j] = attn
-                np.isfinite(pair).all(axis=(2, 3), out=finite[j])
+                np.isfinite(pair).all(axis=(2, 3), out=finite[l])
                 attn = None
                 if j + 1 < n_held and l + 1 < n_blocks:
                     continue
-                # the buffer is full or the step's blocks are done: close held blocks first .. l
-                first = l - j
+                # the buffer is full or the step's blocks are done: flush blocks l - j .. l
                 cos = row_cosines(held[0, :j + 1], held[1, :j + 1])
                 # sum / count is np.mean's own arithmetic, without its overhead
-                s_txt = (cos[..., :n_txt].sum(axis=2) / n_txt).tolist()
-                s_img = (cos[..., n_txt:].sum(axis=2) / bb.n_img).tolist()
-                ok = finite[:j + 1].tolist()
-                for i in live:
-                    for k in range(j + 1):
-                        src_ok, tgt_ok = ok[k][0][i], ok[k][1][i]
-                        if not (src_ok and tgt_ok):
-                            branch = "target" if src_ok else "source"
-                            results[i] = NumericalAbortError(
-                                t, first + k, f"{branch} branch stream"
-                            )
-                            break
-                        try:
-                            blocks[i].append(block_similarity(first + k, s_txt[k][i], s_img[k][i]))
-                        except DegenerateSimilarityError as exc:
-                            results[i] = exc
-                            break
-                live = [i for i in live if results[i] is None]
-                if not live:
-                    return results
+                np.divide(cos[..., :n_txt].sum(axis=2), n_txt, out=s_txt[l - j:l + 1])
+                np.divide(cos[..., n_txt:].sum(axis=2), bb.n_img, out=s_img[l - j:l + 1])
 
             # the Euler update toward the step's output
             x = x + (pair[:, :, n_txt:] - x) / bb.n_steps
+            # close the step: each live case's blocks in order, its first failure winning
+            ok, txt_sim, img_sim = finite.tolist(), s_txt.tolist(), s_img.tolist()
+            still_live = []
             for i in live:
-                m_t = editing_measurement(blocks[i])
-                records[i].append(
-                    StepRecord(timestep=t, blocks=tuple(blocks[i]), m_mean=m_t,
-                               weight_applied=float(w[i]))
-                )
-                # m_t is finite: every ratio has a finite s_img and |s_txt| >= 1e-6
+                blocks = []
+                for l in range(n_blocks):
+                    src_ok, tgt_ok = ok[l][0][i], ok[l][1][i]
+                    if not (src_ok and tgt_ok):
+                        branch = "target" if src_ok else "source"
+                        results[i] = NumericalAbortError(t, l, f"{branch} branch stream")
+                        break
+                    try:
+                        blocks.append(block_similarity(l, txt_sim[l][i], img_sim[l][i]))
+                    except DegenerateSimilarityError as exc:
+                        results[i] = exc
+                        break
+                if results[i] is not None:
+                    continue
+                m_t = editing_measurement(blocks)
+                records[i].append(StepRecord(t, tuple(blocks), m_t, float(w[i])))
+                # m_t is finite: every ratio has a finite s_img and a non-degenerate s_txt
                 if t > 1 and configs[i].w_override is None:
                     w[i] = adaptive_weight(m_t, configs[i].thresholds)
+                still_live.append(i)
+            live = still_live
+            if not live:
+                return results
 
     for i in live:
         results[i] = (x[0, i], x[1, i], EditingTrace(steps=tuple(records[i]), config=configs[i]))

@@ -86,7 +86,7 @@ class TestSelfAttention:
         t = rng.normal(size=6)
         i = rng.normal(size=6)
         table = rotary_table(grid_position_ids(1, 1), 1.0, cfg)
-        out, _ = joint_attention(np.vstack([t, i]), 1, identity_block(6), cfg, table)
+        out = joint_attention(np.vstack([t, i]), 1, identity_block(6), cfg, table)
 
         scale = 1.0 / math.sqrt(6.0)
         for query, got in ((t, out[0]), (i, out[1])):
@@ -101,8 +101,8 @@ class TestSelfAttention:
         rng = np.random.default_rng(51)
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
-        a, _ = joint_attention(tokens, 3, block, CFG, grid_table((2, 2), 0.0))
-        b, _ = joint_attention(tokens, 3, block, CFG, rotary_table(np.zeros((4, 3)), 1.0, CFG))
+        a = joint_attention(tokens, 3, block, CFG, grid_table((2, 2), 0.0))
+        b = joint_attention(tokens, 3, block, CFG, rotary_table(np.zeros((4, 3)), 1.0, CFG))
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance(self):
@@ -115,8 +115,8 @@ class TestSelfAttention:
         perm = rng.permutation(6)
         permuted = np.vstack([tokens[:n_txt], tokens[n_txt:][perm]])
         moved_table = rotary_table(grid_position_ids(2, 3)[perm], 0.7, CFG)
-        base, _ = joint_attention(tokens, n_txt, block, CFG, grid_table((2, 3), 0.7))
-        moved, _ = joint_attention(permuted, n_txt, block, CFG, moved_table)
+        base = joint_attention(tokens, n_txt, block, CFG, grid_table((2, 3), 0.7))
+        moved = joint_attention(permuted, n_txt, block, CFG, moved_table)
         assert np.abs(moved[n_txt:] - base[n_txt:][perm]).max() <= 1e-12
         assert np.abs(moved[:n_txt] - base[:n_txt]).max() <= 1e-12
 
@@ -127,12 +127,9 @@ class TestSharedAttention:
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.4)
-        a, kv = joint_attention(tokens, 3, block, CFG, table)
-        b, _ = joint_attention(tokens, 3, block, CFG, table, image_kv(tokens[3:], block, table))
+        a = joint_attention(tokens, 3, block, CFG, table)
+        b = joint_attention(tokens, 3, block, CFG, table, image_kv(tokens[3:], block, table))
         np.testing.assert_array_equal(a, b)
-        want_k, want_v = image_kv(tokens[3:], block, table)
-        np.testing.assert_array_equal(kv[0], want_k)
-        np.testing.assert_array_equal(kv[1], want_v)
 
     def test_zero_weight_equals_rotation_free_reference(self):
         rng = np.random.default_rng(54)
@@ -140,7 +137,7 @@ class TestSharedAttention:
         src_image = random_tokens(rng, 0, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.0)
-        got, _ = joint_attention(tgt, 2, block, CFG, table, image_kv(src_image, block, table))
+        got = joint_attention(tgt, 2, block, CFG, table, image_kv(src_image, block, table))
         want = oracle(tgt, 2, src_image, block, 0.0, use_rope=False)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -151,7 +148,7 @@ class TestSharedAttention:
         block = random_block(rng, CFG.d_model)
         for w in (0.0, 0.3, 1.0):
             table = grid_table((2, 2), w)
-            got, _ = joint_attention(tgt, 1, block, CFG, table, image_kv(src_image, block, table))
+            got = joint_attention(tgt, 1, block, CFG, table, image_kv(src_image, block, table))
             assert np.abs(got - oracle(tgt, 1, src_image, block, w)).max() <= 1e-12
 
     def test_grid_mismatch_rejected(self):
@@ -169,8 +166,8 @@ class TestSharedAttention:
         doubled = block.copy()
         doubled[_WV] *= 2.0
         table = grid_table((2, 2), 0.8)
-        a, _ = joint_attention(tokens, 3, block, CFG, table)
-        b, _ = joint_attention(tokens, 3, doubled, CFG, table)
+        a = joint_attention(tokens, 3, block, CFG, table)
+        b = joint_attention(tokens, 3, doubled, CFG, table)
         assert np.abs(b - 2.0 * a).max() <= 1e-12
 
 

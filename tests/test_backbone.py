@@ -306,6 +306,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must be in"):
             BackboneConfig(**past_limit)
 
+    # a non-integral size is refused naming its field, not truncated
+    @pytest.mark.parametrize("field, kwargs", [
+        ("grid", dict(grid=(4, 4.5))),
+        ("axis_dims", dict(axis_dims=(4.0, 6.9, 6))),
+        ("shared_blocks", dict(shared_blocks={0, 2.7})),
+        ("n_blocks", dict(n_blocks=8.5)),
+        ("n_steps", dict(n_steps=10.0)),
+        ("seed", dict(seed=0.5)),
+        ("num_heads", dict(num_heads=4.0)),
+        ("head_dim", dict(head_dim=16.0)),
+        ("d_model", dict(d_model=64.0)),
+        ("n_txt_tokens", dict(n_txt_tokens="4")),
+    ])
+    def test_non_integral_size_refused(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be integral, got "):
+            BackboneConfig(**kwargs)
+
+    @pytest.mark.parametrize("grid", [(4,), (4, 4, 9)])
+    def test_grid_needs_exactly_two_sides(self, grid):
+        with pytest.raises(ValueError, match=r"^grid must be \(height, width\)"):
+            BackboneConfig(grid=grid)
+
+    def test_numpy_integer_sizes_become_ints(self):
+        cfg = BackboneConfig(
+            grid=(np.int64(4), np.int32(4)), axis_dims=np.array([4, 6, 6]),
+            n_blocks=np.int64(8), shared_blocks=frozenset(np.array([0, 2, 5])),
+            seed=np.uint64(0), n_steps=np.int16(10),
+        )
+        assert cfg == CFG and hash(cfg) == hash(CFG)
+        sizes = (cfg.n_blocks, cfg.seed, cfg.n_steps, *cfg.grid, *cfg.axis_dims, *cfg.shared_blocks)
+        assert {type(v) for v in sizes} == {int}
+
     def test_flux_blocks_need_57(self):
         with pytest.raises(ValueError):
             BackboneConfig(shared_blocks=FLUX_SHARED_BLOCKS)
@@ -323,14 +355,14 @@ class TestBlockForward:
     def test_zero_weights_pass_stream_through(self):
         d = CFG.d_model
         tokens = random_tokens(np.random.default_rng(80))
-        out, attn, _ = block_forward(tokens, np.zeros((6, d, d)), CFG, grid_table(1.0))
+        out, attn = block_forward(tokens, np.zeros((6, d, d)), CFG, grid_table(1.0))
         np.testing.assert_array_equal(out, tokens)
         np.testing.assert_array_equal(attn, np.zeros_like(tokens))
 
     def test_without_source_kv_matches_oracle(self):
         block = init_block(CFG, 1)
         tokens = random_tokens(np.random.default_rng(81))
-        _, attn, _ = block_forward(tokens, block, CFG, grid_table(0.6))
+        _, attn = block_forward(tokens, block, CFG, grid_table(0.6))
         want = oracle_attention(tokens, tokens[CFG.n_txt_tokens :], block, 0.6)
         assert np.abs(attn - want).max() <= 1e-12
 
@@ -340,27 +372,26 @@ class TestBlockForward:
         tokens = random_tokens(rng)
         other = rng.normal(size=(CFG.n_img, CFG.d_model))
         table = grid_table(1.0)
-        plain, _, _ = block_forward(tokens, block, CFG, table)
+        plain, _ = block_forward(tokens, block, CFG, table)
         kv = image_kv(other, block, table)
-        shared, _, _ = block_forward(tokens, block, CFG, table, kv)
+        shared, _ = block_forward(tokens, block, CFG, table, kv)
         n = CFG.n_txt_tokens
         assert not np.array_equal(plain[n:], shared[n:])
 
     def test_reused_source_kv_matches_recomputed(self):
-        # the denoising loop hands the target the keys/values the source
-        # block computed from its own token matrix; recomputing them from a
-        # copy of the source's image rows gives the same bytes
+        # the denoising loop builds the source's keys/values from a view of
+        # its image rows; building them from a copy gives the same bytes
         block = init_block(CFG, 2)
         rng = np.random.default_rng(86)
         n = CFG.n_txt_tokens
         src = random_tokens(rng)
         tgt = random_tokens(rng)
         table = grid_table(0.7)
-        _, _, src_kv = block_forward(src, block, CFG, table)
-        reused, reused_attn, _ = block_forward(tgt, block, CFG, table, src_kv)
+        src_kv = image_kv(src[n:], block, table)
+        reused, reused_attn = block_forward(tgt, block, CFG, table, src_kv)
 
         kv = image_kv(src[n:].copy(), block, table)
-        recomputed, attn, _ = block_forward(tgt.copy(), block, CFG, table, kv)
+        recomputed, attn = block_forward(tgt.copy(), block, CFG, table, kv)
         np.testing.assert_array_equal(reused, recomputed)
         np.testing.assert_array_equal(reused_attn, attn)
         assert np.abs(reused_attn - oracle_attention(tgt, src[n:], block, 0.7)).max() <= 1e-12
@@ -375,12 +406,15 @@ class TestBlockForward:
         src = np.stack([random_tokens(rng) for _ in weights])
         tgt = np.stack([random_tokens(rng) for _ in weights])
         table = grid_table(weights)
-        src_out, src_attn, src_kv = block_forward(src, blk, CFG, table)
-        tgt_out, tgt_attn, _ = block_forward(tgt, blk, CFG, table, src_kv)
+        n = CFG.n_txt_tokens
+        src_out, src_attn = block_forward(src, blk, CFG, table)
+        src_kv = image_kv(src[:, n:], blk, table)
+        tgt_out, tgt_attn = block_forward(tgt, blk, CFG, table, src_kv)
         for b, w in enumerate(weights):
             one = grid_table(w)
-            want_src, want_src_attn, kv = block_forward(src[b], blk, CFG, one)
-            want_tgt, want_tgt_attn, _ = block_forward(tgt[b], blk, CFG, one, kv)
+            want_src, want_src_attn = block_forward(src[b], blk, CFG, one)
+            kv = image_kv(src[b, n:], blk, one)
+            want_tgt, want_tgt_attn = block_forward(tgt[b], blk, CFG, one, kv)
             for got, want in [(src_out, want_src), (src_attn, want_src_attn),
                               (src_kv[0], kv[0]), (src_kv[1], kv[1]),
                               (tgt_out, want_tgt), (tgt_attn, want_tgt_attn)]:
@@ -400,11 +434,10 @@ class TestBlockForward:
         n = CFG.n_txt_tokens
         shared = block in CFG.shared_blocks
         kv = image_kv(pair[0, :, n:], blk, table) if shared else None
-        out, attn, _ = block_forward(pair, blk, CFG, table, kv)
-        src, src_attn, src_kv = block_forward(pair[0].copy(), blk, CFG, table)
-        tgt, tgt_attn, _ = block_forward(
-            pair[1].copy(), blk, CFG, table, src_kv if shared else None
-        )
+        out, attn = block_forward(pair, blk, CFG, table, kv)
+        src, src_attn = block_forward(pair[0].copy(), blk, CFG, table)
+        src_kv = image_kv(pair[0, :, n:].copy(), blk, table) if shared else None
+        tgt, tgt_attn = block_forward(pair[1].copy(), blk, CFG, table, src_kv)
         for got, want in [(out[0], src), (attn[0], src_attn), (out[1], tgt), (attn[1], tgt_attn)]:
             np.testing.assert_array_equal(got, want)
 
@@ -419,7 +452,7 @@ class TestBlockForward:
         rng = np.random.default_rng(83)
         t = rng.normal(size=6)
         i = rng.normal(size=6)
-        out, attn, _ = block_forward(np.vstack([t, i]), block, cfg, grid_table(1.0, cfg))
+        out, attn = block_forward(np.vstack([t, i]), block, cfg, grid_table(1.0, cfg))
 
         wq, wk, wv, wo = block[_WQ], block[_WK], block[_WV], block[_WO]
 

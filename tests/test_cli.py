@@ -352,6 +352,24 @@ class TestTraceConsistency:
         assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
         assert "m_mean" in capsys.readouterr().err
 
+    def test_stats_refuses_degenerate_s_txt(self, tmp_path, capsys):
+        # a row whose ratio and m_mean agree with its s_txt, but whose s_txt
+        # the engine refuses as degenerate, so no run can have written it
+        def with_s_txt(s_txt):
+            text = self.TEXT
+            for col, value in ((3, s_txt), (5, 0.9 / s_txt), (1, 0.9 / s_txt)):
+                text, lineno = mutate_record(text, 1, col, _fmt(value))
+            return text, lineno
+
+        assert parse_trace(with_s_txt(1e-5)[0]).steps[1].blocks[0].s_txt == 1e-5
+        text, lineno = with_s_txt(1e-7)
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
+        err = capsys.readouterr().err
+        assert f"line {lineno}: block 0: |s_txt| = 1.000e-07 is below 1e-06" in err
+        assert not (tmp_path / "s.txt").exists()
+
 
 # Grammar fuzzing: valid configs under line edits (a value swapped for a
 # real or junk one, a line swapped for another key's line or for junk), and

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import cosine_rows_mean
 from synattn import (
-    BlockSimilarity,
     DegenerateSimilarityError,
     ShapeError,
     Thresholds,
@@ -74,9 +73,6 @@ class TestEditingMeasurement:
     def test_degenerate_text_similarity_rejected(self):
         with pytest.raises(DegenerateSimilarityError):
             block_similarity(3, 1e-7, 0.5)
-        bad = BlockSimilarity(block_index=0, s_txt=1e-8, s_img=0.5, ratio=5e7)
-        with pytest.raises(DegenerateSimilarityError):
-            editing_measurement([bad])
 
 
 class TestAdaptiveWeight:

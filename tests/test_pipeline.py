@@ -174,10 +174,10 @@ class TestRunEdit:
         calls = itertools.count()
 
         def poisoned(tokens, block, config, table, shared_kv=None):
-            out, attn, kv = real(tokens, block, config, table, shared_kv)
+            out, attn = real(tokens, block, config, table, shared_kv)
             if next(calls) % config.n_blocks == 3:
                 out[..., config.n_txt_tokens, 0] = np.inf
-            return out, attn, kv
+            return out, attn
 
         monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
         with pytest.raises(NumericalAbortError) as exc:
@@ -186,16 +186,28 @@ class TestRunEdit:
         assert exc.value.block_index == 3
         assert "timestep 10" in str(exc.value) and "block 3" in str(exc.value)
 
-    @pytest.mark.parametrize("non_finite, degenerate", [(3, 5), (5, 3)])
-    def test_first_failure_in_block_order_wins(self, non_finite, degenerate, monkeypatch):
+    # the whole step held at once, or a budget of one block per flush
+    @pytest.mark.parametrize("non_finite, degenerate, budget", [
+        pytest.param(3, 5, pipeline_mod._STACK_BYTES, id="3-5"),
+        pytest.param(5, 3, pipeline_mod._STACK_BYTES, id="5-3"),
+        pytest.param(3, 5, 1, id="3-5-one-block-per-flush"),
+        pytest.param(5, 3, 1, id="5-3-one-block-per-flush"),
+    ])
+    def test_first_failure_in_block_order_wins(self, non_finite, degenerate, budget, monkeypatch):
         # one step with inf at one block and zero text outputs (s_txt = 0, even
         # after the inf) at another: the step's one measurement pass reports
-        # the earlier block
+        # the earlier block, whether or not they were flushed together
+        monkeypatch.setattr(pipeline_mod, "_STACK_BYTES", budget)
+        flushed = []
+        real_cosines = pipeline_mod.row_cosines
+        monkeypatch.setattr(
+            pipeline_mod, "row_cosines", lambda a, b: flushed.append(len(a)) or real_cosines(a, b)
+        )
         real = pipeline_mod.block_forward
         calls = itertools.count()
 
         def poisoned(tokens, block, config, table, shared_kv=None):
-            out, attn, kv = real(tokens, block, config, table, shared_kv)
+            out, attn = real(tokens, block, config, table, shared_kv)
             n_txt = config.n_txt_tokens
             block_index = next(calls)
             if block_index < config.n_blocks:  # the first step only
@@ -203,12 +215,14 @@ class TestRunEdit:
                     out[..., n_txt, 0] = np.inf
                 if block_index == degenerate:
                     attn[..., :n_txt, :] = 0.0
-            return out, attn, kv
+            return out, attn
 
         monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
         config = small_config()
         with pytest.raises((NumericalAbortError, DegenerateSimilarityError)) as exc:
             run_edit(config)
+        n_blocks = config.backbone.n_blocks
+        assert flushed == ([n_blocks] if budget > 1 else [1] * n_blocks)
         if non_finite < degenerate:
             assert type(exc.value) is NumericalAbortError
             assert (exc.value.timestep, exc.value.block_index) == (config.backbone.n_steps, 3)
@@ -401,12 +415,12 @@ class TestStackedEngine:
             calls = itertools.count()
 
             def poisoned(tokens, block, config, table, shared_kv=None):
-                out, attn, kv = real(tokens, block, config, table, shared_kv)
+                out, attn = real(tokens, block, config, table, shared_kv)
                 # one call per block runs the (source, target) pair
                 step, call = divmod(next(calls), config.n_blocks)
                 if (step, call) == (1, 3):
                     out[1, row, config.n_txt_tokens, 0] = np.inf
-                return out, attn, kv
+                return out, attn
 
             return poisoned
 
