@@ -24,6 +24,6 @@ def _openblas_kernel() -> str:
 
 
 def pytest_report_header(config):
-    # tests/golden/ holds SkylakeX bytes: another kernel explains a golden failure
+    # tests/golden/ holds one set per recorded kernel; test_golden.py fails on any other
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return f"openblas kernel: {_openblas_kernel()}, OPENBLAS_NUM_THREADS={threads}"

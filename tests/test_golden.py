@@ -10,8 +10,18 @@ hand-written ``config.cfg``; the other four files in it were written by
 stood before the config-schema refactor (one hand-written parser, renderer
 and manifest echo per key). The two files in ``tests/golden/maps/`` were
 written by ``synattn map`` with the arguments listed in ``MAPS`` below, by
-the same code. Writing them with 1 and with 2 OpenBLAS threads gave the same
-bytes, and :func:`test_run_outputs_match_golden_at_blas_threads` checks that
+the same code. These are the bytes of OpenBLAS's ``SkylakeX`` kernel. The
+products' bytes depend on the kernel, so each other recorded kernel has its
+own set in ``tests/golden/<kernel>/``: the same run cases (without their
+``config.cfg``, read from the ``SkylakeX`` set) and maps, written by the same
+commands under ``OPENBLAS_CORETYPE=<kernel>`` with the code as it stood
+before ``RopeConfig`` was folded into ``BackboneConfig``. The in-process
+tests compare against the set of the kernel numpy's OpenBLAS runs on, and
+fail on a kernel with no set. :func:`test_run_outputs_match_golden_on_kernel`
+runs the CLI in fresh processes under every recorded kernel the CPU can
+run, so a change that moves bytes on one kernel only fails on any machine.
+Writing every set with 1 and with 2 OpenBLAS threads gave the same bytes,
+and :func:`test_run_outputs_match_golden_at_blas_threads` checks that
 claim for the runs and the maps on every run. It runs all six configs in
 one ``synattn run``, so ``adaptive``, ``w_zero`` and ``w_one``, which share a
 backbone, go through the stacked engine as one group of three, while each
@@ -44,6 +54,7 @@ import numpy as np
 import pytest
 
 import synattn.backbone as backbone
+from conftest import _openblas_kernel
 from synattn import BackboneConfig, derive_seed, init_block
 from synattn.cli import main, parse_config_text
 
@@ -51,6 +62,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 CASES = ("adaptive", "w_zero", "w_one", "grid_3x5", "no_shared", "mixed")
 RUN_FILES = ("trace.txt", "src_final.txt", "tgt_final.txt", "manifest.json")
+# One recorded set per OpenBLAS kernel; only ever added to, never rewritten.
+SETS = {"SkylakeX": GOLDEN, "Haswell": GOLDEN / "Haswell", "Sandybridge": GOLDEN / "Sandybridge"}
 MAPS = {
     "prompts": [
         "--config", str(GOLDEN / "grid_3x5" / "config.cfg"),
@@ -63,30 +76,47 @@ MAPS = {
 }
 
 
+def golden_set(kernel: str) -> Path:
+    """The directory of ``kernel``'s recorded set; a kernel with none fails, naming it."""
+    if kernel not in SETS:
+        pytest.fail(f"no golden set recorded for OpenBLAS kernel {kernel!r}; "
+                    f"recorded: {', '.join(SETS)}")
+    return SETS[kernel]
+
+
+def test_unrecorded_kernel_fails_naming_it():
+    with pytest.raises(pytest.fail.Exception, match="kernel 'Zen'"):
+        golden_set("Zen")
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_run_outputs_match_golden(case, tmp_path):
+    want = golden_set(_openblas_kernel()) / case
     out = tmp_path / case
     assert main(["run", "--config", str(GOLDEN / case / "config.cfg"), "--out", str(out)]) == 0
     for name in RUN_FILES:
-        assert (out / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("probe", sorted(MAPS))
 def test_map_output_matches_golden(probe, tmp_path):
+    want = golden_set(_openblas_kernel()) / "maps" / f"{probe}.txt"
     out = tmp_path / f"{probe}.txt"
     assert main(["map", *MAPS[probe], "--out", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / "maps" / f"{probe}.txt").read_bytes()
+    assert out.read_bytes() == want.read_bytes()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
-    # a fresh process per command and thread count: OpenBLAS reads the
-    # variable once, at import
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+def cli_env(**variables: str) -> dict:
+    """This process's environment with ``variables`` set and ``src`` importable."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
 
+
+def check_corpus(env: dict, want: Path, tmp_path: Path) -> None:
+    """All six configs in one ``synattn run``, and both maps, in fresh processes, against ``want``."""
     def cli(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "synattn.cli", *args],
@@ -94,20 +124,43 @@ def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
 
-    backbones = [parse_config_text((GOLDEN / case / "config.cfg").read_text()).backbone
-                 for case in CASES]
-    assert backbones[0] == backbones[1] == backbones[2]  # one group of three
-    assert len(set(backbones)) == 4
     configs = [arg for case in CASES for arg in ("--config", str(GOLDEN / case / "config.cfg"))]
     cli("run", *configs, "--out", str(tmp_path))
     for i, case in enumerate(CASES):
         for name in RUN_FILES:
             got = (tmp_path / f"case_{i:03d}" / name).read_bytes()
-            assert got == (GOLDEN / case / name).read_bytes(), f"{case}/{name}"
+            assert got == (want / case / name).read_bytes(), f"{case}/{name}"
     for probe, args in MAPS.items():
         out = tmp_path / f"{probe}.txt"
         cli("map", *args, "--out", str(out))
-        assert out.read_bytes() == (GOLDEN / "maps" / f"{probe}.txt").read_bytes(), probe
+        assert out.read_bytes() == (want / "maps" / f"{probe}.txt").read_bytes(), probe
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_outputs_match_golden_at_blas_threads(threads, tmp_path):
+    # a fresh process per command and thread count: OpenBLAS reads the
+    # variable once, at import
+    backbones = [parse_config_text((GOLDEN / case / "config.cfg").read_text()).backbone
+                 for case in CASES]
+    assert backbones[0] == backbones[1] == backbones[2]  # one group of three
+    assert len(set(backbones)) == 4
+    want = golden_set(_openblas_kernel())
+    check_corpus(cli_env(OPENBLAS_NUM_THREADS=threads), want, tmp_path)
+
+
+@pytest.mark.parametrize("kernel", sorted(SETS))
+def test_run_outputs_match_golden_on_kernel(kernel, tmp_path):
+    env = cli_env(OPENBLAS_CORETYPE=kernel)
+    # a kernel this CPU lacks the instructions for is not run: OpenBLAS
+    # either falls back to another kernel or the process dies
+    probe = subprocess.run(
+        [sys.executable, "-c", "import numpy as np; np.ones((64, 64)) @ np.ones((64, 64)); "
+         "from conftest import _openblas_kernel; print(_openblas_kernel())"],
+        cwd=ROOT / "tests", env=env, capture_output=True, text=True, timeout=60,
+    )
+    if probe.returncode != 0 or probe.stdout.strip() != kernel:
+        pytest.skip(f"this CPU does not run OpenBLAS kernel {kernel}")
+    check_corpus(env, SETS[kernel], tmp_path)
 
 
 def test_flux_width_weights_match_golden():
