@@ -7,7 +7,7 @@ how it interpolates between full positional sensitivity and none.
 
 import numpy as np
 
-from synattn import RopeConfig, rotary_table
+from synattn import BackboneConfig, rotary_table
 from synattn.rope import apply_rotary
 
 rng = np.random.default_rng(0)
@@ -15,7 +15,7 @@ rng = np.random.default_rng(0)
 # The full-scale geometry: 128 channels per head, split into three axis
 # segments (sequence marker, row, column), one frequency per channel pair.
 # One head is enough to follow a single vector.
-cfg = RopeConfig(num_heads=1)
+cfg = BackboneConfig(num_heads=1, head_dim=128, axis_dims=(16, 56, 56))
 print("head_dim:", cfg.head_dim, " axis splits:", cfg.axis_dims)
 
 

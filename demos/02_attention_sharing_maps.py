@@ -14,7 +14,6 @@ from synattn import attention_map, encode_prompt
 from synattn.backbone import BackboneConfig
 
 bb = BackboneConfig(grid=(6, 6))
-cfg = bb.rope
 h, w = bb.grid
 
 query_cell = (1, 2)
@@ -45,7 +44,7 @@ def ascii_heatmap(grid):
 
 print(f"query cell: {query_cell}   bright content cell: {bump_cell}\n")
 for weight in (1.0, 0.5, 0.0):
-    grid = attention_map(tokens, image, bb.grid, block, cfg, weight, query_cell)
+    grid = attention_map(tokens, image, block, bb, weight, query_cell)
     peak = np.unravel_index(np.argmax(grid), grid.shape)
     print(f"w = {weight:4.2f}   peak at {tuple(int(x) for x in peak)}   sum = {grid.sum():.12f}")
     print(ascii_heatmap(grid))

@@ -42,16 +42,12 @@ from .pipeline import (
     run_batch,
     run_edit,
 )
-from .rope import (
-    RopeConfig,
-    rotary_table,
-)
+from .rope import rotary_table
 
 __all__ = [
     "__version__",
     "ShapeError",
     "softmax_rows",
-    "RopeConfig",
     "rotary_table",
     "grid_position_ids",
     "split_heads",

@@ -1,9 +1,10 @@
 """Joint text+image multi-head attention for one transformer block.
 
-A branch's state is one ``[text; image]`` matrix: its first ``n_txt`` rows
-are text tokens, the rest image tokens laid out row-major on a grid
-(:func:`grid_position_ids`). The forward-pass functions also take a stack
-of such matrices, ``(..., n, d)``, one per case and branch, and treat each
+A branch's state is one ``[text; image]`` matrix: its first ``n_txt_tokens``
+rows are text tokens, the rest image tokens laid out row-major on the grid
+(:func:`grid_position_ids`) of the :class:`~synattn.backbone.BackboneConfig`
+every entry point takes. The forward-pass functions also take a stack of
+such matrices, ``(..., n, d)``, one per case and branch, and treat each
 as if it ran alone: products are ``@`` against the shared ``(d, d)``
 projections, which numpy carries out as one BLAS call per matrix, so a
 case's bytes do not depend on what it is stacked with. Attention always
@@ -37,11 +38,15 @@ wrapper in :mod:`synattn.backbone` owns the projection and residuals.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .numerics import ShapeError, softmax_rows
-from .rope import RopeConfig, RotaryTable, apply_rotary, rotary_table
+from .rope import RotaryTable, apply_rotary, rotary_table
+
+if TYPE_CHECKING:
+    from .backbone import BackboneConfig
 
 __all__ = [
     "grid_position_ids",
@@ -135,13 +140,12 @@ def _keys(text: np.ndarray, wk: np.ndarray, k_img: np.ndarray, heads: int) -> np
 
 def joint_attention(
     tokens: np.ndarray,
-    n_txt: int,
     block: np.ndarray,
-    rope: RopeConfig,
+    config: BackboneConfig,
     table: RotaryTable,
     kv_img: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt`` rows text.
+    """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt_tokens`` rows text.
 
     ``tokens`` is ``(n, d)`` or a stack ``(..., n, d)``, and ``block`` one
     block's ``(6, d, d)`` weights, unchecked. ``table`` rotates the
@@ -151,16 +155,17 @@ def joint_attention(
     values serves every branch of a ``(2, B, n, d)`` source/target pair.
     Returns the output before the output projection, shaped like ``tokens``.
     """
+    n_txt = config.n_txt_tokens
     if kv_img is None:
         kv_img = image_kv(tokens[..., n_txt:, :], block, table)
     text = tokens[..., :n_txt, :]
-    heads = rope.num_heads
+    heads = config.num_heads
     # Q and K are freed once the weights are formed, and V is built only
     # then: neither product holds all of Q, K, V and the weights at once.
     weights = attention_weights(
         split_heads(_queries(tokens, n_txt, block[_WQ], table), heads),
         _keys(text, block[_WK], kv_img[0], heads),
-        1.0 / math.sqrt(rope.head_dim),
+        1.0 / math.sqrt(config.head_dim),
     )
     v = _join_rows(text, block[_WV], kv_img[1])
     # each head's product is written into its columns of the merged output
@@ -172,39 +177,34 @@ def joint_attention(
 def attention_map(
     tokens: np.ndarray,
     src_image: np.ndarray,
-    grid: tuple[int, int],
     block: np.ndarray,
-    rope: RopeConfig,
+    config: BackboneConfig,
     w: float,
     query_cell: tuple[int, int],
 ) -> np.ndarray:
     """Where one target image query looks inside the source image.
 
-    ``tokens`` is the target's ``[text; image]`` matrix and ``src_image`` the
-    source's image rows, both on the row-major ``grid``, and ``block`` one
-    block's ``(6, d, d)`` weights, ``d = rope.d_model``. Takes the
-    post-softmax attention weights of the query token at ``query_cell``,
-    averaged over heads, restricted to source image keys and renormalized
-    to sum to 1. Returned as a (height, width) grid.
+    ``tokens`` is the target's ``[text; image]`` matrix, ``(n_txt + n_img,
+    d)``, and ``src_image`` the source's ``(n_img, d)`` image rows, both on
+    the config's row-major grid, and ``block`` one block's ``(6, d, d)``
+    weights, ``d = config.d_model``; each is checked against that shape.
+    Takes the post-softmax attention weights of the query token at
+    ``query_cell``, averaged over heads, restricted to source image keys and
+    renormalized to sum to 1. Returned as a (height, width) grid.
     """
-    h, wid = int(grid[0]), int(grid[1])
+    h, wid = config.grid
     r, c = int(query_cell[0]), int(query_cell[1])
     if not (0 <= r < h and 0 <= c < wid):
         raise ValueError(f"query cell ({r}, {c}) outside {h}x{wid} grid")
-    n_txt = tokens.shape[0] - h * wid
-    if n_txt < 0 or src_image.shape[0] != h * wid:
-        raise ShapeError(
-            f"{tokens.shape[0]} target rows and {src_image.shape[0]} source image rows "
-            f"do not fill a {h}x{wid} grid"
-        )
-    for name, rows in (("token", tokens), ("source image", src_image)):
-        if rows.shape[1] != rope.d_model:
-            raise ShapeError(f"{name} width {rows.shape[1]} != num_heads*head_dim {rope.d_model}")
-    if block.shape != (len(_ROLES), rope.d_model, rope.d_model):
-        raise ShapeError(
-            f"block shape {block.shape} != ({len(_ROLES)}, {rope.d_model}, {rope.d_model})"
-        )
-    table = rotary_table(grid_position_ids(h, wid), w, rope)
+    n_txt, d = config.n_txt_tokens, config.d_model
+    for name, operand, shape in (
+        ("tokens", tokens, (n_txt + h * wid, d)),
+        ("source image", src_image, (h * wid, d)),
+        ("block", block, (len(_ROLES), d, d)),
+    ):
+        if operand.shape != shape:
+            raise ShapeError(f"{name} shape {operand.shape} != {shape}")
+    table = rotary_table(grid_position_ids(h, wid), w, config)
     q = _queries(tokens, n_txt, block[_WQ], table)
     k_img = src_image @ block[_WK]
     apply_rotary(k_img, table, out=k_img)
@@ -212,11 +212,11 @@ def attention_map(
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit
     weights = attention_weights(
-        split_heads(q[row : row + 1], rope.num_heads),
-        _keys(tokens[:n_txt], block[_WK], k_img, rope.num_heads),
-        1.0 / math.sqrt(rope.head_dim),
+        split_heads(q[row : row + 1], config.num_heads),
+        _keys(tokens[:n_txt], block[_WK], k_img, config.num_heads),
+        1.0 / math.sqrt(config.head_dim),
     )
-    acc = weights[:, 0, n_txt:].sum(axis=0) / rope.num_heads
+    acc = weights[:, 0, n_txt:].sum(axis=0) / config.num_heads
     total = acc.sum()
     if not 0.0 < total < np.inf:  # a NaN fails both comparisons
         raise ValueError(f"attention map mass on image keys is {total}, not positive and finite")

@@ -21,6 +21,7 @@ depend on the split.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import threading
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import _MLP_IN, _MLP_OUT, _ROLES, _WO, joint_attention
-from .rope import RopeConfig, RotaryTable
+from .rope import RotaryTable
 
 __all__ = [
     "MASK64",
@@ -224,14 +225,17 @@ def _integral(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Shape and seeding of the toy backbone.
+    """Shape, rotary geometry and seeding of the toy backbone.
 
     Defaults give a 4-head model of width 64 on a 4x4 token grid with 8
     blocks, of which {0, 2, 5} share attention, denoised over 10 steps.
-    ``rope`` is the matching :class:`~synattn.rope.RopeConfig`, built once.
+    ``d_model`` is derived as ``num_heads * head_dim``, the one value it
+    may be given. The rotary arrays (see :mod:`synattn.rope`) ``pair_freqs``,
+    ``pair_axes``, ``channel_pairs`` and ``channel_signs`` are built once,
+    read-only, and are not fields.
     """
 
-    d_model: int = 64
+    d_model: int | None = None
     num_heads: int = 4
     head_dim: int = 16
     axis_dims: tuple[int, ...] = (4, 6, 6)
@@ -244,8 +248,7 @@ class BackboneConfig:
     theta_base: float = 10000.0
 
     def __post_init__(self) -> None:
-        for name in ("d_model", "num_heads", "head_dim", "n_blocks", "n_txt_tokens", "seed",
-                     "n_steps"):
+        for name in ("num_heads", "head_dim", "n_blocks", "n_txt_tokens", "seed", "n_steps"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
         for name, collect, values in (
             ("axis_dims", tuple, self.axis_dims),
@@ -266,24 +269,41 @@ class BackboneConfig:
         ):
             if not 1 <= value <= limit:
                 raise ValueError(f"{name} must be in [1, {limit}], got {value}")
-        if self.d_model != self.num_heads * self.head_dim:
+        d_model = self.num_heads * self.head_dim
+        if self.d_model is not None and _integral("d_model", self.d_model) != d_model:
             raise ValueError(
                 f"d_model {self.d_model} != num_heads {self.num_heads} "
                 f"* head_dim {self.head_dim}"
             )
+        object.__setattr__(self, "d_model", d_model)
         if not all(0 <= b < self.n_blocks for b in self.shared_blocks):
             raise ValueError(
                 f"shared_blocks {sorted(self.shared_blocks)} outside "
                 f"[0, {self.n_blocks})"
             )
-        # Derived once, not a dataclass field: the rotary geometry, which
-        # also validates head_dim / axis_dims / theta_base consistency.
-        object.__setattr__(self, "rope", RopeConfig(
-            head_dim=self.head_dim,
-            axis_dims=self.axis_dims,
-            theta_base=self.theta_base,
-            num_heads=self.num_heads,
-        ))
+        if sum(self.axis_dims) != self.head_dim:
+            raise ValueError(
+                f"axis_dims {self.axis_dims} must sum to head_dim {self.head_dim}"
+            )
+        if any(d <= 0 or d % 2 for d in self.axis_dims):
+            raise ValueError(f"every axis dim must be positive and even, got {self.axis_dims}")
+        if not (math.isfinite(self.theta_base) and self.theta_base > 1.0):
+            raise ValueError(f"theta_base must be finite and exceed 1, got {self.theta_base}")
+        # The rotary geometry, derived only now that every size is bounded.
+        freqs = np.concatenate([
+            self.theta_base ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
+            for d in self.axis_dims
+        ])
+        axes = np.repeat(np.arange(len(self.axis_dims)), [d // 2 for d in self.axis_dims])
+        # Channel c of a token vector belongs to its head's pair (c % head_dim) // 2;
+        # the pair's first channel takes -sin in the interleaved table, its second +sin.
+        channels = np.arange(d_model)
+        channel_pairs = channels % self.head_dim // 2
+        channel_signs = np.where(channels % 2, 1.0, -1.0)
+        for name, value in (("pair_freqs", freqs), ("pair_axes", axes),
+                            ("channel_pairs", channel_pairs), ("channel_signs", channel_signs)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_img(self) -> int:
@@ -370,7 +390,7 @@ def block_forward(
     updated stack and the raw pre-projection attention output for the
     measurement.
     """
-    attn = joint_attention(tokens, config.n_txt_tokens, block, config.rope, table, shared_kv)
+    attn = joint_attention(tokens, block, config, table, shared_kv)
     tokens = tokens + attn @ block[_WO]
     # in place on the sum just made, never on the caller's array
     tokens += np.tanh(tokens @ block[_MLP_IN]) @ block[_MLP_OUT]

@@ -52,6 +52,7 @@ from .measurement import (
     DegenerateSimilarityError,
     StepRecord,
     Thresholds,
+    adaptive_weight,
     block_similarity,
     editing_measurement,
 )
@@ -233,11 +234,9 @@ def parse_config_text(text: str) -> PipelineConfig:
     for f in CONFIG_FIELDS:
         if f.key in values:
             kwargs[f.owner][f.attr] = _KINDS[f.kind].parse(f.key, values[f.key])
-    bb = {**_OWNER_DEFAULTS["backbone"], **kwargs["backbone"]}
-    bb["d_model"] = bb["num_heads"] * bb["head_dim"]
     try:
         return PipelineConfig(
-            backbone=BackboneConfig(**bb),
+            backbone=BackboneConfig(**kwargs["backbone"]),
             thresholds=Thresholds(**kwargs["thresholds"]),
             **kwargs["pipeline"],
         )
@@ -301,9 +300,12 @@ def parse_trace(text: str) -> EditingTrace:
     that differs from the config's ``blocks``, a record count other than the
     config's ``steps``, a row that ``block_similarity`` refuses (a degenerate
     ``s_txt``, which the engine never writes) or whose ratios and ``m_mean``
-    differ from what it and ``editing_measurement`` make of it, or timesteps
-    that do not run from the record count down to 1. A malformed number is
-    refused naming its line and field.
+    differ from what it and ``editing_measurement`` make of it, a
+    ``weight_applied`` other than the schedule's (the config's override if
+    set, else 1 on the first record and :func:`adaptive_weight` of the
+    previous ``m_mean`` after it), or timesteps that do not run from the
+    record count down to 1. A malformed number is refused naming its line
+    and field.
     """
     config_lines = []
     header_blocks = None
@@ -334,6 +336,7 @@ def parse_trace(text: str) -> EditingTrace:
         )
 
     steps = []
+    schedule = 1.0 if config.w_override is None else config.w_override
     for row, (lineno, line) in enumerate(records):
         values = line.split()
         if len(values) != 3 + 3 * n_blocks:
@@ -348,6 +351,10 @@ def parse_trace(text: str) -> EditingTrace:
             raise ConfigError(
                 f"line {lineno}: timestep {timestep}, expected {len(records) - row} "
                 f"(timesteps run from {len(records)} down to 1)"
+            )
+        if weight != schedule:
+            raise ConfigError(
+                f"line {lineno}: weight_applied {weight!r}, but the schedule gives {schedule!r}"
             )
         blocks = []
         for b in range(n_blocks):
@@ -364,6 +371,8 @@ def parse_trace(text: str) -> EditingTrace:
         if m_mean != editing_measurement(blocks):
             raise ConfigError(f"line {lineno}: m_mean is not the mean of the block ratios")
         steps.append(StepRecord(timestep, tuple(blocks), m_mean, weight))
+        if config.w_override is None:
+            schedule = adaptive_weight(m_mean, config.thresholds)
     return EditingTrace(steps=tuple(steps), config=config)
 
 
@@ -677,8 +686,7 @@ def cmd_map(
         raise ConfigError(f"--w must be in [0, 1], got {w_value}")
     config = parse_config_text(Path(config_path).read_text())
     tokens, src_image, weights, block_used = build_map_inputs(config, probe, block, cell)
-    bb = config.backbone
-    grid = attention_map(tokens, src_image, bb.grid, weights, bb.rope, w_value, cell)
+    grid = attention_map(tokens, src_image, weights, config.backbone, w_value, cell)
     comments = (
         f"query_cell: {cell[0]} {cell[1]}",
         f"w: {_fmt(w_value)}",

@@ -11,7 +11,7 @@ bytes.
 
 Nothing here checks finiteness; inf and NaN propagate as numpy propagates
 them. Finiteness is checked once, where values enter or come out: config
-values (``Thresholds``, ``RopeConfig``), positions and ``w``
+values (``Thresholds``, ``BackboneConfig``), positions and ``w``
 (``rope.rotary_table``), the measurement (``adaptive_weight``), in the loop
 by ``pipeline``, once per block per branch of every stacked case (so
 non-finite weights abort at their block), and by

@@ -152,7 +152,7 @@ def _run_stack(
     # An aborted case's rows stay in the pair, computed but never read again.
     with np.errstate(all="ignore"):
         for t in range(bb.n_steps, 0, -1):
-            table = rotary_table(positions, w, bb.rope)
+            table = rotary_table(positions, w, bb)
             pair = np.concatenate([txt, x], axis=2)
             for l in range(n_blocks):
                 # a shared block hands both branches the source's image keys/values:

@@ -18,77 +18,27 @@ the cos/sin of every row's channel pairs once per ``(positions, w)``, laid
 out channel by channel over the full token width, so a denoising step
 builds one table, and :func:`apply_rotary` applies it to every head of a
 token matrix in every block with two products and one sum, in place if
-asked. One head vector is the case of a one-row table of a ``RopeConfig``
-with ``num_heads=1``.
+asked. The geometry is a :class:`~synattn.backbone.BackboneConfig`'s,
+which derives each pair's frequency and axis once. One head vector is the
+case of a one-row table of a config with ``num_heads=1``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .numerics import ShapeError
 
+if TYPE_CHECKING:
+    from .backbone import BackboneConfig
+
 __all__ = [
-    "RopeConfig",
     "RotaryTable",
     "rotary_table",
     "apply_rotary",
 ]
-
-
-@dataclass(frozen=True)
-class RopeConfig:
-    """Geometry of the rotary embedding.
-
-    Defaults follow the full-scale FLUX layout: 24 heads of dimension 128,
-    split into axis segments of 16 (sequence marker), 56 (row), 56 (column).
-    """
-
-    head_dim: int = 128
-    axis_dims: tuple[int, ...] = (16, 56, 56)
-    theta_base: float = 10000.0
-    num_heads: int = 24
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axis_dims", tuple(int(d) for d in self.axis_dims))
-        if sum(self.axis_dims) != self.head_dim:
-            raise ValueError(
-                f"axis_dims {self.axis_dims} must sum to head_dim {self.head_dim}"
-            )
-        if any(d <= 0 or d % 2 for d in self.axis_dims):
-            raise ValueError(f"every axis dim must be positive and even, got {self.axis_dims}")
-        if not (math.isfinite(self.theta_base) and self.theta_base > 1.0):
-            raise ValueError(f"theta_base must be finite and exceed 1, got {self.theta_base}")
-        if self.num_heads < 1:
-            raise ValueError(f"num_heads must be positive, got {self.num_heads}")
-        # Derived once, not dataclass fields: the frequency of every channel
-        # pair (axis segments concatenated) and the position axis it reads.
-        freqs = np.concatenate([
-            self.theta_base ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
-            for d in self.axis_dims
-        ])
-        axes = np.repeat(np.arange(self.n_axes), [d // 2 for d in self.axis_dims])
-        # Channel c of a token vector belongs to its head's pair (c % head_dim) // 2;
-        # the pair's first channel takes -sin in the interleaved table, its second +sin.
-        channels = np.arange(self.d_model)
-        channel_pairs = channels % self.head_dim // 2
-        channel_signs = np.where(channels % 2, 1.0, -1.0)
-        for name, value in (("pair_freqs", freqs), ("pair_axes", axes),
-                            ("channel_pairs", channel_pairs), ("channel_signs", channel_signs)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-
-    @property
-    def n_axes(self) -> int:
-        return len(self.axis_dims)
-
-    @property
-    def d_model(self) -> int:
-        return self.num_heads * self.head_dim
 
 
 class RotaryTable(NamedTuple):
@@ -107,7 +57,7 @@ class RotaryTable(NamedTuple):
     sin: np.ndarray
 
 
-def rotary_table(positions, w, config: RopeConfig) -> RotaryTable:
+def rotary_table(positions, w, config: BackboneConfig) -> RotaryTable:
     """The rotation of ``n`` rows at strength ``w``, built once for all heads and blocks.
 
     ``w`` is a scalar or a ``(B,)`` vector, one weight per stacked case;
@@ -118,9 +68,10 @@ def rotary_table(positions, w, config: RopeConfig) -> RotaryTable:
     scalar ``w[b]``.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    if positions.ndim != 2 or positions.shape[1] != config.n_axes:
+    n_axes = len(config.axis_dims)
+    if positions.ndim != 2 or positions.shape[1] != n_axes:
         raise ShapeError(
-            f"positions shape {positions.shape} does not match (n, {config.n_axes})"
+            f"positions shape {positions.shape} does not match (n, {n_axes})"
         )
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions contain non-finite values")

@@ -18,7 +18,7 @@ from oracles import (
     rotation_matrix,
 )
 from synattn import (
-    RopeConfig,
+    BackboneConfig,
     Thresholds,
     adaptive_weight,
     encode_prompt,
@@ -30,8 +30,9 @@ from synattn.attention import _ROLES, _WK, _WQ, _WV, joint_attention
 from synattn.cli import PROBE_BUMP_SCALE, main, parse_config_text, parse_matrix, parse_trace
 from synattn.rope import apply_rotary
 
-FULL = RopeConfig(num_heads=1)  # one head of 128, splits (16, 56, 56)
-ATTN_CFG = RopeConfig(head_dim=8, axis_dims=(2, 2, 4), num_heads=2)
+FULL = BackboneConfig(num_heads=1, head_dim=128, axis_dims=(16, 56, 56))  # one head of 128
+# 2 heads of 8 (d_model 16), 2 text rows on a 2x2 grid
+ATTN_CFG = BackboneConfig(num_heads=2, head_dim=8, axis_dims=(2, 2, 4), n_txt_tokens=2, grid=(2, 2))
 
 CASE_PROMPTS = [
     ("a dog standing on grass", "a dog sitting on grass"),
@@ -165,7 +166,7 @@ def test_criterion_04_zero_weight_collapses_to_rotation_free_sharing():
         src_image = rng.normal(size=(6, ATTN_CFG.d_model))[2:]
         block = np.zeros((len(_ROLES), 16, 16))  # random attention projections, zero MLP
         block[:4] = rng.normal(size=(4, 16, 16)) * 0.4
-        got = joint_attention(tgt, 2, block, ATTN_CFG, table, image_kv(src_image, block, table))
+        got = joint_attention(tgt, block, ATTN_CFG, table, image_kv(src_image, block, table))
         want_txt, want_img = naive_joint_attention(
             tgt[:2], tgt[2:], src_image, positions, positions,
             block[_WQ], block[_WK], block[_WV],

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import naive_joint_attention
 from synattn import (
-    RopeConfig,
+    BackboneConfig,
     ShapeError,
     attention_map,
     attention_weights,
@@ -19,7 +19,16 @@ from synattn import (
 )
 from synattn.attention import _ROLES, _WK, _WQ, _WV, joint_attention
 
-CFG = RopeConfig(head_dim=8, axis_dims=(2, 2, 4), num_heads=2)  # d_model 16
+
+
+def config(n_txt=1, grid=(2, 2)):
+    """2 heads of 8 (d_model 16), ``n_txt`` text rows on ``grid``."""
+    return BackboneConfig(
+        num_heads=2, head_dim=8, axis_dims=(2, 2, 4), n_txt_tokens=n_txt, grid=grid
+    )
+
+
+CFG = config()
 
 
 def random_tokens(rng, n_txt, grid, d_model):
@@ -81,12 +90,14 @@ class TestSelfAttention:
         # One text and one image token on a 1x1 grid with identity
         # projections and a single head: the output is the softmax-weighted
         # mix of the two token vectors, written out by hand.
-        cfg = RopeConfig(head_dim=6, axis_dims=(2, 2, 2), num_heads=1)
+        cfg = BackboneConfig(
+            num_heads=1, head_dim=6, axis_dims=(2, 2, 2), n_txt_tokens=1, grid=(1, 1)
+        )
         rng = np.random.default_rng(50)
         t = rng.normal(size=6)
         i = rng.normal(size=6)
         table = rotary_table(grid_position_ids(1, 1), 1.0, cfg)
-        out = joint_attention(np.vstack([t, i]), 1, identity_block(6), cfg, table)
+        out = joint_attention(np.vstack([t, i]), identity_block(6), cfg, table)
 
         scale = 1.0 / math.sqrt(6.0)
         for query, got in ((t, out[0]), (i, out[1])):
@@ -101,8 +112,8 @@ class TestSelfAttention:
         rng = np.random.default_rng(51)
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
-        a = joint_attention(tokens, 3, block, CFG, grid_table((2, 2), 0.0))
-        b = joint_attention(tokens, 3, block, CFG, rotary_table(np.zeros((4, 3)), 1.0, CFG))
+        a = joint_attention(tokens, block, config(3), grid_table((2, 2), 0.0))
+        b = joint_attention(tokens, block, config(3), rotary_table(np.zeros((4, 3)), 1.0, CFG))
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_equivariance(self):
@@ -115,8 +126,8 @@ class TestSelfAttention:
         perm = rng.permutation(6)
         permuted = np.vstack([tokens[:n_txt], tokens[n_txt:][perm]])
         moved_table = rotary_table(grid_position_ids(2, 3)[perm], 0.7, CFG)
-        base = joint_attention(tokens, n_txt, block, CFG, grid_table((2, 3), 0.7))
-        moved = joint_attention(permuted, n_txt, block, CFG, moved_table)
+        base = joint_attention(tokens, block, config(n_txt, (2, 3)), grid_table((2, 3), 0.7))
+        moved = joint_attention(permuted, block, config(n_txt, (2, 3)), moved_table)
         assert np.abs(moved[n_txt:] - base[n_txt:][perm]).max() <= 1e-12
         assert np.abs(moved[:n_txt] - base[:n_txt]).max() <= 1e-12
 
@@ -127,8 +138,8 @@ class TestSharedAttention:
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.4)
-        a = joint_attention(tokens, 3, block, CFG, table)
-        b = joint_attention(tokens, 3, block, CFG, table, image_kv(tokens[3:], block, table))
+        a = joint_attention(tokens, block, config(3), table)
+        b = joint_attention(tokens, block, config(3), table, image_kv(tokens[3:], block, table))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_weight_equals_rotation_free_reference(self):
@@ -137,7 +148,7 @@ class TestSharedAttention:
         src_image = random_tokens(rng, 0, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.0)
-        got = joint_attention(tgt, 2, block, CFG, table, image_kv(src_image, block, table))
+        got = joint_attention(tgt, block, config(2), table, image_kv(src_image, block, table))
         want = oracle(tgt, 2, src_image, block, 0.0, use_rope=False)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -148,7 +159,7 @@ class TestSharedAttention:
         block = random_block(rng, CFG.d_model)
         for w in (0.0, 0.3, 1.0):
             table = grid_table((2, 2), w)
-            got = joint_attention(tgt, 1, block, CFG, table, image_kv(src_image, block, table))
+            got = joint_attention(tgt, block, config(1), table, image_kv(src_image, block, table))
             assert np.abs(got - oracle(tgt, 1, src_image, block, w)).max() <= 1e-12
 
     def test_grid_mismatch_rejected(self):
@@ -156,8 +167,8 @@ class TestSharedAttention:
         tgt = random_tokens(rng, 2, (2, 2), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
         block = random_block(rng, CFG.d_model)
-        with pytest.raises(ShapeError):
-            attention_map(tgt, src_image, (2, 2), block, CFG, 1.0, (0, 0))
+        with pytest.raises(ShapeError, match=r"^source image shape \(6, 16\) != \(4, 16\)$"):
+            attention_map(tgt, src_image, block, config(2, (2, 2)), 1.0, (0, 0))
 
     def test_output_linear_in_values(self):
         rng = np.random.default_rng(57)
@@ -166,8 +177,8 @@ class TestSharedAttention:
         doubled = block.copy()
         doubled[_WV] *= 2.0
         table = grid_table((2, 2), 0.8)
-        a = joint_attention(tokens, 3, block, CFG, table)
-        b = joint_attention(tokens, 3, doubled, CFG, table)
+        a = joint_attention(tokens, block, config(3), table)
+        b = joint_attention(tokens, doubled, config(3), table)
         assert np.abs(b - 2.0 * a).max() <= 1e-12
 
 
@@ -204,7 +215,7 @@ class TestAttentionMap:
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
         block = random_block(rng, CFG.d_model)
-        m = attention_map(tgt, src_image, (2, 3), block, CFG, 0.6, (1, 2))
+        m = attention_map(tgt, src_image, block, config(2, (2, 3)), 0.6, (1, 2))
         assert m.shape == (2, 3)
         assert abs(m.sum() - 1.0) <= 1e-12
 
@@ -212,7 +223,7 @@ class TestAttentionMap:
         tokens, image = self._position_dominant_tokens()
         block = identity_block(CFG.d_model)
         for cell in [(0, 0), (0, 2), (1, 1)]:
-            m = attention_map(tokens, image, (2, 3), block, CFG, 1.0, cell)
+            m = attention_map(tokens, image, block, config(1, (2, 3)), 1.0, cell)
             # brute force: the map cell with the largest weight, checked
             # against every grid cell
             best = np.unravel_index(np.argmax(m), m.shape)
@@ -229,9 +240,10 @@ class TestAttentionMap:
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
         src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
         block = random_block(rng, CFG.d_model)
-        base = attention_map(tgt, src_image, (2, 3), block, CFG, 0.0, (0, 1)).reshape(-1)
+        cfg = config(2, (2, 3))
+        base = attention_map(tgt, src_image, block, cfg, 0.0, (0, 1)).reshape(-1)
         perm = rng.permutation(6)
-        moved = attention_map(tgt, src_image[perm], (2, 3), block, CFG, 0.0, (0, 1)).reshape(-1)
+        moved = attention_map(tgt, src_image[perm], block, cfg, 0.0, (0, 1)).reshape(-1)
         assert np.abs(moved - base[perm]).max() <= 1e-12
 
     def test_out_of_range_cell(self):
@@ -239,15 +251,21 @@ class TestAttentionMap:
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         with pytest.raises(ValueError):
-            attention_map(tgt, tgt[2:], (2, 3), block, CFG, 1.0, (2, 0))
+            attention_map(tgt, tgt[2:], block, config(2, (2, 3)), 1.0, (2, 0))
 
     def test_token_count_must_fill_grid(self):
+        # 2 text rows and a 2x3 grid: the target has 8 rows, the source image 6
         rng = np.random.default_rng(63)
         block = random_block(rng, CFG.d_model)
-        short = rng.normal(size=(5, CFG.d_model))  # fewer rows than the 2x3 grid's cells
-        src_image = random_tokens(rng, 0, (2, 3), CFG.d_model)
-        with pytest.raises(ShapeError):
-            attention_map(short, src_image, (2, 3), block, CFG, 1.0, (0, 0))
+        tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
+        for tokens, src_image, refused in [
+            (tgt[:5], tgt[2:], r"^tokens shape \(5, 16\) != \(8, 16\)$"),
+            (tgt[1:], tgt[2:], r"^tokens shape \(7, 16\) != \(8, 16\)$"),
+            (tgt, tgt[3:], r"^source image shape \(5, 16\) != \(6, 16\)$"),
+            (tgt, tgt[:7], r"^source image shape \(7, 16\) != \(6, 16\)$"),
+        ]:
+            with pytest.raises(ShapeError, match=refused):
+                attention_map(tokens, src_image, block, config(2, (2, 3)), 1.0, (0, 0))
 
     def test_width_mismatch(self):
         # 32-wide target tokens, or a 32-wide source image beside 16-wide
@@ -255,18 +273,22 @@ class TestAttentionMap:
         rng = np.random.default_rng(64)
         wide = rng.normal(size=(8, 2 * CFG.d_model))
         narrow = random_tokens(rng, 2, (2, 3), CFG.d_model)
-        for tokens, src_image, name in [(wide, wide[2:], "token"), (narrow, wide[2:], "source image")]:
+        for tokens, src_image, refused in [
+            (wide, wide[2:], r"^tokens shape \(8, 32\) != \(8, 16\)$"),
+            (narrow, wide[2:], r"^source image shape \(6, 32\) != \(6, 16\)$"),
+        ]:
             block = random_block(rng, tokens.shape[1])
-            with pytest.raises(ShapeError, match=f"^{name} width 32 "):
-                attention_map(tokens, src_image, (2, 3), block, CFG, 1.0, (0, 0))
+            with pytest.raises(ShapeError, match=refused):
+                attention_map(tokens, src_image, block, config(2, (2, 3)), 1.0, (0, 0))
 
     @pytest.mark.parametrize("shape", [(4, 16, 16), (6, 32, 32), (16, 16)])
     def test_block_shape_validated(self, shape):
         # a block is (6, d, d) with d = num_heads * head_dim, checked once, here
         rng = np.random.default_rng(66)
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
-        with pytest.raises(ShapeError, match=f"^block shape {re.escape(str(shape))} "):
-            attention_map(tgt, tgt[2:], (2, 3), np.ones(shape), CFG, 0.6, (1, 2))
+        refused = f"^block shape {re.escape(str(shape))} != \\(6, 16, 16\\)$"
+        with pytest.raises(ShapeError, match=refused):
+            attention_map(tgt, tgt[2:], np.ones(shape), config(2, (2, 3)), 0.6, (1, 2))
 
     def test_non_finite_weights_refused(self):
         # weights are not scanned: the map refuses its NaN mass
@@ -275,4 +297,4 @@ class TestAttentionMap:
         block = random_block(rng, CFG.d_model)
         block[_WK, 3, 5] = np.nan
         with pytest.raises(ValueError, match="not positive and finite"):
-            attention_map(tgt, tgt[2:], (2, 3), block, CFG, 0.6, (1, 2))
+            attention_map(tgt, tgt[2:], block, config(2, (2, 3)), 0.6, (1, 2))

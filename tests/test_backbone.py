@@ -14,7 +14,6 @@ from oracles import naive_joint_attention, splitmix64, splitmix64_uniform
 from synattn import (
     BackboneConfig,
     FLUX_SHARED_BLOCKS,
-    RopeConfig,
     block_forward,
     derive_seed,
     encode_prompt,
@@ -45,7 +44,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def grid_table(w, config=CFG):
-    return rotary_table(grid_position_ids(*config.grid), w, config.rope)
+    return rotary_table(grid_position_ids(*config.grid), w, config)
 
 
 def random_tokens(rng):
@@ -343,12 +342,26 @@ class TestConfigValidation:
             BackboneConfig(shared_blocks=FLUX_SHARED_BLOCKS)
 
     def test_rope_built_once_outside_the_fields(self):
+        # the rotary arrays are read-only and no fields: the repr, == and
+        # hash see the fields alone, even beside a changed array
         a, b = BackboneConfig(), BackboneConfig()
-        assert a.rope is a.rope
-        assert a.rope == RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=4)
-        assert a == b and hash(a) == hash(b)
-        assert "rope" not in repr(a)
-        assert "rope" not in {f.name for f in fields(a)}
+        derived = ("pair_freqs", "pair_axes", "channel_pairs", "channel_signs")
+        assert not set(derived) & {f.name for f in fields(a)}
+        for name in derived:
+            assert not getattr(a, name).flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(a, name)[0] = 0
+            assert name not in repr(a)
+        object.__setattr__(b, "pair_freqs", b.pair_freqs[::-1].copy())
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_width_derived_from_heads(self):
+        derived = BackboneConfig(num_heads=24, head_dim=128, axis_dims=(16, 56, 56))
+        given = BackboneConfig(d_model=3072, num_heads=24, head_dim=128, axis_dims=(16, 56, 56))
+        assert derived.d_model == 3072
+        assert derived == given and hash(derived) == hash(given)
+        with pytest.raises(ValueError, match="^num_heads must be integral, got 2.5"):
+            BackboneConfig(num_heads=2.5)
 
 
 class TestBlockForward:

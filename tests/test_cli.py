@@ -20,6 +20,7 @@ from synattn import (
     PipelineConfig,
     StepRecord,
     Thresholds,
+    adaptive_weight,
     run_edit,
 )
 from synattn.backbone import (
@@ -65,11 +66,15 @@ def run_python(code, *args):
 
 
 def fabricated_trace(m_means, config=None):
-    """Trace with chosen per-step measurements and a one-block body, one step per measurement."""
+    """Trace with chosen per-step measurements and a one-block body, one step per measurement.
+
+    Each step's weight is the one the schedule gives after the previous measurement.
+    """
     config = config or parse_config_text(
         MINIMAL + f"blocks = 1\nshared_blocks = 0\nsteps = {len(m_means)}\n"
     )
     steps = []
+    weight = 1.0 if config.w_override is None else config.w_override
     for row, m in enumerate(m_means):
         t = len(m_means) - row
         steps.append(
@@ -77,9 +82,11 @@ def fabricated_trace(m_means, config=None):
                 timestep=t,
                 blocks=(BlockSimilarity(0, 1.0, m, m),),
                 m_mean=m,
-                weight_applied=1.0,
+                weight_applied=weight,
             )
         )
+        if config.w_override is None:
+            weight = adaptive_weight(m, config.thresholds)
     return EditingTrace(steps=tuple(steps), config=config)
 
 
@@ -359,7 +366,8 @@ class TestTraceConsistency:
             text = self.TEXT
             for col, value in ((3, s_txt), (5, 0.9 / s_txt), (1, 0.9 / s_txt)):
                 text, lineno = mutate_record(text, 1, col, _fmt(value))
-            return text, lineno
+            # the schedule's next weight after an m_mean above m_max
+            return mutate_record(text, 2, 2, "0")[0], lineno
 
         assert parse_trace(with_s_txt(1e-5)[0]).steps[1].blocks[0].s_txt == 1e-5
         text, lineno = with_s_txt(1e-7)
@@ -368,6 +376,21 @@ class TestTraceConsistency:
         assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
         err = capsys.readouterr().err
         assert f"line {lineno}: block 0: |s_txt| = 1.000e-07 is below 1e-06" in err
+        assert not (tmp_path / "s.txt").exists()
+
+    # w_one's override is 1; the adaptive schedule starts at 1, and its third
+    # record's weight is adaptive_weight of the second's m_mean, about 9.3e-05
+    @pytest.mark.parametrize("case, row, weight", [
+        ("w_one", 3, "7"), ("adaptive", 0, "0.5"), ("adaptive", 2, "1"),
+    ], ids=["override", "adaptive-first", "adaptive-later"])
+    def test_stats_refuses_weight_off_the_schedule(self, case, row, weight, tmp_path, capsys):
+        golden = (Path(__file__).parent / "golden" / case / "trace.txt").read_text()
+        parse_trace(golden)
+        text, lineno = mutate_record(golden, row, 2, weight)
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
+        assert f"line {lineno}: weight_applied {float(weight)!r}, but" in capsys.readouterr().err
         assert not (tmp_path / "s.txt").exists()
 
 

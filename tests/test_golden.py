@@ -116,7 +116,7 @@ def cli_env(**variables: str) -> dict:
 
 
 def check_corpus(env: dict, want: Path, tmp_path: Path) -> None:
-    """All six configs in one ``synattn run``, and both maps, in fresh processes, against ``want``."""
+    """All six configs in one ``synattn run``, then both maps, each in a fresh process."""
     def cli(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "synattn.cli", *args],

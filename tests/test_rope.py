@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import rotated_inner_product, rotation_matrix
-from synattn import RopeConfig, ShapeError, rotary_table
+from synattn import BackboneConfig, ShapeError, rotary_table
 from synattn.rope import apply_rotary
 
-FULL = RopeConfig()  # 24 heads x 128, splits (16, 56, 56)
-TOY = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=2)
+FULL = BackboneConfig(num_heads=24, head_dim=128, axis_dims=(16, 56, 56))
+TOY = BackboneConfig(num_heads=2)  # 2 heads x 16, splits (4, 6, 6)
 # one head of each geometry, for rotating a single head vector
-FULL_HEAD = RopeConfig(num_heads=1)
-TOY_HEAD = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=1)
+FULL_HEAD = BackboneConfig(num_heads=1, head_dim=128, axis_dims=(16, 56, 56))
+TOY_HEAD = BackboneConfig(num_heads=1)
 
 vectors16 = arrays(np.float64, (16,), elements=st.floats(-10.0, 10.0))
 positions = arrays(np.float64, (3,), elements=st.floats(-32.0, 32.0))
@@ -49,27 +49,23 @@ def oracle(pos, w, config):
 
 
 class TestConfig:
-    def test_defaults_are_full_scale(self):
-        assert FULL.head_dim == 128
-        assert FULL.axis_dims == (16, 56, 56)
-        assert FULL.num_heads == 24
-        assert FULL.d_model == 3072
+    """The rotary geometry is checked where it is held, in ``BackboneConfig``."""
 
     def test_axis_sum_must_match(self):
-        with pytest.raises(ValueError):
-            RopeConfig(head_dim=16, axis_dims=(4, 6, 4))
+        with pytest.raises(ValueError, match="must sum to head_dim 16"):
+            BackboneConfig(axis_dims=(4, 6, 4))
 
     def test_axis_dims_must_be_even(self):
-        with pytest.raises(ValueError):
-            RopeConfig(head_dim=16, axis_dims=(3, 6, 7))
+        with pytest.raises(ValueError, match="positive and even"):
+            BackboneConfig(axis_dims=(3, 6, 7))
 
     def test_theta_base_above_one(self):
-        with pytest.raises(ValueError):
-            RopeConfig(head_dim=16, axis_dims=(4, 6, 6), theta_base=1.0)
+        with pytest.raises(ValueError, match="^theta_base must be finite and exceed 1"):
+            BackboneConfig(theta_base=1.0)
 
     def test_theta_base_must_be_finite(self):
-        with pytest.raises(ValueError):
-            RopeConfig(head_dim=16, axis_dims=(4, 6, 6), theta_base=float("inf"))
+        with pytest.raises(ValueError, match="^theta_base must be finite and exceed 1"):
+            BackboneConfig(theta_base=float("inf"))
 
 
 class TestFrequencies:
@@ -87,7 +83,7 @@ class TestFrequencies:
         assert got == pytest.approx(1.3895e-4, rel=1e-4)
 
     def test_minimal_axis(self):
-        minimal = RopeConfig(head_dim=6, axis_dims=(2, 2, 2), num_heads=1)
+        minimal = BackboneConfig(num_heads=1, head_dim=6, axis_dims=(2, 2, 2))
         np.testing.assert_array_equal(minimal.pair_freqs, [1.0, 1.0, 1.0])
 
     def test_strictly_decreasing(self):
@@ -157,7 +153,7 @@ class TestOracleMatrix:
     def test_independent_of_fast_path_pair_layout(self):
         # The oracle forms its angles from axis_dims and theta_base alone, so
         # a corrupted pair layout moves the fast path but not the oracle.
-        broken = RopeConfig(head_dim=16, axis_dims=(4, 6, 6), num_heads=1)
+        broken = BackboneConfig(num_heads=1)
         object.__setattr__(broken, "pair_axes", broken.pair_axes[::-1].copy())
         object.__setattr__(broken, "pair_freqs", broken.pair_freqs[::-1].copy())
         rng = np.random.default_rng(41)
@@ -306,6 +302,6 @@ def test_rotary_table_scales_positions_first():
     "w", [np.nan, np.inf, np.array([1.0, np.inf, 0.25])], ids=["nan", "inf", "vector-with-inf"]
 )
 def test_rotary_table_rejects_a_non_finite_weight(w):
-    pos = np.zeros((4, TOY.n_axes))
+    pos = np.zeros((4, len(TOY.axis_dims)))
     with pytest.raises(ValueError, match="^w contains non-finite values"):
         rotary_table(pos, w, TOY)
