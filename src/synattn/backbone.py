@@ -289,7 +289,8 @@ class BackboneConfig:
             raise ValueError(f"every axis dim must be positive and even, got {self.axis_dims}")
         if not (math.isfinite(self.theta_base) and self.theta_base > 1.0):
             raise ValueError(f"theta_base must be finite and exceed 1, got {self.theta_base}")
-        # The rotary geometry, derived only now that every size is bounded.
+        # Derived only now that every size is bounded: the frequency of every channel
+        # pair (axis segments concatenated) and the position axis it reads.
         freqs = np.concatenate([
             self.theta_base ** (-2.0 * np.arange(d // 2, dtype=np.float64) / d)
             for d in self.axis_dims
