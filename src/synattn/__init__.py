@@ -27,21 +27,14 @@ from .backbone import (
 )
 from .measurement import (
     BlockSimilarity,
-    DegenerateSimilarityError,
+    NumericalAbortError,
     StepRecord,
     Thresholds,
     adaptive_weight,
-    block_similarity,
-    editing_measurement,
+    close_step,
 )
 from .numerics import ShapeError, softmax_rows
-from .pipeline import (
-    EditingTrace,
-    NumericalAbortError,
-    PipelineConfig,
-    run_batch,
-    run_edit,
-)
+from .pipeline import EditingTrace, PipelineConfig, run_batch, run_edit
 from .rope import rotary_table
 
 __all__ = [
@@ -57,9 +50,8 @@ __all__ = [
     "Thresholds",
     "BlockSimilarity",
     "StepRecord",
-    "DegenerateSimilarityError",
-    "block_similarity",
-    "editing_measurement",
+    "NumericalAbortError",
+    "close_step",
     "adaptive_weight",
     "BackboneConfig",
     "derive_seed",
@@ -72,7 +64,6 @@ __all__ = [
     "block_forward",
     "PipelineConfig",
     "EditingTrace",
-    "NumericalAbortError",
     "run_edit",
     "run_batch",
 ]

@@ -22,9 +22,11 @@ depend on the split.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,11 +252,10 @@ class BackboneConfig:
     def __post_init__(self) -> None:
         for name in ("num_heads", "head_dim", "n_blocks", "n_txt_tokens", "seed", "n_steps"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        for name, collect, values in (
-            ("axis_dims", tuple, self.axis_dims),
-            ("shared_blocks", frozenset, self.shared_blocks),
-            ("grid", tuple, self.grid),
-        ):
+        for name, collect in (("axis_dims", tuple), ("shared_blocks", frozenset), ("grid", tuple)):
+            values = getattr(self, name)
+            if not isinstance(values, Iterable):
+                raise ValueError(f"{name} must be a collection of integers, got {values!r}")
             object.__setattr__(self, name, collect(_integral(name, v) for v in values))
         if len(self.grid) != 2:
             raise ValueError(f"grid must be (height, width), got {self.grid}")
@@ -287,8 +288,9 @@ class BackboneConfig:
             )
         if any(d <= 0 or d % 2 for d in self.axis_dims):
             raise ValueError(f"every axis dim must be positive and even, got {self.axis_dims}")
-        if not (math.isfinite(self.theta_base) and self.theta_base > 1.0):
-            raise ValueError(f"theta_base must be finite and exceed 1, got {self.theta_base}")
+        theta = self.theta_base
+        if not (isinstance(theta, numbers.Real) and math.isfinite(theta) and theta > 1.0):
+            raise ValueError(f"theta_base must be finite and exceed 1, got {theta!r}")
         # Derived only now that every size is bounded: the frequency of every channel
         # pair (axis segments concatenated) and the position axis it reads.
         freqs = np.concatenate([

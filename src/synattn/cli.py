@@ -48,21 +48,8 @@ import numpy as np
 from ._version import __version__
 from .attention import _ROLES, attention_map
 from .backbone import BackboneConfig, _usable_cores, encode_prompt, init_block, initial_noise
-from .measurement import (
-    DegenerateSimilarityError,
-    StepRecord,
-    Thresholds,
-    adaptive_weight,
-    block_similarity,
-    editing_measurement,
-)
-from .pipeline import (
-    EditingTrace,
-    NumericalAbortError,
-    PipelineConfig,
-    _backbone_groups,
-    _run_group,
-)
+from .measurement import NumericalAbortError, Thresholds, close_step
+from .pipeline import EditingTrace, PipelineConfig, _backbone_groups, _run_group
 
 __all__ = [
     "ConfigError",
@@ -296,16 +283,16 @@ def write_trace(trace: EditingTrace) -> str:
 def parse_trace(text: str) -> EditingTrace:
     """Inverse of :func:`write_trace`; exact for round-trips.
 
-    Refuses a trace that contradicts itself: a ``# blocks per step`` header
-    that differs from the config's ``blocks``, a record count other than the
-    config's ``steps``, a row that ``block_similarity`` refuses (a degenerate
-    ``s_txt``, which the engine never writes) or whose ratios and ``m_mean``
-    differ from what it and ``editing_measurement`` make of it, a
-    ``weight_applied`` other than the schedule's (the config's override if
-    set, else 1 on the first record and :func:`adaptive_weight` of the
-    previous ``m_mean`` after it), or timesteps that do not run from the
-    record count down to 1. A malformed number is refused naming its line
-    and field.
+    Refuses a trace that contradicts itself or that no run can have
+    written: a ``# blocks per step`` header that differs from the config's
+    ``blocks``, a record count other than the config's ``steps``, timesteps
+    that do not run from the record count down to 1, a ``weight_applied``
+    other than the config's :meth:`~PipelineConfig.rotary_weight` of the
+    previous record's ``m_mean``, a row that :func:`close_step` refuses (a
+    non-finite or degenerate similarity, which the engine never writes),
+    ratios and an ``m_mean`` other than the record it makes, or a non-finite
+    ``m_mean`` (finite ratios whose sum overflows). A malformed number is
+    refused naming its line and field.
     """
     config_lines = []
     header_blocks = None
@@ -335,44 +322,43 @@ def parse_trace(text: str) -> EditingTrace:
             f"but the config echo has steps = {config.backbone.n_steps}"
         )
 
+    names = ["m_mean", "weight_applied"] + [
+        f"block {b} {name}" for b in range(n_blocks) for name in ("s_txt", "s_img", "ratio")
+    ]
     steps = []
-    schedule = 1.0 if config.w_override is None else config.w_override
     for row, (lineno, line) in enumerate(records):
         values = line.split()
-        if len(values) != 3 + 3 * n_blocks:
+        if len(values) != 1 + len(names):
             raise ConfigError(
-                f"line {lineno}: trace record has {len(values)} fields, "
-                f"expected {3 + 3 * n_blocks}"
+                f"line {lineno}: trace record has {len(values)} fields, expected {1 + len(names)}"
             )
         timestep = _parse_number(int, values[0], f"line {lineno}: timestep")
-        m_mean = _parse_number(float, values[1], f"line {lineno}: m_mean")
-        weight = _parse_number(float, values[2], f"line {lineno}: weight_applied")
+        m_mean, weight, *sims = (
+            _parse_number(float, raw, f"line {lineno}: {name}")
+            for name, raw in zip(names, values[1:])
+        )
         if timestep != len(records) - row:
             raise ConfigError(
                 f"line {lineno}: timestep {timestep}, expected {len(records) - row} "
                 f"(timesteps run from {len(records)} down to 1)"
             )
+        schedule = config.rotary_weight(steps[-1].m_mean if steps else None)
         if weight != schedule:
             raise ConfigError(
                 f"line {lineno}: weight_applied {weight!r}, but the schedule gives {schedule!r}"
             )
-        blocks = []
-        for b in range(n_blocks):
-            s_txt, s_img, ratio = (
-                _parse_number(float, raw, f"line {lineno}: block {b} {name}")
-                for name, raw in zip(("s_txt", "s_img", "ratio"), values[3 + 3 * b : 6 + 3 * b])
-            )
-            try:
-                blocks.append(block_similarity(b, s_txt, s_img))
-            except DegenerateSimilarityError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from exc
-            if ratio != blocks[-1].ratio:
+        try:
+            step = close_step(timestep, sims[0::3], sims[1::3], weight, [(True, True)] * n_blocks)
+        except NumericalAbortError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+        for b, (block, ratio) in enumerate(zip(step.blocks, sims[2::3])):
+            if ratio != block.ratio:
                 raise ConfigError(f"line {lineno}: block {b} ratio is not s_img / s_txt")
-        if m_mean != editing_measurement(blocks):
+        if m_mean != step.m_mean:
             raise ConfigError(f"line {lineno}: m_mean is not the mean of the block ratios")
-        steps.append(StepRecord(timestep, tuple(blocks), m_mean, weight))
-        if config.w_override is None:
-            schedule = adaptive_weight(m_mean, config.thresholds)
+        if not math.isfinite(m_mean):
+            raise ConfigError(f"line {lineno}: m_mean {m_mean!r} is not finite")
+        steps.append(step)
     return EditingTrace(steps=tuple(steps), config=config)
 
 
@@ -544,7 +530,7 @@ def _write_case(out_dir: Path, src_final: np.ndarray, tgt_final: np.ndarray,
 
 def _exit_code(exc: Exception) -> int:
     """2 for a numerical abort, 1 for any other failure."""
-    return 2 if isinstance(exc, (NumericalAbortError, DegenerateSimilarityError)) else 1
+    return 2 if isinstance(exc, NumericalAbortError) else 1
 
 
 # (input index, config, case directory) of a case;

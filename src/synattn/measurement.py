@@ -12,22 +12,24 @@ The measurement from the previous step drives a piecewise-linear gate on
 the rotary-embedding strength: above ``m_max`` positions are dropped
 entirely (w=0), below ``m_min`` they are fully enforced (w=1), in between
 the weight interpolates linearly.
+
+:func:`close_step` makes a step's record, for the engine and the trace
+parser alike; a step it cannot measure is a :class:`NumericalAbortError`
+naming its timestep and first failing block.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
-    "DegenerateSimilarityError",
+    "NumericalAbortError",
     "Thresholds",
     "BlockSimilarity",
     "StepRecord",
-    "block_similarity",
-    "editing_measurement",
+    "close_step",
     "adaptive_weight",
 ]
 
@@ -36,8 +38,14 @@ __all__ = [
 DEGENERATE_S_TXT = 1e-6
 
 
-class DegenerateSimilarityError(ValueError):
-    """Text similarity too close to zero for the ratio to mean anything."""
+class NumericalAbortError(RuntimeError):
+    """A step could not be measured; names the step and block it came from."""
+
+    def __init__(self, timestep: int, block_index: int, detail: str,
+                 problem: str = "non-finite values") -> None:
+        super().__init__(f"{problem} at timestep {timestep}, block {block_index}: {detail}")
+        self.timestep = timestep
+        self.block_index = block_index
 
 
 @dataclass(frozen=True)
@@ -49,8 +57,9 @@ class Thresholds:
 
     def __post_init__(self) -> None:
         for name in ("m_min", "m_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.m_min < self.m_max:
             raise ValueError(f"m_min {self.m_min} must be below m_max {self.m_max}")
 
@@ -75,26 +84,28 @@ class StepRecord:
     weight_applied: float
 
 
-def block_similarity(block_index: int, s_txt: float, s_img: float) -> BlockSimilarity:
-    """Build a block record; the one place a degenerate text similarity is refused."""
-    if abs(s_txt) < DEGENERATE_S_TXT:
-        raise DegenerateSimilarityError(
-            f"block {block_index}: |s_txt| = {abs(s_txt):.3e} is below {DEGENERATE_S_TXT:.0e}"
-        )
-    return BlockSimilarity(
-        block_index=int(block_index),
-        s_txt=float(s_txt),
-        s_img=float(s_img),
-        ratio=float(s_img) / float(s_txt),
-    )
+def close_step(timestep: int, s_txt, s_img, weight: float, finite) -> StepRecord:
+    """One step's record: its blocks' ratios ``s_img / s_txt``, in order, and their mean.
 
-
-def editing_measurement(records) -> float:
-    """Mean of the ratios of one step's block records, each from :func:`block_similarity`."""
-    records = list(records)
-    if not records:
-        raise ValueError("editing measurement needs at least one block record")
-    return sum(rec.ratio for rec in records) / len(records)
+    ``finite[l]`` says whether block ``l``'s (source, target) states are
+    finite. The first failing block raises :class:`NumericalAbortError`
+    naming ``timestep`` and the block: a non-finite state, else a non-finite
+    similarity, else ``|s_txt|`` below ``DEGENERATE_S_TXT``.
+    """
+    blocks = []
+    for l, (txt, img, (src_ok, tgt_ok)) in enumerate(zip(s_txt, s_img, finite, strict=True)):
+        if not (src_ok and tgt_ok):
+            branch = "target" if src_ok else "source"
+            raise NumericalAbortError(timestep, l, f"{branch} branch stream")
+        if not (math.isfinite(txt) and math.isfinite(img)):
+            raise NumericalAbortError(timestep, l, f"s_txt = {txt!r}, s_img = {img!r}")
+        if abs(txt) < DEGENERATE_S_TXT:
+            raise NumericalAbortError(
+                timestep, l, f"|s_txt| = {abs(txt):.3e} is below {DEGENERATE_S_TXT:.0e}",
+                "degenerate text similarity",
+            )
+        blocks.append(BlockSimilarity(l, txt, img, img / txt))
+    return StepRecord(timestep, tuple(blocks), sum(b.ratio for b in blocks) / len(blocks), weight)
 
 
 def adaptive_weight(m_prev: float, th: Thresholds) -> float:
@@ -105,7 +116,7 @@ def adaptive_weight(m_prev: float, th: Thresholds) -> float:
     ``m_prev`` and always in [0, 1]; both band edges land on the linear
     branch, whose value coincides with the saturated one there.
     """
-    if not np.isfinite(m_prev):
+    if not math.isfinite(m_prev):
         raise ValueError(f"measurement must be finite, got {m_prev}")
     if m_prev > th.m_max:
         return 0.0

@@ -5,16 +5,17 @@ normalizes each row, into a new array or a buffer the caller gives (the
 input itself included), and :func:`row_cosines` pairs up the rows of two
 ``(..., n, d)`` stacks. The block similarities are means of
 :func:`row_cosines`, in which rows with zero norm count 0 instead of NaN;
-each row is computed alone, so the engine closes a step's measurement with
+each row is computed alone, so the engine takes a step's similarities from
 one call over an ``(L, B, n, d)`` stack of its blocks and gets each block's
 bytes.
 
 Nothing here checks finiteness; inf and NaN propagate as numpy propagates
 them. Finiteness is checked once, where values enter or come out: config
-values (``Thresholds``, ``BackboneConfig``), positions and ``w``
-(``rope.rotary_table``), the measurement (``adaptive_weight``), in the loop
-by ``pipeline``, once per block per branch of every stacked case (so
-non-finite weights abort at their block), and by
+values (``Thresholds``, ``BackboneConfig``, ``PipelineConfig``), positions
+and ``w`` (``rope.rotary_table``), the measurement (``adaptive_weight``), in
+the loop by ``pipeline``, once per block per branch of every stacked case,
+whose flags and similarities ``measurement.close_step`` reads in block
+order (so non-finite weights abort at their block), and by
 ``attention.attention_map``, which refuses a map whose mass is not a
 positive finite number.
 """

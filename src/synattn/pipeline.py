@@ -4,10 +4,11 @@ Both branches start from the same deterministic noise and walk the same
 timestep loop. At every step the current positional weight ``w`` is applied
 to all rotary embeddings of both branches; in shared blocks the target
 branch additionally reads the source branch's image keys/values. The block
-loop ends in one Euler update per branch. One pass over the live cases then
-closes the step's editing measurement, each case's blocks in order: its
-first failure aborts the case, else its per-block similarities set ``w``
-for the next step (first step: w = 1, or the fixed override for ablations).
+loop ends in one Euler update per branch. Each live case's step is then
+closed by :func:`~synattn.measurement.close_step`, whose first failing
+block aborts the case, and its record's measurement gives ``w`` for the
+next step through :meth:`PipelineConfig.rotary_weight` (first step: w = 1,
+or the fixed override for ablations).
 
 The source branch never reads target state: with a fixed override weight
 its trajectory is independent of the target prompt and of which blocks
@@ -33,6 +34,7 @@ one case.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,12 +49,11 @@ from .backbone import (
     initial_noise,
 )
 from .measurement import (
-    DegenerateSimilarityError,
+    NumericalAbortError,
     StepRecord,
     Thresholds,
     adaptive_weight,
-    block_similarity,
-    editing_measurement,
+    close_step,
 )
 from .numerics import row_cosines
 from .rope import rotary_table
@@ -74,17 +75,6 @@ __all__ = [
 _STACK_BYTES = 1 << 25
 
 
-class NumericalAbortError(RuntimeError):
-    """A non-finite value appeared; names the step and block it came from."""
-
-    def __init__(self, timestep: int, block_index: int, detail: str) -> None:
-        super().__init__(
-            f"non-finite values at timestep {timestep}, block {block_index}: {detail}"
-        )
-        self.timestep = timestep
-        self.block_index = block_index
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one edit run depends on."""
@@ -97,10 +87,22 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for key in ("src_prompt", "tgt_prompt"):
-            if not getattr(self, key).split():
-                raise ValueError(f"{key} must contain at least one token")
-        if self.w_override is not None and not 0.0 <= self.w_override <= 1.0:
-            raise ValueError(f"w_override {self.w_override} outside [0, 1]")
+            value = getattr(self, key)
+            if not (isinstance(value, str) and value.split()):
+                raise ValueError(f"{key} must contain at least one token, got {value!r}")
+        w = self.w_override
+        if w is not None and not (isinstance(w, numbers.Real) and 0.0 <= w <= 1.0):
+            raise ValueError(f"w_override must be a number in [0, 1], got {w!r}")
+
+    def rotary_weight(self, m_prev: float | None) -> float:
+        """The schedule: a step's positional weight, given the previous step's measurement.
+
+        The override if set, else 1 on the first step (``m_prev`` None),
+        else :func:`adaptive_weight` of ``m_prev``.
+        """
+        if self.w_override is not None:
+            return self.w_override
+        return 1.0 if m_prev is None else adaptive_weight(m_prev, self.thresholds)
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,9 @@ def _run_stack(
     of at most ``max(one block, _STACK_BYTES)``. A flush, when it is full or
     the step's blocks are done, writes every held block's ``s_txt`` and
     ``s_img`` from one :func:`row_cosines` call; the toy and the 2-block
-    FLUX-width shapes flush once per step. After the Euler update, one pass
-    over the live cases walks each case's blocks in order, the first failure
-    winning (a non-finite block, else a degenerate ``s_txt``).
+    FLUX-width shapes flush once per step. After the Euler update, one
+    :func:`close_step` call per live case walks its blocks in order and
+    either returns its step record or raises the case's abort.
     """
     bb = configs[0].backbone
     n_txt = bb.n_txt_tokens
@@ -139,14 +141,14 @@ def _run_stack(
     txt = np.array([[text[c.src_prompt] for c in configs], [text[c.tgt_prompt] for c in configs]])
     # read-only views of the one noise draw; each step's update makes a new array
     x = np.broadcast_to(noise, (2, len(configs), *noise.shape))
-    w = np.array([1.0 if c.w_override is None else float(c.w_override) for c in configs])
+    w = np.array([c.rotary_weight(None) for c in configs], dtype=float)
     positions = grid_position_ids(*bb.grid)
     block_shape = (len(configs), n_txt + bb.n_img, bb.d_model)
     n_held = min(n_blocks, max(1, _STACK_BYTES // (2 * 8 * np.prod(block_shape))))
     # branch first, so held[0] and held[1] are contiguous and row_cosines copies nothing
     held = np.empty((2, n_held, *block_shape))
-    finite = np.empty((n_blocks, 2, len(configs)), dtype=bool)  # block, branch, case
-    s_txt, s_img = np.empty((2, n_blocks, len(configs)))  # block, case
+    finite = np.empty((len(configs), n_blocks, 2), dtype=bool)  # case, block, branch
+    s_txt, s_img = np.empty((2, len(configs), n_blocks))  # case, block
 
     # A non-finite value is reported once per case, as its abort, not as numpy warnings.
     # An aborted case's rows stay in the pair, computed but never read again.
@@ -163,15 +165,15 @@ def _run_stack(
                 pair, attn = block_forward(pair, weights[l], bb, table, shared)
                 j = l % n_held
                 held[:, j] = attn
-                np.isfinite(pair).all(axis=(2, 3), out=finite[l])
+                np.isfinite(pair).all(axis=(2, 3), out=finite[:, l].T)
                 attn = None
                 if j + 1 < n_held and l + 1 < n_blocks:
                     continue
                 # the buffer is full or the step's blocks are done: flush blocks l - j .. l
                 cos = row_cosines(held[0, :j + 1], held[1, :j + 1])
                 # sum / count is np.mean's own arithmetic, without its overhead
-                np.divide(cos[..., :n_txt].sum(axis=2), n_txt, out=s_txt[l - j:l + 1])
-                np.divide(cos[..., n_txt:].sum(axis=2), bb.n_img, out=s_img[l - j:l + 1])
+                np.divide(cos[..., :n_txt].sum(axis=2), n_txt, out=s_txt[:, l - j:l + 1].T)
+                np.divide(cos[..., n_txt:].sum(axis=2), bb.n_img, out=s_img[:, l - j:l + 1].T)
 
             # the Euler update toward the step's output
             x = x + (pair[:, :, n_txt:] - x) / bb.n_steps
@@ -179,25 +181,13 @@ def _run_stack(
             ok, txt_sim, img_sim = finite.tolist(), s_txt.tolist(), s_img.tolist()
             still_live = []
             for i in live:
-                blocks = []
-                for l in range(n_blocks):
-                    src_ok, tgt_ok = ok[l][0][i], ok[l][1][i]
-                    if not (src_ok and tgt_ok):
-                        branch = "target" if src_ok else "source"
-                        results[i] = NumericalAbortError(t, l, f"{branch} branch stream")
-                        break
-                    try:
-                        blocks.append(block_similarity(l, txt_sim[l][i], img_sim[l][i]))
-                    except DegenerateSimilarityError as exc:
-                        results[i] = exc
-                        break
-                if results[i] is not None:
+                try:
+                    step = close_step(t, txt_sim[i], img_sim[i], float(w[i]), ok[i])
+                except NumericalAbortError as exc:
+                    results[i] = exc
                     continue
-                m_t = editing_measurement(blocks)
-                records[i].append(StepRecord(t, tuple(blocks), m_t, float(w[i])))
-                # m_t is finite: every ratio has a finite s_img and a non-degenerate s_txt
-                if t > 1 and configs[i].w_override is None:
-                    w[i] = adaptive_weight(m_t, configs[i].thresholds)
+                records[i].append(step)
+                w[i] = configs[i].rotary_weight(step.m_mean)
                 still_live.append(i)
             live = still_live
             if not live:

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,15 +55,15 @@ MINIMAL = "src_prompt = a standing dog\ntgt_prompt = a sitting dog\n"
 SMALL = MINIMAL + "blocks = 1\nshared_blocks = 0\nsteps = 2\n"
 
 
-def run_python(code, *args):
-    """Run ``code`` with a time limit in a fresh interpreter that imports this synattn."""
+def run_python(*args, check=True):
+    """Run ``python *args`` with a time limit in a fresh interpreter that imports this synattn."""
     import synattn
 
     src = str(Path(synattn.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, check=check)
 
 
 def fabricated_trace(m_means, config=None):
@@ -278,8 +279,9 @@ class TestTraceSerialization:
             ("# matrix 2 2\n1 2\n3 x\n", "line 3: expected number, got 'x'"),
             ("# matrix 2 2\n1 2\n3\n", "line 3: 1 values, the first row has 2"),
             ("# matrix 2 x\n1 2\n", "line 1: expected integer, got 'x'"),
+            ("# matrix 2 2\n1 2\n", r"matrix body \(1, 2\) does not match header \(2, 2\)"),
         ],
-        ids=["bad-number", "ragged-row", "bad-header-columns"],
+        ids=["bad-number", "ragged-row", "bad-header-columns", "body-off-header"],
     )
     def test_malformed_matrix_row_names_its_line(self, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -335,6 +337,12 @@ class TestTraceConsistency:
         with pytest.raises(ConfigError, match=f"line {lineno}: timestep 3"):
             parse_trace(text)
 
+    def test_config_echo_required(self):
+        text = "".join(line + "\n" for line in self.TEXT.splitlines()
+                       if not line.startswith("# config:"))
+        with pytest.raises(ConfigError, match="^trace file has no config echo$"):
+            parse_trace(text)
+
     @pytest.mark.parametrize(
         "col, field", [(0, "timestep: expected integer"), (4, "block 0 s_img: expected number")]
     )
@@ -375,7 +383,25 @@ class TestTraceConsistency:
         path.write_text(text)
         assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
         err = capsys.readouterr().err
-        assert f"line {lineno}: block 0: |s_txt| = 1.000e-07 is below 1e-06" in err
+        assert (f"line {lineno}: degenerate text similarity at timestep 2, block 0: "
+                "|s_txt| = 1.000e-07 is below 1e-06") in err
+        assert not (tmp_path / "s.txt").exists()
+
+    # block 0's ratio and the m_mean read inf: s_img is inf, or a finite s_img
+    # over s_txt overflows (in the last record, whose m_mean no schedule reads)
+    @pytest.mark.parametrize("row, s_txt, s_img, message", [
+        (1, "1", "inf", "non-finite values at timestep 2, block 0: s_txt = 1.0, s_img = inf"),
+        (2, "0.5", "1e308", "m_mean inf is not finite"),
+    ], ids=["inf-s_img", "overflowing-ratio"])
+    def test_stats_refuses_non_finite_measurement(self, row, s_txt, s_img, message, tmp_path,
+                                                  capsys):
+        text = self.TEXT
+        for col, value in ((3, s_txt), (4, s_img), (5, "inf"), (1, "inf")):
+            text, lineno = mutate_record(text, row, col, value)
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
+        assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
         assert not (tmp_path / "s.txt").exists()
 
     # w_one's override is 1; the adaptive schedule starts at 1, and its third
@@ -593,6 +619,22 @@ class TestRunCommand:
         assert not (out / "case_001").exists()
         assert "case 1" in capsys.readouterr().err
 
+    def test_failed_write_is_reported_by_index(self, tmp_path, capsys):
+        # case 1's directory cannot be made (a file holds its name); the cases
+        # of its group before and after it are still written
+        cfg = tmp_path / "edit.cfg"
+        cfg.write_text(SMALL)
+        out = tmp_path / "batch"
+        out.mkdir()
+        (out / "case_001").write_text("not a directory")
+        assert main(["run", *["--config", str(cfg)] * 3, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"case 1 ({cfg}): ")
+        assert (out / "case_001").read_text() == "not a directory"
+        for case in ("case_000", "case_002"):
+            assert sorted(p.name for p in (out / case).iterdir()) == [
+                "manifest.json", "src_final.txt", "tgt_final.txt", "trace.txt"]
+
     def test_abort_inside_a_group_spares_the_other_cases(self, tmp_path, capsys, monkeypatch):
         # three cases share a backbone; NaN in one target prompt aborts that
         # case alone, and the other two write the bytes they write alone
@@ -758,7 +800,7 @@ class TestRunCommand:
             "print(code, multiprocessing.active_children())\n"
         )
         out = tmp_path / "parallel"
-        proc = run_python(probe, "run", *cfgs, "--out", str(out), "--jobs", "2")
+        proc = run_python("-c", probe, "run", *cfgs, "--out", str(out), "--jobs", "2")
         assert proc.stdout.split() == ["1", "[]"]
         err = proc.stderr.splitlines()
         assert [line.split(" (")[0] for line in err] == ["case 1", "case 4"]
@@ -886,6 +928,20 @@ class TestMapCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["--cell", "1"], "--cell expects ROW,COL, got '1'"),
+        (["--cell", "a,b"], "--cell expects integers, got 'a,b'"),
+        (["--cell", "0,0", "--block", "8"], r"block 8 outside \[0, 8\)"),
+    ], ids=["cell-one-part", "cell-not-integers", "block-out-of-range"])
+    def test_bad_cell_or_block_exits_one(self, args, message, tmp_path, capsys):
+        cfg_file = tmp_path / "edit.cfg"
+        cfg_file.write_text(MINIMAL)
+        out = tmp_path / "m.txt"
+        code = main(["map", "--config", str(cfg_file), *args, "--w", "1.0", "--out", str(out)])
+        assert code == 1
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_weight_out_of_range_exits_one(self, tmp_path):
         cfg_file = tmp_path / "edit.cfg"
         cfg_file.write_text(MINIMAL)
@@ -924,7 +980,20 @@ class TestUsage:
         # the inline path, and so every one-worker run, pays nothing for the pool's modules
         probe = ("import sys, synattn.cli\n"
                  "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-        assert run_python(probe).stdout.strip() == "[]"
+        assert run_python("-c", probe).stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("case, code", [("run", 0), ("unknown-key", 1), ("help", 0)])
+    def test_module_entry_point_exits_with_main_code(self, case, code, tmp_path):
+        # `python -m synattn.cli` exits through entrypoint() with main's return value
+        cfg = tmp_path / "edit.cfg"
+        cfg.write_text(SMALL + ("foo = 1\n" if case == "unknown-key" else ""))
+        out = tmp_path / "o"
+        args = ["--help"] if case == "help" else ["run", "--config", str(cfg), "--out", str(out)]
+        proc = run_python("-m", "synattn.cli", *args, check=False)
+        assert proc.returncode == code, proc.stderr
+        assert (out / "trace.txt").exists() == (case == "run")
+        assert ("usage: synattn" in proc.stdout) == (case == "help")
+        assert ("'foo'" in proc.stderr) == (case == "unknown-key")
 
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 1

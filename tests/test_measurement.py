@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,12 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import cosine_rows_mean
 from synattn import (
-    DegenerateSimilarityError,
+    NumericalAbortError,
     ShapeError,
     Thresholds,
     adaptive_weight,
-    block_similarity,
-    editing_measurement,
+    close_step,
 )
 from synattn.numerics import row_cosines
 
@@ -46,33 +47,55 @@ class TestSimilarities:
 
 
 class TestEditingMeasurement:
+    """The step rule: ``close_step`` makes each block's ratio and their mean."""
+
     @staticmethod
-    def records(ratios):
-        return [block_similarity(i, 1.0, r) for i, r in enumerate(ratios)]
+    def step(s_txt, s_img, timestep=4):
+        return close_step(timestep, s_txt, s_img, 0.5, [(True, True)] * len(s_txt))
 
     def test_equal_similarities_give_one(self):
-        recs = [block_similarity(i, 0.73, 0.73) for i in range(5)]
-        assert all(r.ratio == 1.0 for r in recs)
-        assert editing_measurement(recs) == 1.0
+        step = self.step([0.73] * 5, [0.73] * 5)
+        assert [b.ratio for b in step.blocks] == [1.0] * 5
+        assert [b.block_index for b in step.blocks] == list(range(5))
+        assert (step.timestep, step.m_mean, step.weight_applied) == (4, 1.0, 0.5)
 
     def test_mean_of_two(self):
-        assert editing_measurement(self.records([0.8, 1.2])) == pytest.approx(1.0, abs=1e-12)
+        assert self.step([1.0, 1.0], [0.8, 1.2]).m_mean == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_of_three(self):
-        got = editing_measurement(self.records([0.9, 0.95, 1.05]))
+        got = self.step([1.0] * 3, [0.9, 0.95, 1.05]).m_mean
         assert got == pytest.approx((0.9 + 0.95 + 1.05) / 3.0, abs=1e-12)
 
     def test_repeated_block_equals_its_ratio(self):
-        rec = block_similarity(0, 0.8, 0.92)
-        assert editing_measurement([rec] * 7) == pytest.approx(rec.ratio, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            editing_measurement([])
+        step = self.step([0.8] * 7, [0.92] * 7)
+        assert step.m_mean == pytest.approx(step.blocks[0].ratio, abs=1e-12)
 
     def test_degenerate_text_similarity_rejected(self):
-        with pytest.raises(DegenerateSimilarityError):
-            block_similarity(3, 1e-7, 0.5)
+        with pytest.raises(NumericalAbortError) as exc:
+            self.step([1.0, 1e-7, 0.0], [0.5] * 3)
+        assert (exc.value.timestep, exc.value.block_index) == (4, 1)
+        assert str(exc.value) == (
+            "degenerate text similarity at timestep 4, block 1: |s_txt| = 1.000e-07 is below 1e-06"
+        )
+
+    def test_lists_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="shorter"):
+            close_step(4, [1.0, 1.0], [0.5], 1.0, [(True, True)] * 2)
+
+    @pytest.mark.parametrize("s_txt, s_img, finite, block, message", [
+        ([1.0, 1.0], [0.5, math.inf], [(True, True)] * 2, 1,
+         "non-finite values at timestep 4, block 1: s_txt = 1.0, s_img = inf"),
+        ([1.0, math.nan], [0.5] * 2, [(True, True), (True, False)], 1,
+         "non-finite values at timestep 4, block 1: target branch stream"),
+        ([1e-7, 1.0], [0.5] * 2, [(True, True), (False, True)], 0,
+         "degenerate text similarity at timestep 4, block 0"),
+    ], ids=["non-finite-similarity", "non-finite-state", "first-block-wins"])
+    def test_first_failing_block_aborts(self, s_txt, s_img, finite, block, message):
+        # a non-finite state wins over its block's similarities, and an earlier block over it
+        with pytest.raises(NumericalAbortError) as exc:
+            close_step(4, s_txt, s_img, 1.0, finite)
+        assert (exc.value.timestep, exc.value.block_index) == (4, block)
+        assert str(exc.value).startswith(message)
 
 
 class TestAdaptiveWeight:

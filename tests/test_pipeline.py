@@ -6,7 +6,6 @@ import pytest
 
 from synattn import (
     BackboneConfig,
-    DegenerateSimilarityError,
     NumericalAbortError,
     PipelineConfig,
     Thresholds,
@@ -18,6 +17,7 @@ from synattn import (
     run_edit,
 )
 from synattn.attention import _ROLES
+from synattn.cli import main, render_config
 import synattn.pipeline as pipeline_mod
 
 
@@ -169,6 +169,25 @@ class TestRunEdit:
             with pytest.raises(ValueError, match=f"^{key} must contain at least one token"):
                 PipelineConfig(**{"src_prompt": "a dog", "tgt_prompt": "a dog", key: " \t "})
 
+    # a wrong-typed config value is a ValueError naming its field, never a bare TypeError
+    @pytest.mark.parametrize("make, field", [
+        (lambda: BackboneConfig(theta_base="1e4"), "theta_base"),
+        (lambda: BackboneConfig(theta_base=None), "theta_base"),
+        (lambda: BackboneConfig(axis_dims=None), "axis_dims"),
+        (lambda: BackboneConfig(grid=4), "grid"),
+        (lambda: BackboneConfig(shared_blocks=None), "shared_blocks"),
+        (lambda: BackboneConfig(shared_blocks=3), "shared_blocks"),
+        (lambda: Thresholds(m_min="0.5"), "m_min"),
+        (lambda: Thresholds(m_min=None), "m_min"),
+        (lambda: small_config(w_override="0.5"), "w_override"),
+        (lambda: small_config(src_prompt=None), "src_prompt"),
+    ], ids=["theta-str", "theta-none", "axis-dims-none", "grid-int", "shared-none",
+            "shared-int", "m-min-str", "m-min-none", "w-override-str", "src-prompt-none"])
+    def test_wrong_typed_field_refused_naming_it(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must ") as exc:
+            make()
+        assert type(exc.value) is ValueError
+
     def test_non_finite_aborts_with_location(self, monkeypatch):
         real = pipeline_mod.block_forward
         calls = itertools.count()
@@ -193,10 +212,13 @@ class TestRunEdit:
         pytest.param(3, 5, 1, id="3-5-one-block-per-flush"),
         pytest.param(5, 3, 1, id="5-3-one-block-per-flush"),
     ])
-    def test_first_failure_in_block_order_wins(self, non_finite, degenerate, budget, monkeypatch):
+    def test_first_failure_in_block_order_wins(
+        self, non_finite, degenerate, budget, monkeypatch, tmp_path, capsys
+    ):
         # one step with inf at one block and zero text outputs (s_txt = 0, even
         # after the inf) at another: the step's one measurement pass reports
-        # the earlier block, whether or not they were flushed together
+        # the earlier block, whether or not they were flushed together, as a
+        # numerical abort naming the step and block, and `synattn run` exits 2
         monkeypatch.setattr(pipeline_mod, "_STACK_BYTES", budget)
         flushed = []
         real_cosines = pipeline_mod.row_cosines
@@ -219,16 +241,23 @@ class TestRunEdit:
 
         monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
         config = small_config()
-        with pytest.raises((NumericalAbortError, DegenerateSimilarityError)) as exc:
+        with pytest.raises(NumericalAbortError) as exc:
             run_edit(config)
         n_blocks = config.backbone.n_blocks
         assert flushed == ([n_blocks] if budget > 1 else [1] * n_blocks)
+        assert (exc.value.timestep, exc.value.block_index) == (config.backbone.n_steps, 3)
         if non_finite < degenerate:
-            assert type(exc.value) is NumericalAbortError
-            assert (exc.value.timestep, exc.value.block_index) == (config.backbone.n_steps, 3)
+            assert str(exc.value) == "non-finite values at timestep 10, block 3: source branch stream"
         else:
-            assert type(exc.value) is DegenerateSimilarityError
-            assert str(exc.value).startswith("block 3: |s_txt| = 0.000e+00")
+            assert str(exc.value).startswith(
+                "degenerate text similarity at timestep 10, block 3: |s_txt| = 0.000e+00"
+            )
+        calls = itertools.count()  # poison the same step of a fresh run
+        cfg = tmp_path / "edit.cfg"
+        cfg.write_text(render_config(config))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"case 0 ({cfg}): {exc.value}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "poison, branch", [("initial_noise", "source"), ("encode_prompt", "target")]
