@@ -270,6 +270,8 @@ class BackboneConfig:
         ):
             if not 1 <= value <= limit:
                 raise ValueError(f"{name} must be in [1, {limit}], got {value}")
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         d_model = self.num_heads * self.head_dim
         if self.d_model is not None and _integral("d_model", self.d_model) != d_model:
             raise ValueError(
@@ -282,6 +284,8 @@ class BackboneConfig:
                 f"shared_blocks {sorted(self.shared_blocks)} outside "
                 f"[0, {self.n_blocks})"
             )
+        if len(self.axis_dims) != 3:  # position ids are (marker, row, column)
+            raise ValueError(f"axis_dims must have 3 entries, got {self.axis_dims}")
         if sum(self.axis_dims) != self.head_dim:
             raise ValueError(
                 f"axis_dims {self.axis_dims} must sum to head_dim {self.head_dim}"

@@ -5,15 +5,15 @@ Subcommands
 run    Run one or more edit configs; per config writes trace.txt,
        src_final.txt, tgt_final.txt and manifest.json into the output
        directory (one case_NNN subdirectory per config when several are
-       given). Cases that share a backbone (every backbone key, seed
-       included) run as one stacked computation, and each group's case
-       directories are written as soon as it finishes. --jobs N runs up to
-       N groups at once, each in a forked worker process that computes and
-       writes its group; the bytes do not depend on N. Each worker holds
-       one backbone's weights: at FLUX width (d = 3072) about 0.45 GB per
-       block, so 0.9 GB more memory per worker for a 2-block backbone.
-       Platforms without the fork start method, and callers running other
-       threads, run the groups inline.
+       given). The executor is pipeline.run_groups: cases that share a
+       backbone (every backbone key, seed included) run as one stacked
+       computation, and each group's case directories are written as soon
+       as it finishes. --jobs N runs up to N groups at once, each in a
+       forked worker that computes and writes its group; the bytes do not
+       depend on N. Each worker holds one backbone's weights: at FLUX width
+       (d = 3072) about 0.45 GB per block, so 0.9 GB more memory per worker
+       for a 2-block backbone. Platforms without the fork start method, and
+       callers running other threads, run the groups inline.
 stats  Aggregate several trace files: per timestep the mean, population
        standard deviation, and nearest-rank 20th/80th percentiles of the
        editing measurement across traces.
@@ -38,18 +38,17 @@ import functools
 import json
 import math
 import sys
-import threading
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from ._version import __version__
 from .attention import _ROLES, attention_map
-from .backbone import BackboneConfig, _usable_cores, encode_prompt, init_block, initial_noise
+from .backbone import BackboneConfig, encode_prompt, init_block, initial_noise
 from .measurement import NumericalAbortError, Thresholds, close_step
-from .pipeline import EditingTrace, PipelineConfig, _backbone_groups, _run_group
+from .pipeline import EditingTrace, PipelineConfig, run_groups
 
 __all__ = [
     "ConfigError",
@@ -159,7 +158,7 @@ class ConfigField(NamedTuple):
 CONFIG_FIELDS = (
     ConfigField("src_prompt", "pipeline", "src_prompt", "text", "source prompt"),
     ConfigField("tgt_prompt", "pipeline", "tgt_prompt", "text", "target prompt"),
-    ConfigField("seed", "backbone", "seed", "int", "backbone seed, integer"),
+    ConfigField("seed", "backbone", "seed", "int", "backbone seed, integer in [0, 2**64)"),
     ConfigField("steps", "backbone", "n_steps", "int", "denoising steps T"),
     ConfigField("grid", "backbone", "grid", "grid", "image token grid HxW"),
     ConfigField("blocks", "backbone", "n_blocks", "int", "number of transformer blocks"),
@@ -173,7 +172,7 @@ CONFIG_FIELDS = (
     ConfigField("head_dim", "backbone", "head_dim", "int", "per-head dimension"),
     ConfigField(
         "axis_dims", "backbone", "axis_dims", "int-list",
-        "comma-separated even axis splits summing to head_dim",
+        "three comma-separated even axis splits summing to head_dim",
     ),
     ConfigField("n_txt_tokens", "backbone", "n_txt_tokens", "int", "text tokens per prompt"),
     ConfigField("theta_base", "backbone", "theta_base", "float", "rotary frequency base"),
@@ -533,96 +532,25 @@ def _exit_code(exc: Exception) -> int:
     return 2 if isinstance(exc, NumericalAbortError) else 1
 
 
-# (input index, config, case directory) of a case;
-# (input index, message, exit code) of a failing one
-_Case = tuple[int, PipelineConfig, Path]
-_Failure = tuple[int, str, int]
-
-
-def _run_cases(cases: list[_Case]) -> list[_Failure]:
-    """Run cases that share a backbone and write their case directories.
-
-    Returns each failing case, in input order. Prints nothing and lets no
-    exception escape, so it behaves the same inline and in a worker process.
-    """
-    failures = []
-    for (i, _, target), result in zip(cases, _run_group([config for _, config, _ in cases])):
-        if not isinstance(result, Exception):
-            try:
-                _write_case(target, *result)
-                continue
-            except Exception as exc:  # noqa: BLE001 - reported per index by contract
-                result = exc
-        failures.append((i, str(result), _exit_code(result)))
-    return failures
-
-
-def _map_groups(groups: list[list[_Case]], jobs: int) -> Iterator[list[_Failure]]:
-    """:func:`_run_cases` of each group, yielded in group order, on up to ``jobs`` processes.
-
-    One worker (``jobs`` 1, a single group, one usable core), a platform
-    without the ``fork`` start method, or a caller running other threads
-    (which a fork would copy in whatever state they hold) runs the groups
-    inline, one after another, and imports no pool.
-    """
-    workers = min(jobs, len(groups), _usable_cores())
-    if workers > 1 and threading.active_count() == 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            yield from _map_forked(groups, workers, multiprocessing.get_context("fork"))
-            return
-    for group in groups:
-        yield _run_cases(group)
-
-
-def _map_forked(groups: list[list[_Case]], workers: int, context) -> Iterator[list[_Failure]]:
-    """:func:`_map_groups` on a pool of ``workers`` forked processes.
-
-    A worker that dies breaks the pool. Every group it had not finished then
-    runs again in a process of its own, one after another, so only a group
-    that kills its own worker is reported, once per case, with exit code 1.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    def lost(future) -> bool:
-        return isinstance(future.exception(), BrokenProcessPool)
-
-    def alone(group: list[_Case]) -> list[_Failure]:
-        with ProcessPoolExecutor(1, mp_context=context) as pool:
-            future = pool.submit(_run_cases, group)
-            if not lost(future):
-                return future.result()
-        return [(i, "the worker process running this case died", 1) for i, _, _ in group]
-
-    # a forked worker flushes what it inherits of these buffers when it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    futures = []
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+def _write_or_fail(targets: dict[int, Path], i: int, result) -> tuple[int, str, int] | None:
+    """Write case ``i``'s directory, or return ``(i, message, exit code)``; never raises."""
+    if not isinstance(result, Exception):
         try:
-            for group in groups:
-                futures.append(pool.submit(_run_cases, group))
-        except BrokenProcessPool:  # a worker died before every group was queued
-            pass
-        done = 0
-        while done < len(futures) and not lost(futures[done]):
-            yield futures[done].result()
-            done += 1
-    for k in range(done, len(groups)):
-        finished = k < len(futures) and not lost(futures[k])
-        yield futures[k].result() if finished else alone(groups[k])
+            _write_case(targets[i], *result)
+            return None
+        except Exception as exc:  # noqa: BLE001 - reported per index by contract
+            result = exc
+    return i, str(result), _exit_code(result)
 
 
 def cmd_run(config_paths: list[str], out_dir: str, jobs: int = 1) -> int:
     """Run every config; one output directory per case when several are given.
 
-    All configs are parsed first. Cases that share a backbone run as one
-    stacked computation, and each group's directories are written as soon
-    as the group finishes. Up to ``jobs`` forked worker processes each run
-    one group at a time. A failing case is reported on stderr by index, in
-    group order, and the batch continues.
+    All configs are parsed first. :func:`~synattn.pipeline.run_groups` runs
+    the cases that share a backbone as one stacked computation, on up to
+    ``jobs`` forked worker processes, and each case's directory is written
+    where its group ran, as soon as the group finishes. A failing case is
+    reported on stderr by index, in group order, and the batch continues.
     """
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
@@ -634,19 +562,15 @@ def cmd_run(config_paths: list[str], out_dir: str, jobs: int = 1) -> int:
         print(f"case {i} ({config_paths[i]}): {message}", file=sys.stderr)
         code = max(code, exit_code)
 
-    parsed: list[_Case] = []
+    configs: dict[int, PipelineConfig] = {}
     for i, path in enumerate(config_paths):
         try:
-            config = parse_config_text(Path(path).read_text())
+            configs[i] = parse_config_text(Path(path).read_text())
         except Exception as exc:  # noqa: BLE001 - reported per index by contract
             report(i, str(exc), _exit_code(exc))
-            continue
-        target = root if len(config_paths) == 1 else root / f"case_{i:03d}"
-        parsed.append((i, config, target))
-    groups = [[parsed[j] for j in indices]
-              for indices in _backbone_groups([config for _, config, _ in parsed])]
-    for failures in _map_groups(groups, jobs):
-        for failure in failures:
+    targets = {i: root if len(config_paths) == 1 else root / f"case_{i:03d}" for i in configs}
+    for failures in run_groups(configs, functools.partial(_write_or_fail, targets), jobs):
+        for failure in filter(None, failures):
             report(*failure)
     return code
 

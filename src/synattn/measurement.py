@@ -44,8 +44,11 @@ class NumericalAbortError(RuntimeError):
     def __init__(self, timestep: int, block_index: int, detail: str,
                  problem: str = "non-finite values") -> None:
         super().__init__(f"{problem} at timestep {timestep}, block {block_index}: {detail}")
-        self.timestep = timestep
-        self.block_index = block_index
+        self.timestep, self.block_index, self.detail, self.problem = (
+            timestep, block_index, detail, problem)
+
+    def __reduce__(self):  # rebuilt from its four arguments, so it pickles
+        return type(self), (self.timestep, self.block_index, self.detail, self.problem)
 
 
 @dataclass(frozen=True)

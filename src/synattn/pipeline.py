@@ -28,21 +28,25 @@ aborts numerically stores its exception and its rows stay in the pair,
 masked: computed but never read again, while the others carry on. Any other
 failure in a group (a draw that cannot be allocated, say) is every case's
 of that group. A prompt with no tokens is refused when the
-:class:`PipelineConfig` is built. :func:`run_edit` is the same engine on
-one case.
+:class:`PipelineConfig` is built. :func:`run_groups`, the one batch
+executor, groups configs by backbone for :func:`run_batch` and ``synattn
+run``; :func:`run_edit` is the same engine on one case.
 """
 
 from __future__ import annotations
 
 import numbers
+import sys
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from .attention import grid_position_ids, image_kv
 from .backbone import (
     BackboneConfig,
+    _usable_cores,
     block_forward,
     encode_prompt,
     init_backbone,
@@ -64,6 +68,7 @@ __all__ = [
     "NumericalAbortError",
     "run_edit",
     "run_batch",
+    "run_groups",
 ]
 
 # Bytes of branch state (both branches' [text; image] stacks) one stacked
@@ -114,6 +119,7 @@ class EditingTrace:
 
 
 EditResult = tuple[np.ndarray, np.ndarray, EditingTrace]
+Sink = Callable[[int, EditResult | Exception], Any]  # (input index, result) -> a value to yield
 
 
 def _run_stack(
@@ -220,14 +226,6 @@ def _run_group(configs: Sequence[PipelineConfig]) -> list[EditResult | Exception
         return [exc] * len(configs)
 
 
-def _backbone_groups(configs: Sequence[PipelineConfig]) -> list[list[int]]:
-    """Input indices of the configs sharing each backbone, in order of first appearance."""
-    groups: dict[BackboneConfig, list[int]] = {}
-    for i, cfg in enumerate(configs):
-        groups.setdefault(cfg.backbone, []).append(i)
-    return list(groups.values())
-
-
 def run_edit(config: PipelineConfig) -> EditResult:
     """Run the full paired denoising loop.
 
@@ -251,8 +249,80 @@ def run_batch(configs: Sequence[PipelineConfig]) -> list[EditingTrace | Exceptio
     configs = list(configs)
     if not configs:
         raise ValueError("run_batch needs at least one config")
-    results: list[EditingTrace | Exception] = [None] * len(configs)
-    for indices in _backbone_groups(configs):
-        for i, result in zip(indices, _run_group([configs[i] for i in indices])):
-            results[i] = result if isinstance(result, Exception) else result[2]
-    return results
+
+    def keep(i: int, result: EditResult | Exception) -> tuple[int, EditingTrace | Exception]:
+        return i, result if isinstance(result, Exception) else result[2]
+
+    traces = dict(kept for group in run_groups(dict(enumerate(configs)), keep) for kept in group)
+    return [traces[i] for i in range(len(configs))]
+
+
+def run_groups(configs: dict[int, PipelineConfig], sink: Sink, jobs: int = 1) -> Iterator[list]:
+    """Run configs grouped by backbone; yield each group's ``sink(index, result)`` values.
+
+    ``configs`` maps an input index to its config. Groups come in order of
+    first appearance, each list in its group's index order. A result is the
+    case's ``(src, tgt, trace)`` or its exception, and the sink runs in the
+    process that ran the group. Groups run inline and lazily unless ``jobs``,
+    the group count and :func:`_usable_cores` all exceed 1, ``fork`` exists
+    and no other thread runs (a fork would copy it mid-state); then up to
+    ``jobs`` forked workers run them, and the sink and its values must pickle.
+    """
+    groups: dict[BackboneConfig, dict[int, PipelineConfig]] = {}
+    for i, config in configs.items():
+        groups.setdefault(config.backbone, {})[i] = config
+    workers = min(jobs, len(groups), _usable_cores())
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            yield from _run_forked(list(groups.values()), sink, workers, context)
+            return
+    for group in groups.values():
+        yield _sink_group(group, sink)
+
+
+def _sink_group(group: dict[int, PipelineConfig], sink: Sink) -> list:
+    return [sink(i, result) for i, result in zip(group, _run_group(list(group.values())))]
+
+
+def _run_forked(groups: list[dict], sink: Sink, workers: int, context) -> Iterator[list]:
+    """:func:`run_groups` on a pool of ``workers`` forked processes.
+
+    A worker that dies breaks the pool. Every group it had not finished then
+    runs again in a process of its own, one after another, so only a group
+    that kills its own worker is reported: the parent passes the sink a
+    :class:`ChildProcessError` for each of its cases.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def lost(future) -> bool:
+        return isinstance(future.exception(), BrokenProcessPool)
+
+    def alone(group: dict[int, PipelineConfig]) -> list:
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            future = pool.submit(_sink_group, group, sink)
+            if not lost(future):
+                return future.result()
+        died = ChildProcessError("the worker process running this case died")
+        return [sink(i, died) for i in group]
+
+    # a forked worker flushes what it inherits of these buffers when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    futures = []
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        try:
+            for group in groups:
+                futures.append(pool.submit(_sink_group, group, sink))
+        except BrokenProcessPool:  # a worker died before every group was queued
+            pass
+        done = 0
+        while done < len(futures) and not lost(futures[done]):
+            yield futures[done].result()
+            done += 1
+    for k in range(done, len(groups)):
+        finished = k < len(futures) and not lost(futures[k])
+        yield futures[k].result() if finished else alone(groups[k])

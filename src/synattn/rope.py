@@ -68,11 +68,8 @@ def rotary_table(positions, w, config: BackboneConfig) -> RotaryTable:
     scalar ``w[b]``.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    n_axes = len(config.axis_dims)
-    if positions.ndim != 2 or positions.shape[1] != n_axes:
-        raise ShapeError(
-            f"positions shape {positions.shape} does not match (n, {n_axes})"
-        )
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ShapeError(f"positions shape {positions.shape} does not match (n, 3)")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions contain non-finite values")
     w = np.asarray(w, dtype=np.float64)

@@ -273,6 +273,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BackboneConfig(axis_dims=(4, 6, 4))
 
+    # position ids are (marker, row, column), so every run needs three axes
+    @pytest.mark.parametrize("axis_dims", [(16,), (8, 8), (4, 4, 4, 4)])
+    def test_axis_dims_needs_three_entries(self, axis_dims):
+        with pytest.raises(ValueError, match=r"^axis_dims must have 3 entries"):
+            BackboneConfig(axis_dims=axis_dims)
+
+    # a seed outside [0, 2**64) would alias one inside it
+    @pytest.mark.parametrize("seed", [-1, MASK64 + 1, -(2**70)])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\)"):
+            BackboneConfig(seed=seed)
+        assert BackboneConfig(seed=MASK64).seed == MASK64
+
     def test_flux_preset_shape(self):
         cfg = BackboneConfig(
             d_model=3072,
@@ -291,8 +304,8 @@ class TestConfigValidation:
         ("num_heads", dict(num_heads=MAX_HEADS, d_model=MAX_HEADS * 16),
          dict(num_heads=MAX_HEADS + 1, d_model=(MAX_HEADS + 1) * 16)),
         ("head_dim", dict(num_heads=1, head_dim=MAX_HEAD_DIM, d_model=MAX_HEAD_DIM,
-                          axis_dims=(MAX_HEAD_DIM,)),
-         dict(num_heads=1, head_dim=2**50, d_model=2**50, axis_dims=(2**50,))),
+                          axis_dims=(256, 256, 512)),
+         dict(num_heads=1, head_dim=2**50, d_model=2**50, axis_dims=(2**48, 2**48, 2**49))),
         ("n_blocks", dict(n_blocks=MAX_BLOCKS), dict(n_blocks=MAX_BLOCKS + 1)),
         ("n_txt_tokens", dict(n_txt_tokens=MAX_TXT_TOKENS),
          dict(n_txt_tokens=MAX_TXT_TOKENS + 1)),

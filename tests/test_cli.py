@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +202,7 @@ finite = st.floats(-1e6, 1e6, allow_nan=False)
 
 @st.composite
 def pipeline_configs(draw):
-    axis_dims = draw(st.lists(st.sampled_from((2, 4, 6)), min_size=1, max_size=3))
+    axis_dims = draw(st.lists(st.sampled_from((2, 4, 6)), min_size=3, max_size=3))
     num_heads = draw(st.integers(1, 3))
     n_blocks = draw(st.integers(1, 6))
     m_min, m_max = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
@@ -214,7 +215,7 @@ def pipeline_configs(draw):
         shared_blocks=frozenset(draw(st.sets(st.integers(0, n_blocks - 1)))),
         n_txt_tokens=draw(st.integers(1, 5)),
         grid=(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
-        seed=draw(st.integers(-(2**40), 2**40)),
+        seed=draw(st.integers(0, 2**40)),
         n_steps=draw(st.integers(1, 20)),
         theta_base=draw(st.floats(1.0, 1e6, exclude_min=True)),
     )
@@ -238,6 +239,18 @@ class TestFieldTable:
         echo = config_to_dict(config)
         assert list(echo) == [f.key for f in CONFIG_FIELDS]
         assert echo["w_override"] == config.w_override
+
+    # exit 1 belongs to the boundary: a config it accepts runs to its
+    # files (exit 0) or to a numerical abort (exit 2), never to a usage error
+    @given(pipeline_configs())
+    def test_every_accepted_config_runs(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "edit.cfg", Path(tmp) / "out"
+            cfg.write_text(render_config(config))
+            code = main(["run", "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 2)
+            if code == 0:
+                assert parse_trace((out / "trace.txt").read_text()) == run_edit(config)[2]
 
     def test_run_help_lists_every_key_once(self, capsys):
         assert main(["run", "--help"]) == 0
@@ -672,7 +685,6 @@ class TestRunCommand:
         # a config that fails to parse and two cases that abort numerically;
         # every file, the stderr lines in group order and the exit code agree
         # between the inline run and two and three worker processes
-        import synattn.cli as cli_mod
         import synattn.pipeline as pipeline_mod
 
         real = pipeline_mod.encode_prompt
@@ -684,7 +696,7 @@ class TestRunCommand:
             return out
 
         monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
-        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: 4)
         poison = "src_prompt = a standing dog\ntgt_prompt = a poisoned dog\n"
         texts = [MINIMAL + "seed = 0\n", poison + "seed = 2\n", MINIMAL + "foo = 1\n",
                  MINIMAL + "seed = 1\n", MINIMAL + "seed = 0\nw_override = 0\n",
@@ -739,11 +751,11 @@ class TestRunCommand:
         import multiprocessing
         import threading
 
-        import synattn.cli as cli_mod
+        import synattn.pipeline as pipeline_mod
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
         monkeypatch.setattr(threading, "active_count", lambda: threads)
-        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: cores)
         cfgs = []
         for i in range(4):
             f = tmp_path / f"c{i}.cfg"
@@ -757,9 +769,9 @@ class TestRunCommand:
     def test_pool_broken_while_queueing_runs_the_rest_alone(
         self, tmp_path, monkeypatch, inline_pools
     ):
-        import synattn.cli as cli_mod
+        import synattn.pipeline as pipeline_mod
 
-        monkeypatch.setattr(cli_mod, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: 4)
         inline_pools.refuse = 1  # the second group finds the pool broken
         cfgs = []
         for i in range(3):
@@ -787,15 +799,15 @@ class TestRunCommand:
         assert main(["run", *cfgs, "--out", str(serial)]) == 0
         probe = (
             "import multiprocessing, os, sys\n"
-            "import synattn.cli as cli\n"
-            "real, parent = cli._run_group, os.getpid()\n"
+            "import synattn.cli as cli, synattn.pipeline as pipeline\n"
+            "real, parent = pipeline._run_group, os.getpid()\n"
             "def dying(configs):  # the forked workers inherit this patch\n"
             "    if configs[0].backbone.seed == 1:\n"
             "        assert os.getpid() != parent, 'the group ran inline'\n"
             "        os._exit(3)\n"
             "    return real(configs)\n"
-            "cli._run_group = dying\n"
-            "cli._usable_cores = lambda: 2\n"
+            "pipeline._run_group = dying\n"
+            "pipeline._usable_cores = lambda: 2\n"
             "code = cli.main(sys.argv[1:])\n"
             "print(code, multiprocessing.active_children())\n"
         )
@@ -976,6 +988,36 @@ class TestMapCommand:
 
 
 class TestUsage:
+    def test_one_executor_behind_the_public_api(self):
+        # cli.py reaches the engine through public names only, and pipeline.py
+        # is the one module that starts a process pool
+        import ast
+
+        import synattn
+
+        def names(tree):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    yield node.id
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr
+                elif isinstance(node, ast.alias):
+                    yield node.name.rpartition(".")[2]
+
+        package = Path(synattn.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+        private = [
+            (node.module, alias.name)
+            for node in ast.walk(trees["cli.py"])
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").rpartition(".")[2] in ("pipeline", "backbone")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
+        pools = [name for name, tree in trees.items() if "ProcessPoolExecutor" in names(tree)]
+        assert pools == ["pipeline.py"]
+
     def test_import_loads_no_process_pool(self):
         # the inline path, and so every one-worker run, pays nothing for the pool's modules
         probe = ("import sys, synattn.cli\n"

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -77,6 +78,17 @@ class TestEditingMeasurement:
         assert str(exc.value) == (
             "degenerate text similarity at timestep 4, block 1: |s_txt| = 1.000e-07 is below 1e-06"
         )
+
+    @pytest.mark.parametrize("problem", [None, "degenerate text similarity"])
+    def test_abort_survives_pickle(self, problem):
+        # a batch's results cross process boundaries with their aborts in them
+        extra = () if problem is None else (problem,)
+        error = NumericalAbortError(7, 2, "x", *extra)
+        got = pickle.loads(pickle.dumps(error))
+        assert type(got) is NumericalAbortError
+        assert str(got) == str(error)
+        assert (got.timestep, got.block_index, got.detail, got.problem) == (
+            7, 2, "x", problem or "non-finite values")
 
     def test_lists_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="shorter"):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -361,6 +362,11 @@ def assert_same_result(got, want):
     assert got[2] == want[2]
 
 
+def _pid_and_result(i, result):
+    """A sink that pickles: the process it ran in, the case's index and its result."""
+    return os.getpid(), i, result
+
+
 def mixed_configs():
     """Two backbones interleaved, every schedule kind, differing thresholds."""
     other = BackboneConfig(seed=7, grid=(3, 5), n_steps=6)
@@ -378,19 +384,81 @@ def mixed_configs():
 
 class TestStackedEngine:
     def test_groups_follow_the_backbone_in_order_of_first_appearance(self):
-        configs = mixed_configs()
-        groups = pipeline_mod._backbone_groups(configs)
-        assert groups == [[0, 2, 4, 6], [1, 3, 5, 7]]
+        # sparse input indices, the first group's backbone not the default one
+        second, first = mixed_configs()[:2]
+        configs = {3: first, 7: second, 9: first, 12: second}
+        groups = list(pipeline_mod.run_groups(configs, lambda i, result: i))
+        assert groups == [[3, 9], [7, 12]]
 
     def test_mixed_batch_matches_run_edit_case_by_case(self):
         configs = mixed_configs()
         traces = run_batch(configs)
         for cfg, trace in zip(configs, traces):
             assert trace == run_edit(cfg)[2]
-        for indices in pipeline_mod._backbone_groups(configs):
-            results = pipeline_mod._run_group([configs[i] for i in indices])
-            for i, result in zip(indices, results):
+        for group in pipeline_mod.run_groups(dict(enumerate(configs)), lambda i, r: (i, r)):
+            for i, result in group:
                 assert_same_result(result, run_edit(configs[i]))
+
+    def test_sink_called_once_per_case_with_its_index(self):
+        configs = dict(zip([11, 2, 40, 5, 8, 19, 30, 1], mixed_configs()))
+        calls = []
+
+        def sink(i, result):
+            calls.append(i)
+            assert_same_result(result, run_edit(configs[i]))
+            return -i
+
+        groups = list(pipeline_mod.run_groups(configs, sink))
+        assert sorted(calls) == sorted(configs)
+        assert groups == [[-i for i in (11, 40, 8, 30)], [-i for i in (2, 5, 19, 1)]]
+
+    def test_groups_run_lazily(self, monkeypatch):
+        # no group after the first runs before the first group's list is taken
+        ran = []
+        real = pipeline_mod._run_group
+        monkeypatch.setattr(pipeline_mod, "_run_group", lambda cs: ran.append(len(cs)) or real(cs))
+        groups = pipeline_mod.run_groups(dict(enumerate(mixed_configs())), lambda i, r: i)
+        assert ran == []
+        assert next(groups) == [0, 2, 4, 6]
+        assert ran == [4]
+        assert next(groups) == [1, 3, 5, 7]
+        assert ran == [4, 4]
+        assert next(groups, None) is None
+
+    def test_forked_workers_return_sink_values_and_aborts(self, monkeypatch):
+        # the sink runs in the worker; its values, a numerical abort among
+        # them, come back pickled and equal the inline run's
+        import threading
+
+        if threading.active_count() > 1:
+            pytest.skip("another thread runs, so run_groups would not fork")
+        configs = {i: small_config(backbone=BackboneConfig(seed=i % 2, n_steps=3),
+                                   tgt_prompt=prompt)
+                   for i, prompt in enumerate(["a sitting dog", "a poisoned dog"] * 2)}
+        real = pipeline_mod.encode_prompt
+
+        def poisoned(prompt, bb):
+            out = real(prompt, bb)
+            if prompt == "a poisoned dog":
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
+        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: 2)
+        inline = list(pipeline_mod.run_groups(configs, _pid_and_result))
+        forked = list(pipeline_mod.run_groups(configs, _pid_and_result, jobs=2))
+        parent = os.getpid()
+        assert [[pid == parent for pid, _, _ in group] for group in inline] == [[True] * 2] * 2
+        assert [[pid != parent for pid, _, _ in group] for group in forked] == [[True] * 2] * 2
+        for got_group, want_group in zip(forked, inline):
+            for (_, i, got), (_, j, want) in zip(got_group, want_group):
+                assert i == j
+                if isinstance(want, Exception):
+                    assert type(got) is NumericalAbortError
+                    assert str(got) == str(want)
+                    assert (got.timestep, got.block_index) == (want.timestep, want.block_index)
+                else:
+                    assert_same_result(got, want)
 
     def test_each_backbone_drawn_once_per_group(self, monkeypatch):
         drawn = []
@@ -416,8 +484,7 @@ class TestStackedEngine:
             return out
 
         monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
-        assert pipeline_mod._backbone_groups(configs) == [[0, 1, 2]]
-        results = pipeline_mod._run_group(configs)
+        (results,) = pipeline_mod.run_groups(dict(enumerate(configs)), lambda i, r: r)
         with pytest.raises(NumericalAbortError) as alone:
             run_edit(configs[1])
         got = results[1]
