@@ -153,20 +153,14 @@ def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
     out = np.empty((seeds.size, count), dtype=np.float64)
     if out.size == 0:
         return out
-    if count <= _CHUNK:
-        rows = _CHUNK // count
-        tiles = [(r, min(r + rows, seeds.size), 0, count) for r in range(0, seeds.size, rows)]
-    else:
-        tiles = [
-            (r, r + 1, c, min(c + _CHUNK, count))
-            for r in range(seeds.size)
-            for c in range(0, count, _CHUNK)
-        ]
+    rows, cols = max(1, _CHUNK // count), min(count, _CHUNK)
+    tiles = [(r, min(r + rows, seeds.size), c, min(c + cols, count))
+             for r in range(0, seeds.size, rows) for c in range(0, count, cols)]
     # (j + 1) * GAMMA for a tile's columns j, shared read-only by every thread
-    steps = np.arange(1, min(count, _CHUNK) + 1, dtype=np.uint64)
+    steps = np.arange(1, cols + 1, dtype=np.uint64)
     np.multiply(steps, _U_GAMMA, out=steps)
 
-    scratch = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in tiles)
+    scratch = min(rows, seeds.size) * cols
     pending = iter(tiles)
     taking = threading.Lock()
 

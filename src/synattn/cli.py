@@ -130,16 +130,15 @@ def _join(values) -> str:
 class _Kind(NamedTuple):
     parse: Callable[[str, str], Any]  # (key, raw text) -> value
     render: Callable[[Any], str]  # value -> config-file text
-    echo: Callable[[Any], Any]  # value -> JSON-ready value for the manifest
 
 
 _KINDS = {
-    "text": _Kind(lambda key, raw: raw, str, lambda v: v),
-    "int": _Kind(_parse_int, str, lambda v: v),
-    "float": _Kind(_parse_float, _fmt, lambda v: v),
-    "int-list": _Kind(_parse_int_list, _join, list),
-    "int-set": _Kind(lambda key, raw: frozenset(_parse_int_list(key, raw)), lambda v: _join(sorted(v)), sorted),
-    "grid": _Kind(_parse_grid, lambda v: f"{v[0]}x{v[1]}", list),
+    "text": _Kind(lambda key, raw: raw, str),
+    "int": _Kind(_parse_int, str),
+    "float": _Kind(_parse_float, _fmt),
+    "int-list": _Kind(_parse_int_list, _join),
+    "int-set": _Kind(lambda key, raw: frozenset(_parse_int_list(key, raw)), lambda v: _join(sorted(v))),
+    "grid": _Kind(_parse_grid, lambda v: f"{v[0]}x{v[1]}"),
 }
 
 
@@ -237,8 +236,9 @@ def render_config(config: PipelineConfig) -> str:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    """JSON-ready echo of a config (for the run manifest); an unset key echoes as None."""
-    return {f.key: _KINDS[f.kind].echo(_value(config, f)) for f in CONFIG_FIELDS}
+    """JSON-ready echo of a config (for the run manifest): a set sorted, an unset key None."""
+    values = ((f.key, _value(config, f)) for f in CONFIG_FIELDS)
+    return {key: sorted(v) if isinstance(v, frozenset) else v for key, v in values}
 
 
 def _key_help() -> str:

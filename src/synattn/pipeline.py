@@ -25,12 +25,13 @@ whole pair the source's image keys/values, so the source attends to its
 own and the target to the source's. Every branch of every case still gets
 its own BLAS calls, so its bytes are the ones it gets alone. A case that
 aborts numerically stores its exception and its rows stay in the pair,
-masked: computed but never read again, while the others carry on. Any other
-failure in a group (a draw that cannot be allocated, say) is every case's
-of that group. A prompt with no tokens is refused when the
-:class:`PipelineConfig` is built. :func:`run_groups`, the one batch
-executor, groups configs by backbone for :func:`run_batch` and ``synattn
-run``; :func:`run_edit` is the same engine on one case.
+masked: computed but never read again, while the others carry on. A draw
+that fails (one that cannot be allocated, say) is every case's of the
+group; any other failure is every case's of its sub-batch alone. A prompt
+with no tokens is refused when the :class:`PipelineConfig` is built.
+:func:`run_groups`, the one batch executor, groups configs by backbone for
+:func:`run_batch` and ``synattn run``; :func:`run_edit` is the same engine
+on one case.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ from .rope import rotary_table
 __all__ = [
     "PipelineConfig",
     "EditingTrace",
-    "NumericalAbortError",
     "run_edit",
     "run_batch",
     "run_groups",
@@ -95,6 +95,9 @@ class PipelineConfig:
             value = getattr(self, key)
             if not (isinstance(value, str) and value.split()):
                 raise ValueError(f"{key} must contain at least one token, got {value!r}")
+        for key, kind in (("backbone", BackboneConfig), ("thresholds", Thresholds)):
+            if not isinstance(getattr(self, key), kind):
+                raise ValueError(f"{key} must be a {kind.__name__}, got {getattr(self, key)!r}")
         w = self.w_override
         if w is not None and not (isinstance(w, numbers.Real) and 0.0 <= w <= 1.0):
             raise ValueError(f"w_override must be a number in [0, 1], got {w!r}")
@@ -128,21 +131,21 @@ def _run_stack(
 ) -> list[EditResult | Exception]:
     """The paired loop for configs sharing ``weights``, one row of each branch's stack per case.
 
-    Each block records which branches are still finite and copies its
-    attention output into one held buffer, branch first, ``(2, L, B, n, d)``,
-    of at most ``max(one block, _STACK_BYTES)``. A flush, when it is full or
-    the step's blocks are done, writes every held block's ``s_txt`` and
-    ``s_img`` from one :func:`row_cosines` call; the toy and the 2-block
-    FLUX-width shapes flush once per step. After the Euler update, one
-    :func:`close_step` call per live case walks its blocks in order and
-    either returns its step record or raises the case's abort.
+    A step runs its blocks in chunks of ``n_held``, as many as one held
+    buffer, branch first, ``(2, n_held, B, n, d)``, of at most
+    ``max(one block, _STACK_BYTES)`` holds; the toy and the 2-block
+    FLUX-width shapes take one chunk. Each block records which branches are
+    still finite and copies its attention output into the buffer, and one
+    :func:`row_cosines` call per chunk writes its blocks' ``s_txt`` and
+    ``s_img``. After the Euler update, one :func:`close_step` call per live
+    case walks its blocks in order and appends its step record to the
+    case's slot of ``cases``, or puts the case's abort in that slot.
     """
     bb = configs[0].backbone
     n_txt = bb.n_txt_tokens
     n_blocks = bb.n_blocks
-    results: list[EditResult | Exception | None] = [None] * len(configs)
-    records: list[list[StepRecord]] = [[] for _ in configs]
-    live = list(range(len(configs)))  # the cases that have not aborted
+    # each case's step records, or its abort once it has aborted
+    cases: list[list[StepRecord] | NumericalAbortError] = [[] for _ in configs]
     # axis 0 of every pair is (source, target), axis 1 the case
     txt = np.array([[text[c.src_prompt] for c in configs], [text[c.tgt_prompt] for c in configs]])
     # read-only views of the one noise draw; each step's update makes a new array
@@ -162,55 +165,49 @@ def _run_stack(
         for t in range(bb.n_steps, 0, -1):
             table = rotary_table(positions, w, bb)
             pair = np.concatenate([txt, x], axis=2)
-            for l in range(n_blocks):
-                # a shared block hands both branches the source's image keys/values:
-                # the source attends to its own, the target to the source's
-                shared = None
-                if l in bb.shared_blocks:
-                    shared = image_kv(pair[0, :, n_txt:], weights[l], table)
-                pair, attn = block_forward(pair, weights[l], bb, table, shared)
-                j = l % n_held
-                held[:, j] = attn
-                np.isfinite(pair).all(axis=(2, 3), out=finite[:, l].T)
-                attn = None
-                if j + 1 < n_held and l + 1 < n_blocks:
-                    continue
-                # the buffer is full or the step's blocks are done: flush blocks l - j .. l
-                cos = row_cosines(held[0, :j + 1], held[1, :j + 1])
+            for first in range(0, n_blocks, n_held):
+                last = min(first + n_held, n_blocks)
+                for l in range(first, last):
+                    # a shared block hands both branches the source's image keys/values:
+                    # the source attends to its own, the target to the source's
+                    shared = None
+                    if l in bb.shared_blocks:
+                        shared = image_kv(pair[0, :, n_txt:], weights[l], table)
+                    pair, held[:, l - first] = block_forward(pair, weights[l], bb, table, shared)
+                    np.isfinite(pair).all(axis=(2, 3), out=finite[:, l].T)
+                cos = row_cosines(held[0, :last - first], held[1, :last - first])
                 # sum / count is np.mean's own arithmetic, without its overhead
-                np.divide(cos[..., :n_txt].sum(axis=2), n_txt, out=s_txt[:, l - j:l + 1].T)
-                np.divide(cos[..., n_txt:].sum(axis=2), bb.n_img, out=s_img[:, l - j:l + 1].T)
+                np.divide(cos[..., :n_txt].sum(axis=2), n_txt, out=s_txt[:, first:last].T)
+                np.divide(cos[..., n_txt:].sum(axis=2), bb.n_img, out=s_img[:, first:last].T)
 
             # the Euler update toward the step's output
             x = x + (pair[:, :, n_txt:] - x) / bb.n_steps
             # close the step: each live case's blocks in order, its first failure winning
             ok, txt_sim, img_sim = finite.tolist(), s_txt.tolist(), s_img.tolist()
-            still_live = []
-            for i in live:
-                try:
-                    step = close_step(t, txt_sim[i], img_sim[i], float(w[i]), ok[i])
-                except NumericalAbortError as exc:
-                    results[i] = exc
-                    continue
-                records[i].append(step)
-                w[i] = configs[i].rotary_weight(step.m_mean)
-                still_live.append(i)
-            live = still_live
-            if not live:
-                return results
+            for i, records in enumerate(cases):
+                if isinstance(records, list):
+                    try:
+                        records.append(close_step(t, txt_sim[i], img_sim[i], float(w[i]), ok[i]))
+                    except NumericalAbortError as exc:
+                        cases[i] = exc
+                    else:
+                        w[i] = configs[i].rotary_weight(records[-1].m_mean)
+            if all(isinstance(records, NumericalAbortError) for records in cases):
+                return cases
 
-    for i in live:
-        results[i] = (x[0, i], x[1, i], EditingTrace(steps=tuple(records[i]), config=configs[i]))
-    return results
+    return [records if isinstance(records, NumericalAbortError) else
+            (x[0, i], x[1, i], EditingTrace(steps=tuple(records), config=configs[i]))
+            for i, records in enumerate(cases)]
 
 
 def _run_group(configs: Sequence[PipelineConfig]) -> list[EditResult | Exception]:
     """Run configs that share one backbone, drawing its weights, noise and prompts once.
 
-    Each result is the case's final states and trace, or its exception: a
-    numerical abort is the case's own, and any other failure (a weight,
-    prompt or noise draw that cannot be allocated, say) is every case's.
-    The cases run in sub-batches of at most ``_STACK_BYTES`` of state.
+    The cases run in sub-batches of at most ``_STACK_BYTES`` of state. Each
+    result is the case's final states and trace, or its exception: a
+    numerical abort is the case's own, a failed draw (a weight, prompt or
+    noise draw that cannot be allocated, say) is every case's, and any
+    other failure is every case's of its sub-batch alone.
     """
     try:
         bb = configs[0].backbone
@@ -218,12 +215,18 @@ def _run_group(configs: Sequence[PipelineConfig]) -> list[EditResult | Exception
         prompts = dict.fromkeys(p for c in configs for p in (c.src_prompt, c.tgt_prompt))
         text = {p: encode_prompt(p, bb) for p in prompts}
         noise = initial_noise(bb)
-        case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
-        per_stack = max(1, _STACK_BYTES // case_bytes)
-        return [result for start in range(0, len(configs), per_stack)
-                for result in _run_stack(configs[start:start + per_stack], weights, noise, text)]
     except Exception as exc:  # noqa: BLE001 - every case of the group raised it
         return [exc] * len(configs)
+    case_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
+    per_stack = max(1, _STACK_BYTES // case_bytes)
+    results: list[EditResult | Exception] = []
+    for start in range(0, len(configs), per_stack):
+        stack = configs[start:start + per_stack]
+        try:
+            results += _run_stack(stack, weights, noise, text)
+        except Exception as exc:  # noqa: BLE001 - every case of the sub-batch raised it
+            results += [exc] * len(stack)
+    return results
 
 
 def run_edit(config: PipelineConfig) -> EditResult:
@@ -244,7 +247,8 @@ def run_batch(configs: Sequence[PipelineConfig]) -> list[EditingTrace | Exceptio
 
     A failing case stores its exception at that index and the batch
     continues: a numerical abort at the case's own index, the exception it
-    raises alone, and any other failure at every index of its backbone group.
+    raises alone, a failed draw at every index of its backbone group, and
+    any other failure at every index of its sub-batch.
     """
     configs = list(configs)
     if not configs:

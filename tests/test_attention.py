@@ -69,6 +69,14 @@ def test_grid_position_ids_layout():
     assert ids.shape == (6, 3)
 
 
+@pytest.mark.parametrize("height, width", [(0, 3), (3, 0), (-1, 2)])
+def test_grid_position_ids_refuses_an_empty_grid(height, width):
+    with pytest.raises(ValueError) as exc:
+        grid_position_ids(height, width)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"grid must be at least 1x1, got {height}x{width}"
+
+
 def test_attention_weights_peak_stays_near_the_logits():
     # the logits are the one full-size buffer: scaled and normalized in place
     rng = np.random.default_rng(59)

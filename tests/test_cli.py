@@ -541,6 +541,21 @@ class TestStats:
         with pytest.raises(ConfigError):
             compute_stats([fabricated_trace([1.0, 1.0]), fabricated_trace([1.0])])
 
+    def test_no_traces_refused(self):
+        with pytest.raises(ConfigError, match="^stats needs at least one trace$"):
+            compute_stats([])
+
+    @pytest.mark.parametrize("values, percent, message", [
+        ([], 50, "percentile of empty sequence"),
+        ([1.0, 2.0], 0, "percent must be in (0, 100], got 0"),
+        ([1.0, 2.0], 101, "percent must be in (0, 100], got 101"),
+    ], ids=["empty", "percent-0", "percent-101"])
+    def test_percentile_refusals(self, values, percent, message):
+        with pytest.raises(ValueError) as exc:
+            nearest_rank_percentile(values, percent)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
 
 @pytest.fixture
 def inline_pools(monkeypatch):
@@ -985,6 +1000,12 @@ class TestMapCommand:
         cfg = parse_config_text(MINIMAL + "grid = 1x1\naxis_dims = 4,6,6\n")
         with pytest.raises(ConfigError):
             build_map_inputs(cfg, "constant-field", None, (0, 0))
+
+    @pytest.mark.parametrize("probe", ["bogus", "", "Prompts"])
+    def test_unknown_probe_refused(self, probe):
+        with pytest.raises(ConfigError) as exc:
+            build_map_inputs(parse_config_text(MINIMAL), probe, None, (0, 0))
+        assert str(exc.value) == f"unknown probe '{probe}'"
 
 
 class TestUsage:

@@ -18,7 +18,7 @@ from synattn import (
     run_edit,
 )
 from synattn.attention import _ROLES
-from synattn.cli import main, render_config
+from synattn.cli import main, render_config, write_trace
 import synattn.pipeline as pipeline_mod
 
 
@@ -182,8 +182,12 @@ class TestRunEdit:
         (lambda: Thresholds(m_min=None), "m_min"),
         (lambda: small_config(w_override="0.5"), "w_override"),
         (lambda: small_config(src_prompt=None), "src_prompt"),
+        (lambda: small_config(backbone=None), "backbone"),
+        (lambda: small_config(backbone={"seed": 1}), "backbone"),
+        (lambda: small_config(thresholds=(0.9, 1.0)), "thresholds"),
     ], ids=["theta-str", "theta-none", "axis-dims-none", "grid-int", "shared-none",
-            "shared-int", "m-min-str", "m-min-none", "w-override-str", "src-prompt-none"])
+            "shared-int", "m-min-str", "m-min-none", "w-override-str", "src-prompt-none",
+            "backbone-none", "backbone-dict", "thresholds-tuple"])
     def test_wrong_typed_field_refused_naming_it(self, make, field):
         with pytest.raises(ValueError, match=f"^{field} must ") as exc:
             make()
@@ -580,6 +584,37 @@ class TestStackedEngine:
             assert_same_result(got, want)
         assert held == parts * bb.n_steps
         assert run_batch(configs) == traces
+
+    def test_failed_sub_batch_fails_only_its_own_cases(self, monkeypatch, tmp_path, capsys):
+        # one case per sub-batch, the second out of memory: the cases before
+        # and after it keep their results, and `synattn run` writes them
+        config = small_config()
+        want = run_edit(config)
+        bb = config.backbone
+        monkeypatch.setattr(
+            pipeline_mod, "_STACK_BYTES", 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8
+        )
+        real = pipeline_mod._run_stack
+        calls = itertools.count()
+
+        def second_fails(*args):
+            if next(calls) == 1:
+                raise MemoryError("Unable to allocate the stack")
+            return real(*args)
+
+        monkeypatch.setattr(pipeline_mod, "_run_stack", second_fails)
+        traces = run_batch([config] * 3)
+        assert type(traces[1]) is MemoryError
+        assert traces[0] == traces[2] == want[2]
+        calls = itertools.count()
+        cfg = tmp_path / "edit.cfg"
+        cfg.write_text(render_config(config))
+        out = tmp_path / "out"
+        assert main(["run", *["--config", str(cfg)] * 3, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"case 1 ({cfg}): Unable to allocate the stack\n"
+        assert sorted(p.name for p in out.iterdir()) == ["case_000", "case_002"]
+        for name in ("case_000", "case_002"):
+            assert (out / name / "trace.txt").read_text() == write_trace(want[2])
 
     def test_tiny_budget_splits_the_group_without_changing_bytes(self, monkeypatch):
         configs = [small_config(w_override=w) for w in (None, 0.0, 1.0, 0.25, None)]
