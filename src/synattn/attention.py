@@ -28,8 +28,15 @@ weights from the same arithmetic.
 
 Every product is written into the buffer it ends in, with the BLAS shape
 it has alone: the queries and image keys are rotated in place, the keys go
-into one per-head ``K^T`` buffer, the text values into the joined value
-matrix, and each head's output into its columns of the merged result.
+into one per-head ``K^T`` buffer, the text and image values into their rows
+of the joined value matrix, and each head's output into its columns of the
+merged result, which may be a buffer the caller gives (the engine's held
+slot for the step's measurement). The image keys live only until they are
+copied into ``K^T``. The logits are formed a chunk of heads at a time, as
+many as ``_LOGITS_BYTES`` holds and at least one. numpy makes one BLAS call
+per head of the same shape in any chunk, and the softmax works row by row,
+so the bytes do not depend on the chunking; the toy's heads all fit in one
+chunk.
 
 Outputs are returned before the output projection is applied; the block
 wrapper in :mod:`synattn.backbone` owns the projection and residuals.
@@ -62,6 +69,14 @@ __all__ = [
 _ROLES = ("wq", "wk", "wv", "wo", "mlp_in", "mlp_out")
 _WQ, _WK, _WV, _WO, _MLP_IN, _MLP_OUT = range(len(_ROLES))
 
+# Bytes of attention logits (every stacked matrix of a chunk of heads) that
+# joint_attention forms at once; a chunk always holds at least one head. A
+# cli-batch stack, 3 toy cases, takes one chunk for its 4 heads (77 KB), and
+# a FLUX-width pair one chunk per head (1.1 MB). It lives here, not beside
+# pipeline._STACK_BYTES, because joint_attention reads it and pipeline
+# imports this module.
+_LOGITS_BYTES = 1 << 20
+
 
 def grid_position_ids(height: int, width: int) -> np.ndarray:
     """Canonical position ids for a row-major grid: token r -> (0, r // width, r % width)."""
@@ -79,12 +94,17 @@ def split_heads(tokens: np.ndarray, num_heads: int) -> np.ndarray:
     return tokens.reshape(*lead, n, num_heads, d // num_heads).swapaxes(-3, -2)
 
 
+def _image_keys(image: np.ndarray, wk: np.ndarray, table: RotaryTable) -> np.ndarray:
+    """``image @ wk``, rotated in place by ``table``."""
+    k = image @ wk
+    return apply_rotary(k, table, out=k)
+
+
 def image_kv(
     image: np.ndarray, block: np.ndarray, table: RotaryTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotated image keys and values of one branch: what a shared block hands both branches."""
-    k = image @ block[_WK]
-    return apply_rotary(k, table, out=k), image @ block[_WV]
+    return _image_keys(image, block[_WK], table), image @ block[_WV]
 
 
 def _queries(tokens: np.ndarray, n_txt: int, wq: np.ndarray, table: RotaryTable) -> np.ndarray:
@@ -103,24 +123,15 @@ def attention_weights(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
     and :func:`attention_map` both call it, so a dumped map is the forward
     pass's own arithmetic.
     """
-    # K^T as a contiguous copy: a strided transpose changes the output bytes.
-    logits = np.matmul(q, np.ascontiguousarray(k.swapaxes(-1, -2)))
+    kt = k.swapaxes(-1, -2)
+    # K^T with C-contiguous matrices, copied unless they already are (a chunk
+    # of heads' view is, though its stack is not): a strided transpose changes
+    # the output bytes
+    if kt.strides[-2:] != (kt.itemsize * kt.shape[-1], kt.itemsize):
+        kt = np.ascontiguousarray(kt)
+    logits = np.matmul(q, kt)
     logits *= scale
     return softmax_rows(logits, out=logits)
-
-
-def _join_rows(text: np.ndarray, w: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """``[text @ w; image]`` rows in one new buffer, ``image`` broadcast over the leading axes.
-
-    The text product is written straight into the buffer, one BLAS call per
-    matrix of the same shape as ``text @ w`` makes, so its bytes are that
-    product's.
-    """
-    n_txt = text.shape[-2]
-    out = np.empty((*text.shape[:-2], n_txt + image.shape[-2], w.shape[1]))
-    np.matmul(text, w, out=out[..., :n_txt, :])
-    out[..., n_txt:, :] = image
-    return out
 
 
 def _keys(text: np.ndarray, wk: np.ndarray, k_img: np.ndarray, heads: int) -> np.ndarray:
@@ -144,6 +155,7 @@ def joint_attention(
     config: BackboneConfig,
     table: RotaryTable,
     kv_img: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt_tokens`` rows text.
 
@@ -153,24 +165,43 @@ def joint_attention(
     is an :func:`image_kv`, taken in place of the stack's own; it broadcasts
     over the leading axes, so a ``(B, m, d)`` pair of the source's keys and
     values serves every branch of a ``(2, B, n, d)`` source/target pair.
-    Returns the output before the output projection, shaped like ``tokens``.
+    Returns the output before the output projection, shaped like ``tokens``:
+    ``out`` when given, a float64 array of that shape whose rows are
+    contiguous (a strided slot of a larger buffer will do), else a new array.
+
+    The keys and values go straight into their buffers, the own image keys
+    only until they are copied into ``K^T``. Then the heads run in chunks of
+    at most ``_LOGITS_BYTES`` of logits, each chunk's weights multiplied into
+    its heads' columns of the output: at most Q, ``K^T``, V and one chunk's
+    logits are held at once.
     """
     n_txt = config.n_txt_tokens
-    if kv_img is None:
-        kv_img = image_kv(tokens[..., n_txt:, :], block, table)
-    text = tokens[..., :n_txt, :]
+    text, image = tokens[..., :n_txt, :], tokens[..., n_txt:, :]
     heads = config.num_heads
-    # Q and K are freed once the weights are formed, and V is built only
-    # then: neither product holds all of Q, K, V and the weights at once.
-    weights = attention_weights(
-        split_heads(_queries(tokens, n_txt, block[_WQ], table), heads),
-        _keys(text, block[_WK], kv_img[0], heads),
-        1.0 / math.sqrt(config.head_dim),
-    )
-    v = _join_rows(text, block[_WV], kv_img[1])
-    # each head's product is written into its columns of the merged output
-    out = np.empty(tokens.shape)
-    np.matmul(weights, split_heads(v, heads), out=split_heads(out, heads))
+    # K^T, then Q, then V, so neither rotation's scratch is ever live beside V
+    k_img = _image_keys(image, block[_WK], table) if kv_img is None else kv_img[0]
+    k = _keys(text, block[_WK], k_img, heads)
+    del k_img
+    q = split_heads(_queries(tokens, n_txt, block[_WQ], table), heads)
+    v = np.empty(tokens.shape)
+    np.matmul(text, block[_WV], out=v[..., :n_txt, :])
+    if kv_img is None:
+        np.matmul(image, block[_WV], out=v[..., n_txt:, :])
+    else:
+        v[..., n_txt:, :] = kv_img[1]
+    v = split_heads(v, heads)
+    if out is None:
+        out = np.empty(tokens.shape)
+    merged = split_heads(out, heads)  # each head's product goes into its columns of out
+    scale = 1.0 / math.sqrt(config.head_dim)
+    logits_bytes = q.nbytes // config.head_dim * k.shape[-2]  # every head's
+    if logits_bytes <= _LOGITS_BYTES:  # one chunk: the whole stack, one call each
+        np.matmul(attention_weights(q, k, scale), v, out=merged)
+    else:
+        per_chunk = max(1, _LOGITS_BYTES * heads // logits_bytes)
+        for h in range(0, heads, per_chunk):
+            c = np.s_[..., h:h + per_chunk, :, :]
+            np.matmul(attention_weights(q[c], k[c], scale), v[c], out=merged[c])
     return out
 
 
@@ -206,8 +237,7 @@ def attention_map(
             raise ShapeError(f"{name} shape {operand.shape} != {shape}")
     table = rotary_table(grid_position_ids(h, wid), w, config)
     q = _queries(tokens, n_txt, block[_WQ], table)
-    k_img = src_image @ block[_WK]
-    apply_rotary(k_img, table, out=k_img)
+    k_img = _image_keys(src_image, block[_WK], table)
     row = n_txt + r * wid + c
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit

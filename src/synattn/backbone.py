@@ -375,6 +375,7 @@ def block_forward(
     config: BackboneConfig,
     table: RotaryTable,
     shared_kv: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One block: attention, output projection, residual, 2-layer tanh MLP, residual.
 
@@ -389,9 +390,11 @@ def block_forward(
     every matrix of the stack attends to those, broadcast over the leading
     axes; otherwise the block runs ordinary self-attention. Returns the
     updated stack and the raw pre-projection attention output for the
-    measurement.
+    measurement, written into ``out`` when given (a float64 array of
+    ``tokens``' shape with contiguous rows, such as the engine's held slot
+    for this block) and else into a new array; ``out`` is what is returned.
     """
-    attn = joint_attention(tokens, block, config, table, shared_kv)
+    attn = joint_attention(tokens, block, config, table, shared_kv, out)
     tokens = tokens + attn @ block[_WO]
     # in place on the sum just made, never on the caller's array
     tokens += np.tanh(tokens @ block[_MLP_IN]) @ block[_MLP_OUT]

@@ -73,11 +73,13 @@ __all__ = [
 
 # Bytes of branch state (both branches' [text; image] stacks) one stacked
 # computation may hold; a larger group runs as several sub-batches, and one
-# case always fits. A toy case takes 20 KB and a FLUX-width one 13 MB. The
-# attention outputs held for a step's measurement have the same bound, and
-# one block's always fit: 160 KB for a toy step, 26 MB at FLUX width with 2
-# blocks (a real 57-block FLUX step closes its measurement in parts).
-_STACK_BYTES = 1 << 25
+# case always fits. A toy case takes 20 KB and a FLUX-width one 13 MB, so a
+# FLUX-width sub-batch is one case. The attention outputs held for a step's
+# measurement have the same bound, and one block's always fit: a toy step
+# holds all 8 blocks (160 KB a case), a FLUX-width step one block (13 MB) at
+# a time and closes its measurement in parts. The attention core's logits
+# have their own budget, attention._LOGITS_BYTES.
+_STACK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -133,13 +135,16 @@ def _run_stack(
 
     A step runs its blocks in chunks of ``n_held``, as many as one held
     buffer, branch first, ``(2, n_held, B, n, d)``, of at most
-    ``max(one block, _STACK_BYTES)`` holds; the toy and the 2-block
-    FLUX-width shapes take one chunk. Each block records which branches are
-    still finite and copies its attention output into the buffer, and one
-    :func:`row_cosines` call per chunk writes its blocks' ``s_txt`` and
-    ``s_img``. After the Euler update, one :func:`close_step` call per live
-    case walks its blocks in order and appends its step record to the
-    case's slot of ``cases``, or puts the case's abort in that slot.
+    ``max(one block, _STACK_BYTES)`` holds; a toy step takes one chunk, a
+    FLUX-width step one chunk per block. Each block writes its attention
+    output into its slot of the buffer and records which branches are still
+    finite, and one :func:`row_cosines` call per chunk writes its blocks'
+    ``s_txt`` and ``s_img``. Once every live case has a non-finite block,
+    the step runs no further block: the chunk so far is measured, and every
+    case's step ends at or before that block. After the Euler update, one
+    :func:`close_step` call per live case walks the blocks run in order and
+    appends its step record to the case's slot of ``cases``, or puts the
+    case's abort in that slot.
     """
     bb = configs[0].backbone
     n_txt = bb.n_txt_tokens
@@ -165,6 +170,7 @@ def _run_stack(
         for t in range(bb.n_steps, 0, -1):
             table = rotary_table(positions, w, bb)
             pair = np.concatenate([txt, x], axis=2)
+            run = n_blocks  # blocks this step runs: fewer once every live case has failed
             for first in range(0, n_blocks, n_held):
                 last = min(first + n_held, n_blocks)
                 for l in range(first, last):
@@ -173,17 +179,25 @@ def _run_stack(
                     shared = None
                     if l in bb.shared_blocks:
                         shared = image_kv(pair[0, :, n_txt:], weights[l], table)
-                    pair, held[:, l - first] = block_forward(pair, weights[l], bb, table, shared)
-                    np.isfinite(pair).all(axis=(2, 3), out=finite[:, l].T)
+                    pair, _ = block_forward(pair, weights[l], bb, table, shared, held[:, l - first])
+                    block_ok = np.isfinite(pair).all(axis=(2, 3), out=finite[:, l].T)
+                    if not block_ok.all():  # a failure: has every live case one by now?
+                        live = [i for i, records in enumerate(cases) if isinstance(records, list)]
+                        if not finite[live, :l + 1].all(axis=(1, 2)).any():
+                            run = last = l + 1
+                            break
                 cos = row_cosines(held[0, :last - first], held[1, :last - first])
                 # sum / count is np.mean's own arithmetic, without its overhead
                 np.divide(cos[..., :n_txt].sum(axis=2), n_txt, out=s_txt[:, first:last].T)
                 np.divide(cos[..., n_txt:].sum(axis=2), bb.n_img, out=s_img[:, first:last].T)
+                if last == run:
+                    break
 
             # the Euler update toward the step's output
             x = x + (pair[:, :, n_txt:] - x) / bb.n_steps
             # close the step: each live case's blocks in order, its first failure winning
-            ok, txt_sim, img_sim = finite.tolist(), s_txt.tolist(), s_img.tolist()
+            ok = finite[:, :run].tolist()
+            txt_sim, img_sim = s_txt[:, :run].tolist(), s_img[:, :run].tolist()
             for i, records in enumerate(cases):
                 if isinstance(records, list):
                     try:

@@ -17,6 +17,7 @@ from synattn import (
     softmax_rows,
     split_heads,
 )
+import synattn.attention as attention_mod
 from synattn.attention import _ROLES, _WK, _WQ, _WV, joint_attention
 
 
@@ -208,6 +209,77 @@ class TestHeads:
     def test_split_requires_divisibility(self):
         with pytest.raises(ShapeError):
             split_heads(np.ones((2, 10)), 3)
+
+
+# A mid-size pair: 4 heads of 64 on a 16x16 grid, both branches of one case.
+MID = BackboneConfig(num_heads=4, head_dim=64, axis_dims=(16, 24, 24), grid=(16, 16))
+MID_N = MID.n_txt_tokens + MID.n_img
+MID_HEAD_LOGITS = 2 * MID_N * MID_N * 8  # one head's logits, both branches
+
+
+def mid_pair(seed):
+    """A ``(2, 1, n, d)`` source/target pair, a block's weights and a rotary table at ``MID``."""
+    rng = np.random.default_rng(seed)
+    tokens = rng.normal(size=(2, 1, MID_N, MID.d_model))
+    block = random_block(rng, MID.d_model) / math.sqrt(MID.d_model / CFG.d_model)
+    return tokens, block, rotary_table(grid_position_ids(*MID.grid), 0.7, MID)
+
+
+class TestOutputAndHeadChunks:
+    @pytest.mark.parametrize("shared", [False, True], ids=["own", "shared"])
+    @pytest.mark.parametrize("cfg", [config(3), MID], ids=["one-chunk", "head-chunks"])
+    def test_output_written_into_a_strided_held_slot(self, cfg, shared):
+        # the engine's held buffer is (2, n_held, B, n, d), and block j's slot
+        # held[:, j] is no contiguous array: the output lands in it, nowhere else
+        rng = np.random.default_rng(67)
+        n_txt = cfg.n_txt_tokens
+        tokens = rng.normal(size=(2, 1, n_txt + cfg.n_img, cfg.d_model))
+        block = random_block(rng, cfg.d_model)
+        table = rotary_table(grid_position_ids(*cfg.grid), 0.7, cfg)
+        kv = image_kv(tokens[0, :, n_txt:], block, table) if shared else None
+        want = joint_attention(tokens, block, cfg, table, kv)
+        held = np.full((2, 3, *tokens.shape[1:]), np.nan)
+        slot = held[:, 1]
+        got = joint_attention(tokens, block, cfg, table, kv, out=slot)
+        assert got is slot
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(held[:, [0, 2]]).all()
+
+    @pytest.mark.parametrize("budget, chunks", [
+        (MID_HEAD_LOGITS, [1, 1, 1, 1]),
+        (3 * MID_HEAD_LOGITS, [3, 1]),
+        (1, [1, 1, 1, 1]),
+    ])
+    def test_head_chunks_give_the_bytes_of_one_chunk(self, budget, chunks, monkeypatch):
+        tokens, block, table = mid_pair(68)
+        monkeypatch.setattr(attention_mod, "_LOGITS_BYTES", 4 * MID_HEAD_LOGITS)
+        whole = joint_attention(tokens, block, MID, table)
+        monkeypatch.setattr(attention_mod, "_LOGITS_BYTES", budget)
+        seen = []
+        real = attention_mod.attention_weights
+        monkeypatch.setattr(attention_mod, "attention_weights",
+                            lambda q, k, s: seen.append(q.shape[-3]) or real(q, k, s))
+        got = joint_attention(tokens, block, MID, table)
+        assert seen == chunks
+        np.testing.assert_array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+    def test_peak_is_q_kt_v_and_one_head_of_logits(self, monkeypatch):
+        # with the output given and one head per chunk, the call holds at most
+        # Q, K^T and V, each the pair's size, and one head's logits; the image
+        # keys are gone before the logits exist. The slack covers the text
+        # keys, the softmax's row maxima and sums, and the 64 KiB buffer numpy
+        # iterates the softmax's broadcast steps through
+        tokens, block, table = mid_pair(69)
+        monkeypatch.setattr(attention_mod, "_LOGITS_BYTES", MID_HEAD_LOGITS)
+        out = np.empty(tokens.shape)
+        slack = 128 * 1024
+        tracemalloc.start()
+        try:
+            joint_attention(tokens, block, MID, table, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * tokens.nbytes + MID_HEAD_LOGITS + slack
 
 
 class TestAttentionMap:

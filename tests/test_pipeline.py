@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from synattn import (
     run_batch,
     run_edit,
 )
+import synattn.attention as attention_mod
 from synattn.attention import _ROLES
-from synattn.cli import main, render_config, write_trace
+from synattn.cli import main, parse_config_text, render_config, write_trace
 import synattn.pipeline as pipeline_mod
 
 
@@ -26,6 +28,23 @@ def small_config(**kwargs):
     defaults = dict(src_prompt="a standing dog", tgt_prompt="a sitting dog")
     defaults.update(kwargs)
     return PipelineConfig(**defaults)
+
+
+def after_block_forward(monkeypatch, step):
+    """Rebind the engine's ``block_forward`` to the real one, then ``step(args, tokens, attn)``.
+
+    ``args`` are the call's positional arguments (``args[2]`` the backbone
+    config) and ``tokens, attn`` its result, which ``step`` may poison in
+    place or record before the engine sees it.
+    """
+    real = pipeline_mod.block_forward
+
+    def wrapped(*args, **kwargs):
+        tokens, attn = real(*args, **kwargs)
+        step(args, tokens, attn)
+        return tokens, attn
+
+    monkeypatch.setattr(pipeline_mod, "block_forward", wrapped)
 
 
 def rotation_free_target_final(config: PipelineConfig) -> np.ndarray:
@@ -194,16 +213,14 @@ class TestRunEdit:
         assert type(exc.value) is ValueError
 
     def test_non_finite_aborts_with_location(self, monkeypatch):
-        real = pipeline_mod.block_forward
         calls = itertools.count()
 
-        def poisoned(tokens, block, config, table, shared_kv=None):
-            out, attn = real(tokens, block, config, table, shared_kv)
+        def poison(args, out, attn):
+            config = args[2]
             if next(calls) % config.n_blocks == 3:
                 out[..., config.n_txt_tokens, 0] = np.inf
-            return out, attn
 
-        monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
+        after_block_forward(monkeypatch, poison)
         with pytest.raises(NumericalAbortError) as exc:
             run_edit(small_config())
         assert exc.value.timestep == 10
@@ -230,11 +247,10 @@ class TestRunEdit:
         monkeypatch.setattr(
             pipeline_mod, "row_cosines", lambda a, b: flushed.append(len(a)) or real_cosines(a, b)
         )
-        real = pipeline_mod.block_forward
         calls = itertools.count()
 
-        def poisoned(tokens, block, config, table, shared_kv=None):
-            out, attn = real(tokens, block, config, table, shared_kv)
+        def poison(args, out, attn):
+            config = args[2]
             n_txt = config.n_txt_tokens
             block_index = next(calls)
             if block_index < config.n_blocks:  # the first step only
@@ -242,14 +258,14 @@ class TestRunEdit:
                     out[..., n_txt, 0] = np.inf
                 if block_index == degenerate:
                     attn[..., :n_txt, :] = 0.0
-            return out, attn
 
-        monkeypatch.setattr(pipeline_mod, "block_forward", poisoned)
+        after_block_forward(monkeypatch, poison)
         config = small_config()
         with pytest.raises(NumericalAbortError) as exc:
             run_edit(config)
-        n_blocks = config.backbone.n_blocks
-        assert flushed == ([n_blocks] if budget > 1 else [1] * n_blocks)
+        # no block after the non-finite one runs: every case's step ends there
+        ran = non_finite + 1
+        assert flushed == ([ran] if budget > 1 else [1] * ran)
         assert (exc.value.timestep, exc.value.block_index) == (config.backbone.n_steps, 3)
         if non_finite < degenerate:
             assert str(exc.value) == "non-finite values at timestep 10, block 3: source branch stream"
@@ -299,6 +315,22 @@ class TestRunEdit:
         with pytest.raises(NumericalAbortError) as exc:
             run_edit(config)
         assert (exc.value.timestep, exc.value.block_index) == (config.backbone.n_steps, 2)
+
+    def test_step_stops_at_the_failed_block(self, monkeypatch):
+        # inf after block 1 of the first step: the step ends there, two block
+        # calls in all, and the abort is the one the whole step would give
+        calls = itertools.count()
+
+        def poison(args, out, attn):
+            if next(calls) == 1:
+                out[..., args[2].n_txt_tokens, 0] = np.inf
+
+        after_block_forward(monkeypatch, poison)
+        with pytest.raises(NumericalAbortError) as exc:
+            run_edit(small_config())
+        assert next(calls) == 2
+        assert (exc.value.timestep, exc.value.block_index) == (10, 1)
+        assert str(exc.value) == "non-finite values at timestep 10, block 1: source branch stream"
 
 
 class TestRunBatch:
@@ -509,24 +541,23 @@ class TestStackedEngine:
             small_config(w_override=0.25),
         ]
         wants = [run_edit(configs[0]), run_edit(configs[2])]
-        real = pipeline_mod.block_forward
 
         def poison_row(row):
             calls = itertools.count()
 
-            def poisoned(tokens, block, config, table, shared_kv=None):
-                out, attn = real(tokens, block, config, table, shared_kv)
+            def poison(args, out, attn):
+                config = args[2]
                 # one call per block runs the (source, target) pair
                 step, call = divmod(next(calls), config.n_blocks)
                 if (step, call) == (1, 3):
                     out[1, row, config.n_txt_tokens, 0] = np.inf
-                return out, attn
 
-            return poisoned
+            return poison
 
-        monkeypatch.setattr(pipeline_mod, "block_forward", poison_row(1))
+        after_block_forward(monkeypatch, poison_row(1))
         results = pipeline_mod._run_group(configs)
-        monkeypatch.setattr(pipeline_mod, "block_forward", poison_row(0))
+        monkeypatch.undo()
+        after_block_forward(monkeypatch, poison_row(0))
         with pytest.raises(NumericalAbortError) as alone:
             run_edit(configs[1])
         n_steps = configs[1].backbone.n_steps
@@ -537,18 +568,81 @@ class TestStackedEngine:
         assert_same_result(results[0], wants[0])
         assert_same_result(results[2], wants[1])
 
+    @pytest.mark.parametrize("first_step", [1, 0], ids=["same-step", "after-an-abort"])
+    def test_stack_step_stops_once_every_live_case_has_failed(self, first_step, monkeypatch):
+        # case 0 gets inf after block 2 of step `first_step`, case 1 after
+        # block 4 of step 1: step 1 runs blocks 0..4 and no more (case 0's
+        # rows, non-finite from then on, no longer count once it has
+        # aborted), and each case aborts at its own block, as it does alone
+        configs = [small_config(), small_config(tgt_prompt="a jumping dog")]
+        bb = configs[0].backbone
+        poisons = {(first_step, 2): 0, (1, 4): 1}
+        calls = itertools.count()
+
+        def poison(args, out, attn):
+            row = poisons.get(divmod(next(calls), bb.n_blocks))
+            if row is not None:
+                out[:, row, bb.n_txt_tokens, 0] = np.inf
+
+        after_block_forward(monkeypatch, poison)
+        results = pipeline_mod._run_group(configs)
+        assert next(calls) == bb.n_blocks + 5
+        stream = "source branch stream"
+        assert [str(r) for r in results] == [
+            f"non-finite values at timestep {bb.n_steps - first_step}, block 2: {stream}",
+            f"non-finite values at timestep {bb.n_steps - 1}, block 4: {stream}",
+        ]
+
+    @pytest.mark.parametrize("over_half", [True, False])
+    def test_one_block_held_once_a_block_exceeds_half_the_budget(self, over_half, monkeypatch):
+        # each block's attention output is written into its slot of the held
+        # buffer, and is returned as that slot: nothing is copied into it
+        config = small_config()
+        want = run_edit(config)
+        bb = config.backbone
+        block_bytes = 2 * (bb.n_txt_tokens + bb.n_img) * bb.d_model * 8  # both branches
+        monkeypatch.setattr(pipeline_mod, "_STACK_BYTES", 2 * block_bytes - (8 if over_half else 0))
+        slots = []
+        after_block_forward(monkeypatch, lambda args, out, attn: slots.append((args[5], attn)))
+        assert_same_result(run_edit(config), want)
+        assert all(attn is slot for slot, attn in slots)
+        assert {slot.base.shape[:2] for slot, _ in slots} == {(2, 1 if over_half else 2)}
+
+    def test_head_chunks_leave_every_byte(self, monkeypatch):
+        # the golden configs (three of them one stacked group) and a 16x16
+        # grid, whose 4 heads' logits (4.3 MB) already exceed the budget: each
+        # head alone gives the bytes of every head in one chunk
+        golden = Path(__file__).resolve().parent / "golden"
+        configs = [parse_config_text(p.read_text()) for p in sorted(golden.glob("*/config.cfg"))]
+        configs.append(small_config(backbone=BackboneConfig(
+            seed=5, grid=(16, 16), n_blocks=2, shared_blocks={0}, n_steps=2)))
+        assert len(configs) == 7
+        real = attention_mod.attention_weights
+
+        def run(budget):
+            heads = set()
+            monkeypatch.setattr(attention_mod, "_LOGITS_BYTES", budget)
+            monkeypatch.setattr(attention_mod, "attention_weights",
+                                lambda q, k, s: heads.add(q.shape[-3]) or real(q, k, s))
+            groups = pipeline_mod.run_groups(dict(enumerate(configs)), lambda i, r: r)
+            return heads, [r for group in groups for r in group]
+
+        heads, whole = run(1 << 40)
+        assert heads == {c.backbone.num_heads for c in configs}
+        heads, alone = run(1)
+        assert heads == {1}
+        for got, want in zip(alone, whole):
+            for a, b in zip(got[:2], want[:2]):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert write_trace(got[2]) == write_trace(want[2])
+            assert got[2] == want[2]
+
     def test_one_block_call_per_block_on_the_pair(self, monkeypatch):
         # source and target run as one (2, B, n, d) pair: one call per block and step
         config = small_config()
         bb = config.backbone
         shapes = []
-        real = pipeline_mod.block_forward
-
-        def recording(tokens, *args):
-            shapes.append(tokens.shape)
-            return real(tokens, *args)
-
-        monkeypatch.setattr(pipeline_mod, "block_forward", recording)
+        after_block_forward(monkeypatch, lambda args, out, attn: shapes.append(args[0].shape))
         run_edit(config)
         pair = (2, 1, bb.n_txt_tokens + bb.n_img, bb.d_model)
         assert shapes == [pair] * (bb.n_steps * bb.n_blocks)
