@@ -11,7 +11,6 @@ from .attention import (
     attention_map,
     attention_weights,
     grid_position_ids,
-    image_kv,
     split_heads,
 )
 from .backbone import (
@@ -45,7 +44,6 @@ __all__ = [
     "grid_position_ids",
     "split_heads",
     "attention_weights",
-    "image_kv",
     "attention_map",
     "Thresholds",
     "BlockSimilarity",

@@ -14,29 +14,30 @@ Image-token queries and keys are rotated by a :class:`~synattn.rope.RotaryTable`
 built at strength ``w``; text tokens are never rotated.
 
 :func:`joint_attention` is the one attention entry point. Handed another
-branch's :func:`image_kv`, it is the editing primitive: target queries
-attend to target text keys/values but to the *source* image keys/values,
-so target tokens retrieve visual content from the source branch. With
-``w = 0`` the rotation is the identity and retrieval is purely semantic;
-with ``w = 1`` positional proximity shapes it fully. Without it, the branch
-attends to its own image keys/values. The denoising loop calls it through
-:func:`synattn.backbone.block_forward` on one ``(2, B, n, d)`` stack of
-both branches; at a shared block it hands the whole stack the source
-branch's :func:`image_kv`, which the source attends to as its own and the
-target in place of its own. :func:`attention_map` reads one target query's
-weights from the same arithmetic.
+branch's image rows, it is the editing primitive: target queries attend to
+target text keys/values but to the *source* image keys/values, which it
+projects from those rows itself, so target tokens retrieve visual content
+from the source branch. With ``w = 0`` the rotation is the identity and
+retrieval is purely semantic; with ``w = 1`` positional proximity shapes it
+fully. Without them, the branch attends to its own image keys/values. The
+denoising loop calls it through :func:`synattn.backbone.block_forward` on
+one ``(2, B, n, d)`` stack of both branches; at a shared block it hands the
+whole stack the source branch's image rows, which the source attends to as
+its own and the target in place of its own. :func:`attention_map` reads one
+target query's weights from the same arithmetic.
 
 Every product is written into the buffer it ends in, with the BLAS shape
 it has alone: the queries and image keys are rotated in place, the keys go
 into one per-head ``K^T`` buffer, the text and image values into their rows
 of the joined value matrix, and each head's output into its columns of the
 merged result, which may be a buffer the caller gives (the engine's held
-slot for the step's measurement). The image keys live only until they are
-copied into ``K^T``. The logits are formed a chunk of heads at a time, as
-many as ``_LOGITS_BYTES`` holds and at least one. numpy makes one BLAS call
-per head of the same shape in any chunk, and the softmax works row by row,
-so the bytes do not depend on the chunking; the toy's heads all fit in one
-chunk.
+slot for the step's measurement). The image keys, own or the source's, live
+only until they are copied into ``K^T``, and the source's values until they
+are copied into their rows. The logits are formed a chunk of heads at a
+time, as many as ``_LOGITS_BYTES`` holds and at least one. numpy makes one
+BLAS call per head of the same shape in any chunk, and the softmax works
+row by row, so the bytes do not depend on the chunking; the toy's heads all
+fit in one chunk.
 
 Outputs are returned before the output projection is applied; the block
 wrapper in :mod:`synattn.backbone` owns the projection and residuals.
@@ -59,7 +60,6 @@ __all__ = [
     "grid_position_ids",
     "split_heads",
     "attention_weights",
-    "image_kv",
     "joint_attention",
     "attention_map",
 ]
@@ -98,13 +98,6 @@ def _image_keys(image: np.ndarray, wk: np.ndarray, table: RotaryTable) -> np.nda
     """``image @ wk``, rotated in place by ``table``."""
     k = image @ wk
     return apply_rotary(k, table, out=k)
-
-
-def image_kv(
-    image: np.ndarray, block: np.ndarray, table: RotaryTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotated image keys and values of one branch: what a shared block hands both branches."""
-    return _image_keys(image, block[_WK], table), image @ block[_WV]
 
 
 def _queries(tokens: np.ndarray, n_txt: int, wq: np.ndarray, table: RotaryTable) -> np.ndarray:
@@ -154,41 +147,43 @@ def joint_attention(
     block: np.ndarray,
     config: BackboneConfig,
     table: RotaryTable,
-    kv_img: tuple[np.ndarray, np.ndarray] | None = None,
+    src_image: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention of one branch's ``[text; image]`` matrix, its first ``n_txt_tokens`` rows text.
 
     ``tokens`` is ``(n, d)`` or a stack ``(..., n, d)``, and ``block`` one
-    block's ``(6, d, d)`` weights, unchecked. ``table`` rotates the
-    image queries (and the image keys this call projects itself). ``kv_img``
-    is an :func:`image_kv`, taken in place of the stack's own; it broadcasts
-    over the leading axes, so a ``(B, m, d)`` pair of the source's keys and
-    values serves every branch of a ``(2, B, n, d)`` source/target pair.
-    Returns the output before the output projection, shaped like ``tokens``:
-    ``out`` when given, a float64 array of that shape whose rows are
-    contiguous (a strided slot of a larger buffer will do), else a new array.
+    block's ``(6, d, d)`` weights, unchecked. ``table`` rotates the image
+    queries and keys. ``src_image``, the source's image rows ``(..., m, d)``,
+    unchecked, gives the image keys and values in place of the stack's own;
+    it broadcasts over the leading axes, so a ``(B, m, d)`` source serves
+    every branch of a ``(2, B, n, d)`` source/target pair. Returns the output
+    before the output projection, shaped like ``tokens``: ``out`` when given,
+    a float64 array of that shape whose rows are contiguous (a strided slot
+    of a larger buffer will do), else a new array.
 
-    The keys and values go straight into their buffers, the own image keys
-    only until they are copied into ``K^T``. Then the heads run in chunks of
-    at most ``_LOGITS_BYTES`` of logits, each chunk's weights multiplied into
+    The keys and values go straight into their buffers, the image keys only
+    until they are copied into ``K^T``, a source's values only until they
+    are copied into V. Then the heads run in chunks of at most
+    ``_LOGITS_BYTES`` of logits, each chunk's weights multiplied into
     its heads' columns of the output: at most Q, ``K^T``, V and one chunk's
     logits are held at once.
     """
     n_txt = config.n_txt_tokens
     text, image = tokens[..., :n_txt, :], tokens[..., n_txt:, :]
     heads = config.num_heads
-    # K^T, then Q, then V, so neither rotation's scratch is ever live beside V
-    k_img = _image_keys(image, block[_WK], table) if kv_img is None else kv_img[0]
-    k = _keys(text, block[_WK], k_img, heads)
-    del k_img
+    # K^T, then Q, then V, so neither rotation's scratch is ever live beside V.
+    # A shared block's source rows add two products, each dropped once copied:
+    # their rotated keys, into K^T, and their values, into V's image rows
+    source = image if src_image is None else src_image
+    k = _keys(text, block[_WK], _image_keys(source, block[_WK], table), heads)
     q = split_heads(_queries(tokens, n_txt, block[_WQ], table), heads)
     v = np.empty(tokens.shape)
     np.matmul(text, block[_WV], out=v[..., :n_txt, :])
-    if kv_img is None:
+    if src_image is None:
         np.matmul(image, block[_WV], out=v[..., n_txt:, :])
     else:
-        v[..., n_txt:, :] = kv_img[1]
+        v[..., n_txt:, :] = src_image @ block[_WV]
     v = split_heads(v, heads)
     if out is None:
         out = np.empty(tokens.shape)

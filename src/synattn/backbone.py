@@ -289,6 +289,7 @@ class BackboneConfig:
         theta = self.theta_base
         if not (isinstance(theta, numbers.Real) and math.isfinite(theta) and theta > 1.0):
             raise ValueError(f"theta_base must be finite and exceed 1, got {theta!r}")
+        object.__setattr__(self, "theta_base", float(theta))
         # Derived only now that every size is bounded: the frequency of every channel
         # pair (axis segments concatenated) and the position axis it reads.
         freqs = np.concatenate([
@@ -374,7 +375,7 @@ def block_forward(
     block: np.ndarray,
     config: BackboneConfig,
     table: RotaryTable,
-    shared_kv: tuple[np.ndarray, np.ndarray] | None = None,
+    src_image: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One block: attention, output projection, residual, 2-layer tanh MLP, residual.
@@ -384,17 +385,16 @@ def block_forward(
     such as ``(B, n, d)``, one per case, or the engine's ``(2, B, n, d)``
     source/target pair, and ``block`` one block's ``(6, d, d)`` weights,
     unchecked; ``table`` rotates its image rows (with a ``(B,)``
-    weight for a stack whose cases differ in ``w``). When ``shared_kv`` is
-    given (rotated image keys and image values, as
-    :func:`~synattn.attention.image_kv` builds them from the source branch),
-    every matrix of the stack attends to those, broadcast over the leading
-    axes; otherwise the block runs ordinary self-attention. Returns the
+    weight for a stack whose cases differ in ``w``). When ``src_image``, the
+    source branch's image rows, is given, every matrix of the stack attends
+    to its image keys and values, broadcast over the leading axes; otherwise
+    the block runs ordinary self-attention. Returns the
     updated stack and the raw pre-projection attention output for the
     measurement, written into ``out`` when given (a float64 array of
     ``tokens``' shape with contiguous rows, such as the engine's held slot
     for this block) and else into a new array; ``out`` is what is returned.
     """
-    attn = joint_attention(tokens, block, config, table, shared_kv, out)
+    attn = joint_attention(tokens, block, config, table, src_image, out)
     tokens = tokens + attn @ block[_WO]
     # in place on the sum just made, never on the caller's array
     tokens += np.tanh(tokens @ block[_MLP_IN]) @ block[_MLP_OUT]

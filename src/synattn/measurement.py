@@ -63,6 +63,7 @@ class Thresholds:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not self.m_min < self.m_max:
             raise ValueError(f"m_min {self.m_min} must be below m_max {self.m_max}")
 

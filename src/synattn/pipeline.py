@@ -3,9 +3,9 @@
 Both branches start from the same deterministic noise and walk the same
 timestep loop. At every step the current positional weight ``w`` is applied
 to all rotary embeddings of both branches; in shared blocks the target
-branch additionally reads the source branch's image keys/values. The block
-loop ends in one Euler update per branch. Each live case's step is then
-closed by :func:`~synattn.measurement.close_step`, whose first failing
+branch attends to the source branch's image rows in place of its own. The
+block loop ends in one Euler update per branch. Each live case's step is
+then closed by :func:`~synattn.measurement.close_step`, whose first failing
 block aborts the case, and its record's measurement gives ``w`` for the
 next step through :meth:`PipelineConfig.rotary_weight` (first step: w = 1,
 or the fixed override for ablations).
@@ -21,8 +21,8 @@ and each distinct prompt's encoding are drawn once for the group, and both
 branches of every case are one ``(2, B, n, d)`` pair, axis 0 the source
 and the target, with one ``w`` per case. Each layer makes one numpy call
 for the whole pair, one block call per block; a shared block hands the
-whole pair the source's image keys/values, so the source attends to its
-own and the target to the source's. Every branch of every case still gets
+whole pair the source's image rows, so the source attends to its own and
+the target to the source's. Every branch of every case still gets
 its own BLAS calls, so its bytes are the ones it gets alone. A case that
 aborts numerically stores its exception and its rows stay in the pair,
 masked: computed but never read again, while the others carry on. A draw
@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .attention import grid_position_ids, image_kv
+from .attention import grid_position_ids
 from .backbone import (
     BackboneConfig,
     _usable_cores,
@@ -97,12 +97,17 @@ class PipelineConfig:
             value = getattr(self, key)
             if not (isinstance(value, str) and value.split()):
                 raise ValueError(f"{key} must contain at least one token, got {value!r}")
+            # the config text strips each value and splits lines: it could not carry these
+            if value != value.strip() or len(value.splitlines()) != 1:
+                raise ValueError(f"{key} must be one line with no surrounding whitespace, got {value!r}")
         for key, kind in (("backbone", BackboneConfig), ("thresholds", Thresholds)):
             if not isinstance(getattr(self, key), kind):
                 raise ValueError(f"{key} must be a {kind.__name__}, got {getattr(self, key)!r}")
         w = self.w_override
-        if w is not None and not (isinstance(w, numbers.Real) and 0.0 <= w <= 1.0):
-            raise ValueError(f"w_override must be a number in [0, 1], got {w!r}")
+        if w is not None:
+            if not (isinstance(w, numbers.Real) and 0.0 <= w <= 1.0):
+                raise ValueError(f"w_override must be a number in [0, 1], got {w!r}")
+            object.__setattr__(self, "w_override", float(w))
 
     def rotary_weight(self, m_prev: float | None) -> float:
         """The schedule: a step's positional weight, given the previous step's measurement.
@@ -174,11 +179,9 @@ def _run_stack(
             for first in range(0, n_blocks, n_held):
                 last = min(first + n_held, n_blocks)
                 for l in range(first, last):
-                    # a shared block hands both branches the source's image keys/values:
+                    # a shared block hands both branches the source's image rows:
                     # the source attends to its own, the target to the source's
-                    shared = None
-                    if l in bb.shared_blocks:
-                        shared = image_kv(pair[0, :, n_txt:], weights[l], table)
+                    shared = pair[0, :, n_txt:] if l in bb.shared_blocks else None
                     pair, _ = block_forward(pair, weights[l], bb, table, shared, held[:, l - first])
                     block_ok = np.isfinite(pair).all(axis=(2, 3), out=finite[:, l].T)
                     if not block_ok.all():  # a failure: has every live case one by now?

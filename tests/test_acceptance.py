@@ -23,7 +23,6 @@ from synattn import (
     adaptive_weight,
     encode_prompt,
     grid_position_ids,
-    image_kv,
     rotary_table,
 )
 from synattn.attention import _ROLES, _WK, _WQ, _WV, joint_attention
@@ -166,7 +165,7 @@ def test_criterion_04_zero_weight_collapses_to_rotation_free_sharing():
         src_image = rng.normal(size=(6, ATTN_CFG.d_model))[2:]
         block = np.zeros((len(_ROLES), 16, 16))  # random attention projections, zero MLP
         block[:4] = rng.normal(size=(4, 16, 16)) * 0.4
-        got = joint_attention(tgt, block, ATTN_CFG, table, image_kv(src_image, block, table))
+        got = joint_attention(tgt, block, ATTN_CFG, table, src_image)
         want_txt, want_img = naive_joint_attention(
             tgt[:2], tgt[2:], src_image, positions, positions,
             block[_WQ], block[_WK], block[_WV],

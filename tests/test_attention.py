@@ -12,7 +12,6 @@ from synattn import (
     attention_map,
     attention_weights,
     grid_position_ids,
-    image_kv,
     rotary_table,
     softmax_rows,
     split_heads,
@@ -142,13 +141,13 @@ class TestSelfAttention:
 
 
 class TestSharedAttention:
-    def test_own_image_kv_matches_default_bitwise(self):
+    def test_own_image_rows_as_the_source_match_default_bitwise(self):
         rng = np.random.default_rng(53)
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.4)
         a = joint_attention(tokens, block, config(3), table)
-        b = joint_attention(tokens, block, config(3), table, image_kv(tokens[3:], block, table))
+        b = joint_attention(tokens, block, config(3), table, tokens[3:])
         np.testing.assert_array_equal(a, b)
 
     def test_zero_weight_equals_rotation_free_reference(self):
@@ -157,7 +156,7 @@ class TestSharedAttention:
         src_image = random_tokens(rng, 0, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         table = grid_table((2, 2), 0.0)
-        got = joint_attention(tgt, block, config(2), table, image_kv(src_image, block, table))
+        got = joint_attention(tgt, block, config(2), table, src_image)
         want = oracle(tgt, 2, src_image, block, 0.0, use_rope=False)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -168,7 +167,7 @@ class TestSharedAttention:
         block = random_block(rng, CFG.d_model)
         for w in (0.0, 0.3, 1.0):
             table = grid_table((2, 2), w)
-            got = joint_attention(tgt, block, config(1), table, image_kv(src_image, block, table))
+            got = joint_attention(tgt, block, config(1), table, src_image)
             assert np.abs(got - oracle(tgt, 1, src_image, block, w)).max() <= 1e-12
 
     def test_grid_mismatch_rejected(self):
@@ -236,11 +235,11 @@ class TestOutputAndHeadChunks:
         tokens = rng.normal(size=(2, 1, n_txt + cfg.n_img, cfg.d_model))
         block = random_block(rng, cfg.d_model)
         table = rotary_table(grid_position_ids(*cfg.grid), 0.7, cfg)
-        kv = image_kv(tokens[0, :, n_txt:], block, table) if shared else None
-        want = joint_attention(tokens, block, cfg, table, kv)
+        src = tokens[0, :, n_txt:] if shared else None
+        want = joint_attention(tokens, block, cfg, table, src)
         held = np.full((2, 3, *tokens.shape[1:]), np.nan)
         slot = held[:, 1]
-        got = joint_attention(tokens, block, cfg, table, kv, out=slot)
+        got = joint_attention(tokens, block, cfg, table, src, out=slot)
         assert got is slot
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.isnan(held[:, [0, 2]]).all()
@@ -280,6 +279,25 @@ class TestOutputAndHeadChunks:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * tokens.nbytes + MID_HEAD_LOGITS + slack
+
+    def test_source_rows_add_at_most_one_source_image_to_the_peak(self, monkeypatch):
+        # a shared block projects the source's keys and values itself, and
+        # each lives only until it is copied in, so the call peaks at most one
+        # (B, m, d) array above the same call attending to its own rows
+        tokens, block, table = mid_pair(69)
+        monkeypatch.setattr(attention_mod, "_LOGITS_BYTES", MID_HEAD_LOGITS)
+        out = np.empty(tokens.shape)
+        src_image = tokens[0, :, MID.n_txt_tokens:]
+        peaks = []
+        for source in (None, src_image):
+            tracemalloc.start()
+            try:
+                joint_attention(tokens, block, MID, table, source, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        own, shared = peaks
+        assert shared <= own + src_image.size * 8
 
 
 class TestAttentionMap:

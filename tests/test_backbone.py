@@ -19,7 +19,6 @@ from synattn import (
     encode_prompt,
     fnv1a64,
     grid_position_ids,
-    image_kv,
     init_backbone,
     init_block,
     initial_noise,
@@ -399,25 +398,22 @@ class TestBlockForward:
         other = rng.normal(size=(CFG.n_img, CFG.d_model))
         table = grid_table(1.0)
         plain, _ = block_forward(tokens, block, CFG, table)
-        kv = image_kv(other, block, table)
-        shared, _ = block_forward(tokens, block, CFG, table, kv)
+        shared, _ = block_forward(tokens, block, CFG, table, other)
         n = CFG.n_txt_tokens
         assert not np.array_equal(plain[n:], shared[n:])
 
     def test_reused_source_kv_matches_recomputed(self):
-        # the denoising loop builds the source's keys/values from a view of
-        # its image rows; building them from a copy gives the same bytes
+        # the denoising loop hands the block a view of the source's image
+        # rows; a copy of them gives the same bytes
         block = init_block(CFG, 2)
         rng = np.random.default_rng(86)
         n = CFG.n_txt_tokens
         src = random_tokens(rng)
         tgt = random_tokens(rng)
         table = grid_table(0.7)
-        src_kv = image_kv(src[n:], block, table)
-        reused, reused_attn = block_forward(tgt, block, CFG, table, src_kv)
+        reused, reused_attn = block_forward(tgt, block, CFG, table, src[n:])
 
-        kv = image_kv(src[n:].copy(), block, table)
-        recomputed, attn = block_forward(tgt.copy(), block, CFG, table, kv)
+        recomputed, attn = block_forward(tgt.copy(), block, CFG, table, src[n:].copy())
         np.testing.assert_array_equal(reused, recomputed)
         np.testing.assert_array_equal(reused_attn, attn)
         assert np.abs(reused_attn - oracle_attention(tgt, src[n:], block, 0.7)).max() <= 1e-12
@@ -425,7 +421,7 @@ class TestBlockForward:
     @pytest.mark.parametrize("block", [0, 1])  # block 0 is shared, block 1 is not
     def test_stack_matches_each_case_alone(self, block):
         # a (B, n, d) stack with one w per case gives each case the bytes it
-        # gets alone, through attention, projections, MLP and the handed-on K/V
+        # gets alone, through attention, projections, MLP and the source's rows
         blk = init_block(CFG, block)
         rng = np.random.default_rng(87)
         weights = np.array([1.0, 0.0, 0.35])
@@ -434,15 +430,12 @@ class TestBlockForward:
         table = grid_table(weights)
         n = CFG.n_txt_tokens
         src_out, src_attn = block_forward(src, blk, CFG, table)
-        src_kv = image_kv(src[:, n:], blk, table)
-        tgt_out, tgt_attn = block_forward(tgt, blk, CFG, table, src_kv)
+        tgt_out, tgt_attn = block_forward(tgt, blk, CFG, table, src[:, n:])
         for b, w in enumerate(weights):
             one = grid_table(w)
             want_src, want_src_attn = block_forward(src[b], blk, CFG, one)
-            kv = image_kv(src[b, n:], blk, one)
-            want_tgt, want_tgt_attn = block_forward(tgt[b], blk, CFG, one, kv)
+            want_tgt, want_tgt_attn = block_forward(tgt[b], blk, CFG, one, src[b, n:])
             for got, want in [(src_out, want_src), (src_attn, want_src_attn),
-                              (src_kv[0], kv[0]), (src_kv[1], kv[1]),
                               (tgt_out, want_tgt), (tgt_attn, want_tgt_attn)]:
                 np.testing.assert_array_equal(got[b], want)
 
@@ -450,8 +443,8 @@ class TestBlockForward:
     @pytest.mark.parametrize("block", [0, 1])  # block 0 is shared, block 1 is not
     def test_pair_matches_each_branch_alone(self, block, n_cases):
         # the engine's (2, B, n, d) source/target pair, handed the source's
-        # image keys/values at a shared block, gives each branch the bytes of
-        # its own call: the source alone, the target with the source's K/V
+        # image rows at a shared block, gives each branch the bytes of its
+        # own call: the source alone, the target with the source's rows
         assert (0 in CFG.shared_blocks, 1 in CFG.shared_blocks) == (True, False)
         blk = init_block(CFG, block)
         rng = np.random.default_rng(88)
@@ -459,11 +452,10 @@ class TestBlockForward:
         pair = np.stack([np.stack([random_tokens(rng) for _ in range(n_cases)]) for _ in "st"])
         n = CFG.n_txt_tokens
         shared = block in CFG.shared_blocks
-        kv = image_kv(pair[0, :, n:], blk, table) if shared else None
-        out, attn = block_forward(pair, blk, CFG, table, kv)
+        out, attn = block_forward(pair, blk, CFG, table, pair[0, :, n:] if shared else None)
         src, src_attn = block_forward(pair[0].copy(), blk, CFG, table)
-        src_kv = image_kv(pair[0, :, n:].copy(), blk, table) if shared else None
-        tgt, tgt_attn = block_forward(pair[1].copy(), blk, CFG, table, src_kv)
+        src_image = pair[0, :, n:].copy() if shared else None
+        tgt, tgt_attn = block_forward(pair[1].copy(), blk, CFG, table, src_image)
         for got, want in [(out[0], src), (attn[0], src_attn), (out[1], tgt), (attn[1], tgt_attn)]:
             np.testing.assert_array_equal(got, want)
 

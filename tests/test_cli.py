@@ -195,8 +195,12 @@ class TestNonFiniteConfig:
 
 
 # Valid configs drawn at small sizes; prompts carry no surrounding
-# whitespace because the grammar strips values.
+# whitespace or line break, which PipelineConfig refuses because the config
+# text could not carry them (test_prompt_the_config_text_cannot_carry_is_refused).
 prompts = st.from_regex(r"[a-z0-9#=,.]([a-z0-9 #=,.]{0,20}[a-z0-9#=,.])?", fullmatch=True)
+# what the grammar strips from a value's ends, and where its splitlines splits
+WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]
+LINE_BREAKS = [c for c in WHITESPACE if len(f"a{c}b".splitlines()) == 2]
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
 
@@ -239,6 +243,36 @@ class TestFieldTable:
         echo = config_to_dict(config)
         assert list(echo) == [f.key for f in CONFIG_FIELDS]
         assert echo["w_override"] == config.w_override
+
+    # " a cat" would parse back as "a cat", whose padding rows differ, and a
+    # line break would echo a config text that parse_config_text refuses
+    @given(prompts, st.booleans(), st.sampled_from(["src_prompt", "tgt_prompt"]), st.data())
+    def test_prompt_the_config_text_cannot_carry_is_refused(self, prompt, at_end, key, data):
+        if at_end:
+            char = data.draw(st.sampled_from(WHITESPACE))
+            where = data.draw(st.sampled_from([0, len(prompt)]))
+        else:
+            char = data.draw(st.sampled_from(LINE_BREAKS))
+            where = data.draw(st.integers(0, len(prompt)))
+        bad = prompt[:where] + char + prompt[where:]
+        with pytest.raises(ValueError, match=f"^{key} must be one line with no surrounding"):
+            PipelineConfig(**{"src_prompt": "a dog", "tgt_prompt": "a dog", key: bad})
+
+    # a real-valued field stores float(value): json cannot write a numpy
+    # float32, and a bool would echo as true/false
+    @pytest.mark.parametrize("m_min, m_max, w, theta", [
+        (False, True, True, 10000),
+        (np.float32(0.25), np.float32(0.75), np.float32(0.5), np.float32(500.0)),
+    ], ids=["bool-and-int", "float32"])
+    def test_real_fields_store_floats(self, m_min, m_max, w, theta):
+        config = PipelineConfig("a", "b", BackboneConfig(theta_base=theta), Thresholds(m_min, m_max), w)
+        echo = config_to_dict(config)
+        reals = {key: echo[key] for key in ("m_min", "m_max", "w_override", "theta_base")}
+        assert reals == {"m_min": float(m_min), "m_max": float(m_max),
+                         "w_override": float(w), "theta_base": float(theta)}
+        assert {type(value) for value in reals.values()} == {float}
+        json.dumps(echo)
+        assert parse_config_text(render_config(config)) == config
 
     # exit 1 belongs to the boundary: a config it accepts runs to its
     # files (exit 0) or to a numerical abort (exit 2), never to a usage error

@@ -1,6 +1,7 @@
 """Smoke tests: every narrative script under demos/ and every ```python block of
-README.md runs to completion, every exported name exists, and every name the
-README's module table gives a module is one of its attributes."""
+README.md runs to completion, every exported name exists, every test module
+imports, and every name the README's module table gives a module is one of
+its attributes."""
 
 import importlib
 import os
@@ -22,6 +23,9 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 README_MODULE_ROWS = re.findall(r"^\| `(synattn\.\w+)`\s*\|(.*)\|$", README, re.M)
 # backticked snake_case words in that table that name no module attribute
 README_NOT_API = {"axis_dims", "theta_base", "w", "synattn"}
+# the suite runs with --continue-on-collection-errors, so a test module that
+# cannot import (say, of a deleted public name) must fail a test of its own
+TEST_MODULES = sorted(p.stem for p in (ROOT / "tests").glob("test_*.py"))
 MODULES = ["synattn"] + [
     f"synattn.{m.name}" for m in pkgutil.iter_modules(synattn.__path__) if not m.name.startswith("_")
 ]
@@ -53,6 +57,11 @@ def test_readme_python_block_exits_zero(block):
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_every_test_module_imports(module):
+    importlib.import_module(module)
 
 
 @pytest.mark.parametrize(
