@@ -10,23 +10,19 @@ neighborhood, at w = 0 it retrieves the bright token wherever it sits.
 
 import numpy as np
 
-from synattn import attention_map, encode_prompt
-from synattn.backbone import BackboneConfig
+from synattn import BackboneConfig, PipelineConfig, attention_map
+from synattn.cli import build_map_inputs
 
-bb = BackboneConfig(grid=(6, 6))
+config = PipelineConfig("probe tokens", "probe tokens", backbone=BackboneConfig(grid=(6, 6)))
+bb = config.backbone
 h, w = bb.grid
 
 query_cell = (1, 2)
 bump_cell = ((query_cell[0] + h // 2) % h, (query_cell[1] + w // 2) % w)
 
-base = np.ones(bb.d_model)
-image = np.tile(base, (h * w, 1))
-image[bump_cell[0] * w + bump_cell[1]] *= 1.2
-
-tokens = np.vstack([encode_prompt("probe tokens", bb), image])
-# a block's six (d, d) weight matrices, all identities here
-d = bb.d_model
-block = np.broadcast_to(np.eye(d), (6, d, d))
+# the probe of `synattn map --probe constant-field`: all-ones image tokens but
+# the bright one at bump_cell, and a block whose weight matrices are identities
+tokens, image, block, _ = build_map_inputs(config, "constant-field", None, query_cell)
 
 
 def ascii_heatmap(grid):

@@ -14,7 +14,6 @@ from .attention import (
     split_heads,
 )
 from .backbone import (
-    FLUX_SHARED_BLOCKS,
     BackboneConfig,
     block_forward,
     derive_seed,
@@ -54,7 +53,6 @@ __all__ = [
     "BackboneConfig",
     "derive_seed",
     "fnv1a64",
-    "FLUX_SHARED_BLOCKS",
     "init_block",
     "init_backbone",
     "encode_prompt",

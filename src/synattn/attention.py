@@ -9,7 +9,7 @@ as if it ran alone: products are ``@`` against the shared ``(d, d)``
 projections, which numpy carries out as one BLAS call per matrix, so a
 case's bytes do not depend on what it is stacked with. Attention always
 runs over the whole matrix. A block's weights are one ``(6, d, d)`` array,
-its matrices in ``_ROLES`` order.
+its matrices in ``ROLES`` order, indexed by ``WQ``, ``WK``, ... ``MLP_OUT``.
 Image-token queries and keys are rotated by a :class:`~synattn.rope.RotaryTable`
 built at strength ``w``; text tokens are never rotated.
 
@@ -57,6 +57,13 @@ if TYPE_CHECKING:
     from .backbone import BackboneConfig
 
 __all__ = [
+    "ROLES",
+    "WQ",
+    "WK",
+    "WV",
+    "WO",
+    "MLP_IN",
+    "MLP_OUT",
     "grid_position_ids",
     "split_heads",
     "attention_weights",
@@ -64,10 +71,10 @@ __all__ = [
     "attention_map",
 ]
 
-# A block's weights are one (6, d, d) array, matrix r playing role _ROLES[r];
+# A block's weights are one (6, d, d) array, matrix r playing role ROLES[r];
 # block b's matrix r is drawn from the stream derive_seed(seed, b, r).
-_ROLES = ("wq", "wk", "wv", "wo", "mlp_in", "mlp_out")
-_WQ, _WK, _WV, _WO, _MLP_IN, _MLP_OUT = range(len(_ROLES))
+ROLES = ("wq", "wk", "wv", "wo", "mlp_in", "mlp_out")
+WQ, WK, WV, WO, MLP_IN, MLP_OUT = range(len(ROLES))
 
 # Bytes of attention logits (every stacked matrix of a chunk of heads) that
 # joint_attention forms at once; a chunk always holds at least one head. A
@@ -176,14 +183,14 @@ def joint_attention(
     # A shared block's source rows add two products, each dropped once copied:
     # their rotated keys, into K^T, and their values, into V's image rows
     source = image if src_image is None else src_image
-    k = _keys(text, block[_WK], _image_keys(source, block[_WK], table), heads)
-    q = split_heads(_queries(tokens, n_txt, block[_WQ], table), heads)
+    k = _keys(text, block[WK], _image_keys(source, block[WK], table), heads)
+    q = split_heads(_queries(tokens, n_txt, block[WQ], table), heads)
     v = np.empty(tokens.shape)
-    np.matmul(text, block[_WV], out=v[..., :n_txt, :])
+    np.matmul(text, block[WV], out=v[..., :n_txt, :])
     if src_image is None:
-        np.matmul(image, block[_WV], out=v[..., n_txt:, :])
+        np.matmul(image, block[WV], out=v[..., n_txt:, :])
     else:
-        v[..., n_txt:, :] = src_image @ block[_WV]
+        v[..., n_txt:, :] = src_image @ block[WV]
     v = split_heads(v, heads)
     if out is None:
         out = np.empty(tokens.shape)
@@ -226,19 +233,19 @@ def attention_map(
     for name, operand, shape in (
         ("tokens", tokens, (n_txt + h * wid, d)),
         ("source image", src_image, (h * wid, d)),
-        ("block", block, (len(_ROLES), d, d)),
+        ("block", block, (len(ROLES), d, d)),
     ):
         if operand.shape != shape:
             raise ShapeError(f"{name} shape {operand.shape} != {shape}")
     table = rotary_table(grid_position_ids(h, wid), w, config)
-    q = _queries(tokens, n_txt, block[_WQ], table)
-    k_img = _image_keys(src_image, block[_WK], table)
+    q = _queries(tokens, n_txt, block[WQ], table)
+    k_img = _image_keys(src_image, block[WK], table)
     row = n_txt + r * wid + c
     # one query row, not a row sliced from the full matrix: a gemv and a
     # gemm row need not agree in the last bit
     weights = attention_weights(
         split_heads(q[row : row + 1], config.num_heads),
-        _keys(tokens[:n_txt], block[_WK], k_img, config.num_heads),
+        _keys(tokens[:n_txt], block[WK], k_img, config.num_heads),
         1.0 / math.sqrt(config.head_dim),
     )
     acc = weights[:, 0, n_txt:].sum(axis=0) / config.num_heads

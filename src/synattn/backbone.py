@@ -4,7 +4,7 @@ Stands in for a pretrained multimodal diffusion transformer at desk scale:
 seeded pseudo-random projections, a hash-based prompt encoder and a stack of
 attention+MLP blocks. A backbone's weights are one ``(n_blocks, 6, d, d)``
 array, and one block's a ``(6, d, d)`` slice of it, its matrices in
-:data:`~synattn.attention._ROLES` order; the config travels beside it.
+:data:`~synattn.attention.ROLES` order; the config travels beside it.
 Everything is a pure function of the configuration, so two runs with the
 same config agree bit for bit.
 
@@ -15,8 +15,8 @@ derived by folding integer parts with :func:`derive_seed`; strings enter as
 their 64-bit FNV-1a hash. Since entry i depends only on the seed and i, any
 range of any stream can be mixed on its own: every draw (all of a
 backbone's weight streams, a prompt's rows, the noise) fills its result in
-tiles, split across the usable cores when it is large, and its bytes do not
-depend on the split.
+tiles, split across the :func:`usable_cores` when it is large, and its bytes
+do not depend on the split.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _MLP_IN, _MLP_OUT, _ROLES, _WO, joint_attention
+from .attention import MLP_IN, MLP_OUT, ROLES, WO, joint_attention
 from .rope import RotaryTable
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "derive_seed",
     "fnv1a64",
     "BackboneConfig",
-    "FLUX_SHARED_BLOCKS",
     "WEIGHT_SCALE",
     "MAX_HEADS",
     "MAX_HEAD_DIM",
@@ -47,6 +46,7 @@ __all__ = [
     "MAX_TXT_TOKENS",
     "MAX_GRID_SIDE",
     "MAX_STEPS",
+    "usable_cores",
     "init_block",
     "init_backbone",
     "encode_prompt",
@@ -81,10 +81,6 @@ _CHUNK = 1 << 15
 # holds one tile of scratch, so this also keeps the scratch of a draw small
 # next to its result.
 _TILES_PER_WORKER = 16
-
-# Block set used for sharing at full scale (57-block models); only valid for
-# configs with n_blocks >= 57. The toy default lives in BackboneConfig.
-FLUX_SHARED_BLOCKS = frozenset({0, 7, 8, 9, 10, 18, 25, 28, 37, 42, 45, 50, 56})
 
 # Entry bound for the uniform weight initializer.
 WEIGHT_SCALE = 0.05
@@ -124,7 +120,8 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def _usable_cores() -> int:
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set, else the CPU count."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -198,7 +195,7 @@ def _draw_streams(seeds, count: int, low: float, high: float) -> np.ndarray:
             dst *= high - low
             dst += low
 
-    workers = min(_usable_cores(), len(tiles) // _TILES_PER_WORKER)
+    workers = min(usable_cores(), len(tiles) // _TILES_PER_WORKER)
     if workers < 2:
         fill()
         return out
@@ -315,16 +312,16 @@ class BackboneConfig:
 def _draw_blocks(config: BackboneConfig, blocks: range) -> np.ndarray:
     """Every matrix of ``blocks``, ``(len(blocks), 6, d, d)``, in one draw, each its own stream."""
     d = config.d_model
-    seeds = [derive_seed(config.seed, b, r) for b in blocks for r in range(len(_ROLES))]
+    seeds = [derive_seed(config.seed, b, r) for b in blocks for r in range(len(ROLES))]
     return _draw_streams(seeds, d * d, -WEIGHT_SCALE, WEIGHT_SCALE).reshape(
-        len(blocks), len(_ROLES), d, d
+        len(blocks), len(ROLES), d, d
     )
 
 
 def init_block(config: BackboneConfig, b: int) -> np.ndarray:
     """Draw block ``b``'s ``(6, d, d)`` weights deterministically from the config seed.
 
-    Matrix r (its role ``_ROLES[r]``) is the stream seeded by
+    Matrix r (its role ``ROLES[r]``) is the stream seeded by
     ``derive_seed(seed, b, r)``; entries are uniform in
     [-WEIGHT_SCALE, WEIGHT_SCALE]. Every matrix has its own stream, so a
     block drawn alone equals the same block of :func:`init_backbone`.
@@ -395,7 +392,7 @@ def block_forward(
     for this block) and else into a new array; ``out`` is what is returned.
     """
     attn = joint_attention(tokens, block, config, table, src_image, out)
-    tokens = tokens + attn @ block[_WO]
+    tokens = tokens + attn @ block[WO]
     # in place on the sum just made, never on the caller's array
-    tokens += np.tanh(tokens @ block[_MLP_IN]) @ block[_MLP_OUT]
+    tokens += np.tanh(tokens @ block[MLP_IN]) @ block[MLP_OUT]
     return tokens, attn

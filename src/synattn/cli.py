@@ -45,7 +45,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .attention import _ROLES, attention_map
+from .attention import ROLES, attention_map
 from .backbone import BackboneConfig, encode_prompt, init_block, initial_noise
 from .measurement import NumericalAbortError, Thresholds, close_step
 from .pipeline import EditingTrace, PipelineConfig, run_groups
@@ -78,11 +78,7 @@ PROBE_BUMP_SCALE = 1.2
 
 
 class ConfigError(ValueError):
-    """Malformed run configuration; carries the offending key when known."""
-
-    def __init__(self, message: str, key: str | None = None) -> None:
-        super().__init__(message)
-        self.key = key
+    """Malformed run configuration; the message names the offending key or line."""
 
 
 def _fmt(x: float) -> str:
@@ -93,20 +89,20 @@ def _fmt(x: float) -> str:
 # config files
 
 
-def _parse_number(kind: type, raw: str, where: str, key: str | None = None):
+def _parse_number(kind: type, raw: str, where: str):
     try:
         return kind(raw)
     except ValueError:
         expected = "integer" if kind is int else "number"
-        raise ConfigError(f"{where}: expected {expected}, got '{raw}'", key) from None
+        raise ConfigError(f"{where}: expected {expected}, got '{raw}'") from None
 
 
 def _parse_int(key: str, raw: str) -> int:
-    return _parse_number(int, raw, f"key '{key}'", key)
+    return _parse_number(int, raw, f"key '{key}'")
 
 
 def _parse_float(key: str, raw: str) -> float:
-    return _parse_number(float, raw, f"key '{key}'", key)
+    return _parse_number(float, raw, f"key '{key}'")
 
 
 def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
@@ -119,7 +115,7 @@ def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
 def _parse_grid(key: str, raw: str) -> tuple[int, int]:
     parts = raw.lower().split("x")
     if len(parts) != 2:
-        raise ConfigError(f"key '{key}': expected HxW, got '{raw}'", key)
+        raise ConfigError(f"key '{key}': expected HxW, got '{raw}'")
     return _parse_int(key, parts[0]), _parse_int(key, parts[1])
 
 
@@ -206,14 +202,14 @@ def parse_config_text(text: str) -> PipelineConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in _DEFAULTS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'", key)
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in values:
-            raise ConfigError(f"line {lineno}: key '{key}' given twice", key)
+            raise ConfigError(f"line {lineno}: key '{key}' given twice")
         values[key] = raw.strip()
 
     for f in CONFIG_FIELDS:
         if _DEFAULTS[f.key] is MISSING and not values.get(f.key):
-            raise ConfigError(f"missing required key '{f.key}'", f.key)
+            raise ConfigError(f"missing required key '{f.key}'")
 
     kwargs: dict[str, dict] = {"pipeline": {}, "backbone": {}, "thresholds": {}}
     for f in CONFIG_FIELDS:
@@ -283,15 +279,16 @@ def parse_trace(text: str) -> EditingTrace:
     """Inverse of :func:`write_trace`; exact for round-trips.
 
     Refuses a trace that contradicts itself or that no run can have
-    written: a ``# blocks per step`` header that differs from the config's
-    ``blocks``, a record count other than the config's ``steps``, timesteps
-    that do not run from the record count down to 1, a ``weight_applied``
-    other than the config's :meth:`~PipelineConfig.rotary_weight` of the
-    previous record's ``m_mean``, a row that :func:`close_step` refuses (a
-    non-finite or degenerate similarity, which the engine never writes),
-    ratios and an ``m_mean`` other than the record it makes, or a non-finite
-    ``m_mean`` (finite ratios whose sum overflows). A malformed number is
-    refused naming its line and field.
+    written: a second ``# blocks per step`` header or one that differs from
+    the config's ``blocks``, a record count other than the config's
+    ``steps``, timesteps that do not run from the record count down to 1, a
+    ``weight_applied`` other than the config's
+    :meth:`~PipelineConfig.rotary_weight` of the previous record's
+    ``m_mean``, a row that :func:`close_step` refuses (a non-finite or
+    degenerate similarity, which the engine never writes), ratios and an
+    ``m_mean`` other than the record it makes, or a non-finite ``m_mean``
+    (finite ratios whose sum overflows). A malformed number is refused
+    naming its line and field.
     """
     config_lines = []
     header_blocks = None
@@ -303,6 +300,8 @@ def parse_trace(text: str) -> EditingTrace:
         if stripped.startswith("# config:"):
             config_lines.append(stripped[len("# config:") :].strip())
         elif stripped.startswith("# blocks per step:"):
+            if header_blocks is not None:
+                raise ConfigError(f"line {lineno}: second '# blocks per step' header")
             header_blocks = (lineno, stripped[len("# blocks per step:") :].strip())
         elif not stripped.startswith("#"):
             records.append((lineno, stripped))
@@ -385,7 +384,7 @@ def parse_matrix(text: str) -> np.ndarray:
         if stripped.startswith("#"):
             parts = stripped[1:].split()
             if shape is None and len(parts) == 3 and parts[1].isdigit():
-                shape = (int(parts[1]), _parse_number(int, parts[2], f"line {lineno}"))
+                shape = tuple(_parse_number(int, n, f"line {lineno}") for n in parts[1:])
             continue
         row = [_parse_number(float, x, f"line {lineno}") for x in stripped.split()]
         if rows and len(row) != len(rows[0]):
@@ -497,7 +496,7 @@ def build_map_inputs(
         image[bump] *= PROBE_BUMP_SCALE
         tokens = np.vstack([encode_prompt(config.src_prompt, bb), image])
         d = bb.d_model
-        return tokens, image, np.broadcast_to(np.eye(d), (len(_ROLES), d, d)), block
+        return tokens, image, np.broadcast_to(np.eye(d), (len(ROLES), d, d)), block
 
     raise ConfigError(f"unknown probe '{probe}'")
 

@@ -47,11 +47,11 @@ import numpy as np
 from .attention import grid_position_ids
 from .backbone import (
     BackboneConfig,
-    _usable_cores,
     block_forward,
     encode_prompt,
     init_backbone,
     initial_noise,
+    usable_cores,
 )
 from .measurement import (
     NumericalAbortError,
@@ -285,14 +285,14 @@ def run_groups(configs: dict[int, PipelineConfig], sink: Sink, jobs: int = 1) ->
     first appearance, each list in its group's index order. A result is the
     case's ``(src, tgt, trace)`` or its exception, and the sink runs in the
     process that ran the group. Groups run inline and lazily unless ``jobs``,
-    the group count and :func:`_usable_cores` all exceed 1, ``fork`` exists
+    the group count and :func:`usable_cores` all exceed 1, ``fork`` exists
     and no other thread runs (a fork would copy it mid-state); then up to
     ``jobs`` forked workers run them, and the sink and its values must pickle.
     """
     groups: dict[BackboneConfig, dict[int, PipelineConfig]] = {}
     for i, config in configs.items():
         groups.setdefault(config.backbone, {})[i] = config
-    workers = min(jobs, len(groups), _usable_cores())
+    workers = min(jobs, len(groups), usable_cores())
     if workers > 1 and threading.active_count() == 1:
         import multiprocessing
 

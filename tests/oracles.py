@@ -11,6 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
+# The block set shared at full scale, in a 57-block FLUX-shaped model; a
+# config takes it only with n_blocks >= 57.
+FLUX_SHARED_BLOCKS = frozenset({0, 7, 8, 9, 10, 18, 25, 28, 37, 42, 45, 50, 56})
+
 
 def cosine_rows_mean(a: np.ndarray, b: np.ndarray) -> float:
     sims = []

@@ -25,7 +25,7 @@ from synattn import (
     grid_position_ids,
     rotary_table,
 )
-from synattn.attention import _ROLES, _WK, _WQ, _WV, joint_attention
+from synattn.attention import ROLES, WK, WQ, WV, joint_attention
 from synattn.cli import PROBE_BUMP_SCALE, main, parse_config_text, parse_matrix, parse_trace
 from synattn.rope import apply_rotary
 
@@ -163,12 +163,12 @@ def test_criterion_04_zero_weight_collapses_to_rotation_free_sharing():
         # rows enter the target's attention
         tgt = rng.normal(size=(6, ATTN_CFG.d_model))
         src_image = rng.normal(size=(6, ATTN_CFG.d_model))[2:]
-        block = np.zeros((len(_ROLES), 16, 16))  # random attention projections, zero MLP
+        block = np.zeros((len(ROLES), 16, 16))  # random attention projections, zero MLP
         block[:4] = rng.normal(size=(4, 16, 16)) * 0.4
         got = joint_attention(tgt, block, ATTN_CFG, table, src_image)
         want_txt, want_img = naive_joint_attention(
             tgt[:2], tgt[2:], src_image, positions, positions,
-            block[_WQ], block[_WK], block[_WV],
+            block[WQ], block[WK], block[WV],
             ATTN_CFG.num_heads, ATTN_CFG.head_dim, ATTN_CFG.axis_dims,
             ATTN_CFG.theta_base, w=0.0, use_rope=False,
         )

@@ -17,7 +17,7 @@ from synattn import (
     split_heads,
 )
 import synattn.attention as attention_mod
-from synattn.attention import _ROLES, _WK, _WQ, _WV, joint_attention
+from synattn.attention import ROLES, WK, WQ, WV, joint_attention
 
 
 
@@ -42,13 +42,13 @@ def grid_table(grid, w):
 
 def random_block(rng, d_model):
     """A block's (6, d, d) weights: random attention projections, zero MLP."""
-    block = np.zeros((len(_ROLES), d_model, d_model))
+    block = np.zeros((len(ROLES), d_model, d_model))
     block[:4] = rng.normal(size=(4, d_model, d_model)) * 0.3
     return block
 
 
 def identity_block(d_model):
-    return np.broadcast_to(np.eye(d_model), (len(_ROLES), d_model, d_model))
+    return np.broadcast_to(np.eye(d_model), (len(ROLES), d_model, d_model))
 
 
 def oracle(tgt, n_txt, src_image, block, w, use_rope=True):
@@ -56,7 +56,7 @@ def oracle(tgt, n_txt, src_image, block, w, use_rope=True):
     positions = grid_position_ids(2, 2)
     want_txt, want_img = naive_joint_attention(
         tgt[:n_txt], tgt[n_txt:], src_image, positions, positions,
-        block[_WQ], block[_WK], block[_WV],
+        block[WQ], block[WK], block[WV],
         CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base,
         w=w, use_rope=use_rope,
     )
@@ -183,7 +183,7 @@ class TestSharedAttention:
         tokens = random_tokens(rng, 3, (2, 2), CFG.d_model)
         block = random_block(rng, CFG.d_model)
         doubled = block.copy()
-        doubled[_WV] *= 2.0
+        doubled[WV] *= 2.0
         table = grid_table((2, 2), 0.8)
         a = joint_attention(tokens, block, config(3), table)
         b = joint_attention(tokens, doubled, config(3), table)
@@ -393,6 +393,6 @@ class TestAttentionMap:
         rng = np.random.default_rng(65)
         tgt = random_tokens(rng, 2, (2, 3), CFG.d_model)
         block = random_block(rng, CFG.d_model)
-        block[_WK, 3, 5] = np.nan
+        block[WK, 3, 5] = np.nan
         with pytest.raises(ValueError, match="not positive and finite"):
             attention_map(tgt, tgt[2:], block, config(2, (2, 3)), 0.6, (1, 2))

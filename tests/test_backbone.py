@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import synattn.backbone as backbone
-from oracles import naive_joint_attention, splitmix64, splitmix64_uniform
+from oracles import FLUX_SHARED_BLOCKS, naive_joint_attention, splitmix64, splitmix64_uniform
 from synattn import (
     BackboneConfig,
-    FLUX_SHARED_BLOCKS,
     block_forward,
     derive_seed,
     encode_prompt,
@@ -24,7 +23,7 @@ from synattn import (
     initial_noise,
     rotary_table,
 )
-from synattn.attention import _MLP_IN, _MLP_OUT, _ROLES, _WK, _WO, _WQ, _WV
+from synattn.attention import MLP_IN, MLP_OUT, ROLES, WK, WO, WQ, WV
 from synattn.backbone import (
     MASK64,
     MAX_BLOCKS,
@@ -57,7 +56,7 @@ def oracle_attention(tokens, src_image, block, w):
     positions = grid_position_ids(*CFG.grid)
     txt, img = naive_joint_attention(
         tokens[:n], tokens[n:], src_image, positions, positions,
-        block[_WQ], block[_WK], block[_WV],
+        block[WQ], block[WK], block[WV],
         CFG.num_heads, CFG.head_dim, CFG.axis_dims, CFG.theta_base, w=w,
     )
     return np.vstack([txt, img])
@@ -99,7 +98,7 @@ class TestGenerators:
         def use(cores):
             monkeypatch.setattr(backbone, "_CHUNK", 4)
             monkeypatch.setattr(backbone, "_TILES_PER_WORKER", 1)
-            monkeypatch.setattr(backbone, "_usable_cores", lambda: cores)
+            monkeypatch.setattr(backbone, "usable_cores", lambda: cores)
             monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
             return pools
 
@@ -186,25 +185,25 @@ class TestInitBackbone:
     def test_different_seeds_differ(self):
         p1 = init_backbone(CFG)
         p2 = init_backbone(BackboneConfig(seed=1))
-        assert not np.array_equal(p1[0, _WQ], p2[0, _WQ])
+        assert not np.array_equal(p1[0, WQ], p2[0, WQ])
 
     def test_entry_bounds(self):
         assert np.abs(init_backbone(CFG)).max() <= WEIGHT_SCALE
 
     def test_blocks_and_roles_get_distinct_streams(self):
         weights = init_backbone(CFG)
-        assert not np.array_equal(weights[0, _WQ], weights[1, _WQ])
-        assert not np.array_equal(weights[0, _WQ], weights[0, _WK])
+        assert not np.array_equal(weights[0, WQ], weights[1, WQ])
+        assert not np.array_equal(weights[0, WQ], weights[0, WK])
 
     def test_layout_is_block_role_stream(self):
         # one C-contiguous float64 (n_blocks, 6, d, d) array whose [b, r] is
         # the stream derive_seed(seed, b, r)
         d = CFG.d_model
         weights = init_backbone(CFG)
-        assert weights.shape == (CFG.n_blocks, len(_ROLES), d, d)
+        assert weights.shape == (CFG.n_blocks, len(ROLES), d, d)
         assert weights.dtype == np.float64 and weights.flags.c_contiguous
         for b in range(CFG.n_blocks):
-            for r in range(len(_ROLES)):
+            for r in range(len(ROLES)):
                 stream = derive_seed(CFG.seed, b, r)
                 want = splitmix64_uniform(stream, d * d, -WEIGHT_SCALE, WEIGHT_SCALE)
                 assert weights[b, r].tobytes() == want.tobytes()
@@ -472,7 +471,7 @@ class TestBlockForward:
         i = rng.normal(size=6)
         out, attn = block_forward(np.vstack([t, i]), block, cfg, grid_table(1.0, cfg))
 
-        wq, wk, wv, wo = block[_WQ], block[_WK], block[_WV], block[_WO]
+        wq, wk, wv, wo = block[WQ], block[WK], block[WV], block[WO]
 
         def project(vec, mat):
             return [sum(vec[r] * mat[r][c] for r in range(6)) for c in range(6)]
@@ -500,8 +499,8 @@ class TestBlockForward:
             proj_row = project(expected_rows[r], wo)
             tokens[r] = [tokens[r][d] + proj_row[d] for d in range(6)]
         for r in range(2):
-            hidden = [math.tanh(x) for x in project(tokens[r], block[_MLP_IN])]
-            mlp_row = project(hidden, block[_MLP_OUT])
+            hidden = [math.tanh(x) for x in project(tokens[r], block[MLP_IN])]
+            mlp_row = project(hidden, block[MLP_OUT])
             tokens[r] = [tokens[r][d] + mlp_row[d] for d in range(6)]
         assert np.abs(out[0] - tokens[0]).max() <= 1e-12
         assert np.abs(out[1] - tokens[1]).max() <= 1e-12

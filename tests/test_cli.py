@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import percentile_nearest_rank
+from oracles import FLUX_SHARED_BLOCKS, percentile_nearest_rank
 from synattn import (
     BackboneConfig,
     BlockSimilarity,
@@ -26,7 +26,6 @@ from synattn import (
     run_edit,
 )
 from synattn.backbone import (
-    FLUX_SHARED_BLOCKS,
     MAX_BLOCKS,
     MAX_GRID_SIDE,
     MAX_HEADS,
@@ -123,7 +122,6 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config_text(MINIMAL + "foo = 1\n")
         assert "foo" in str(exc.value)
-        assert exc.value.key == "foo"
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -140,7 +138,7 @@ class TestConfigParsing:
     def test_bad_numbers_surface_key(self):
         with pytest.raises(ConfigError) as exc:
             parse_config_text(MINIMAL + "steps = many\n")
-        assert exc.value.key == "steps"
+        assert "key 'steps'" in str(exc.value)
 
     def test_inconsistent_shape_rejected(self):
         with pytest.raises(ConfigError):
@@ -326,9 +324,11 @@ class TestTraceSerialization:
             ("# matrix 2 2\n1 2\n3 x\n", "line 3: expected number, got 'x'"),
             ("# matrix 2 2\n1 2\n3\n", "line 3: 1 values, the first row has 2"),
             ("# matrix 2 x\n1 2\n", "line 1: expected integer, got 'x'"),
+            ("# matrix ² 2\n1 2\n3 4\n", "line 1: expected integer, got '²'"),
             ("# matrix 2 2\n1 2\n", r"matrix body \(1, 2\) does not match header \(2, 2\)"),
         ],
-        ids=["bad-number", "ragged-row", "bad-header-columns", "body-off-header"],
+        ids=["bad-number", "ragged-row", "bad-header-columns", "bad-header-rows",
+             "body-off-header"],
     )
     def test_malformed_matrix_row_names_its_line(self, text, message):
         with pytest.raises(ConfigError, match=message):
@@ -367,6 +367,15 @@ class TestTraceConsistency:
     def test_blocks_header_must_match_config(self):
         text = self.TEXT.replace("# blocks per step: 1", "# blocks per step: 2")
         with pytest.raises(ConfigError, match="line 3:"):
+            parse_trace(text)
+
+    @pytest.mark.parametrize("headers", [("7", "1"), ("1", "7"), ("1", "1")])
+    def test_blocks_header_given_twice_is_refused(self, headers):
+        # the second header is refused wherever the one that disagrees sits,
+        # and also when both agree with the config
+        lines = "".join(f"# blocks per step: {n}\n" for n in headers)
+        text = self.TEXT.replace("# blocks per step: 1\n", lines)
+        with pytest.raises(ConfigError, match="^line 4: second '# blocks per step' header$"):
             parse_trace(text)
 
     def test_ratio_must_be_s_img_over_s_txt(self):
@@ -745,7 +754,7 @@ class TestRunCommand:
             return out
 
         monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
-        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(pipeline_mod, "usable_cores", lambda: 4)
         poison = "src_prompt = a standing dog\ntgt_prompt = a poisoned dog\n"
         texts = [MINIMAL + "seed = 0\n", poison + "seed = 2\n", MINIMAL + "foo = 1\n",
                  MINIMAL + "seed = 1\n", MINIMAL + "seed = 0\nw_override = 0\n",
@@ -804,7 +813,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
         monkeypatch.setattr(threading, "active_count", lambda: threads)
-        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(pipeline_mod, "usable_cores", lambda: cores)
         cfgs = []
         for i in range(4):
             f = tmp_path / f"c{i}.cfg"
@@ -820,7 +829,7 @@ class TestRunCommand:
     ):
         import synattn.pipeline as pipeline_mod
 
-        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(pipeline_mod, "usable_cores", lambda: 4)
         inline_pools.refuse = 1  # the second group finds the pool broken
         cfgs = []
         for i in range(3):
@@ -856,7 +865,7 @@ class TestRunCommand:
             "        os._exit(3)\n"
             "    return real(configs)\n"
             "pipeline._run_group = dying\n"
-            "pipeline._usable_cores = lambda: 2\n"
+            "pipeline.usable_cores = lambda: 2\n"
             "code = cli.main(sys.argv[1:])\n"
             "print(code, multiprocessing.active_children())\n"
         )
@@ -1044,8 +1053,9 @@ class TestMapCommand:
 
 class TestUsage:
     def test_one_executor_behind_the_public_api(self):
-        # cli.py reaches the engine through public names only, and pipeline.py
-        # is the one module that starts a process pool
+        # each synattn module imports only public names from the others (a
+        # dunder such as __version__ is public), and pipeline.py is the one
+        # module that starts a process pool
         import ast
 
         import synattn
@@ -1059,15 +1069,19 @@ class TestUsage:
                 elif isinstance(node, ast.alias):
                     yield node.name.rpartition(".")[2]
 
+        def dunder(name):
+            return name.startswith("__") and name.endswith("__")
+
         package = Path(synattn.__file__).parent
         trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
         private = [
-            (node.module, alias.name)
-            for node in ast.walk(trees["cli.py"])
+            (name, "." * node.level + (node.module or ""), alias.name)
+            for name, tree in trees.items()
+            for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
-            and (node.module or "").rpartition(".")[2] in ("pipeline", "backbone")
+            and (node.level or (node.module or "").partition(".")[0] == "synattn")
             for alias in node.names
-            if alias.name.startswith("_")
+            if alias.name.startswith("_") and not dunder(alias.name)
         ]
         assert private == []
         pools = [name for name, tree in trees.items() if "ProcessPoolExecutor" in names(tree)]

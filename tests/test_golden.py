@@ -56,6 +56,7 @@ import pytest
 import synattn.backbone as backbone
 from conftest import _openblas_kernel
 from synattn import BackboneConfig, derive_seed, init_block
+from synattn.attention import WQ
 from synattn.cli import main, parse_config_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -165,7 +166,7 @@ def test_run_outputs_match_golden_on_kernel(kernel, tmp_path):
 
 def test_flux_width_weights_match_golden():
     config = BackboneConfig(d_model=3072, num_heads=24, head_dim=128, axis_dims=(16, 56, 56))
-    wq = init_block(config, 0)[backbone._ROLES.index("wq")]
+    wq = init_block(config, 0)[WQ]
     digest = hashlib.sha256(np.ascontiguousarray(wq, dtype="<f8").tobytes()).hexdigest()
     assert digest == (GOLDEN / "flux_width_wq.sha256").read_text().strip()
 
@@ -173,7 +174,7 @@ def test_flux_width_weights_match_golden():
 @pytest.mark.parametrize("cores", [1, 3])
 def test_flux_width_weights_match_golden_however_split(cores, monkeypatch):
     # block 0's wq is stream derive_seed(0, 0, 0), drawn inline or in three runs
-    monkeypatch.setattr(backbone, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(backbone, "usable_cores", lambda: cores)
     scale = backbone.WEIGHT_SCALE
     wq = backbone._draw_streams([derive_seed(0, 0, 0)], 3072 * 3072, -scale, scale)
     digest = hashlib.sha256(np.ascontiguousarray(wq, dtype="<f8").tobytes()).hexdigest()

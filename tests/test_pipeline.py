@@ -19,7 +19,7 @@ from synattn import (
     run_edit,
 )
 import synattn.attention as attention_mod
-from synattn.attention import _ROLES
+from synattn.attention import ROLES
 from synattn.cli import main, parse_config_text, render_config, write_trace
 import synattn.pipeline as pipeline_mod
 
@@ -28,6 +28,12 @@ def small_config(**kwargs):
     defaults = dict(src_prompt="a standing dog", tgt_prompt="a sitting dog")
     defaults.update(kwargs)
     return PipelineConfig(**defaults)
+
+
+def run_group(configs):
+    """Each config's result, in order, from configs that share one backbone: one group."""
+    (results,) = pipeline_mod.run_groups(dict(enumerate(configs)), lambda i, r: r)
+    return results
 
 
 def after_block_forward(monkeypatch, step):
@@ -307,7 +313,7 @@ class TestRunEdit:
 
         def poisoned(bb):
             weights = real(bb)
-            weights[2, _ROLES.index("wv"), 0, 0] = np.nan
+            weights[2, ROLES.index("wv"), 0, 0] = np.nan
             return weights
 
         monkeypatch.setattr(pipeline_mod, "init_backbone", poisoned)
@@ -480,7 +486,7 @@ class TestStackedEngine:
             return out
 
         monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
-        monkeypatch.setattr(pipeline_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(pipeline_mod, "usable_cores", lambda: 2)
         inline = list(pipeline_mod.run_groups(configs, _pid_and_result))
         forked = list(pipeline_mod.run_groups(configs, _pid_and_result, jobs=2))
         parent = os.getpid()
@@ -520,7 +526,7 @@ class TestStackedEngine:
             return out
 
         monkeypatch.setattr(pipeline_mod, "encode_prompt", poisoned)
-        (results,) = pipeline_mod.run_groups(dict(enumerate(configs)), lambda i, r: r)
+        results = run_group(configs)
         with pytest.raises(NumericalAbortError) as alone:
             run_edit(configs[1])
         got = results[1]
@@ -555,7 +561,7 @@ class TestStackedEngine:
             return poison
 
         after_block_forward(monkeypatch, poison_row(1))
-        results = pipeline_mod._run_group(configs)
+        results = run_group(configs)
         monkeypatch.undo()
         after_block_forward(monkeypatch, poison_row(0))
         with pytest.raises(NumericalAbortError) as alone:
@@ -585,7 +591,7 @@ class TestStackedEngine:
                 out[:, row, bb.n_txt_tokens, 0] = np.inf
 
         after_block_forward(monkeypatch, poison)
-        results = pipeline_mod._run_group(configs)
+        results = run_group(configs)
         assert next(calls) == bb.n_blocks + 5
         stream = "source branch stream"
         assert [str(r) for r in results] == [
@@ -663,7 +669,7 @@ class TestStackedEngine:
         # no benchmark shape reaches the flush: a budget holding blocks_held
         # blocks of one stack closes each step in parts, with the same bytes
         configs = [small_config(w_override=w) for w in (None, 0.0, 1.0)]
-        whole = pipeline_mod._run_group(configs)
+        whole = run_group(configs)
         traces = run_batch(configs)
         bb = configs[0].backbone
         assert bb.n_blocks == sum(parts)
@@ -674,7 +680,7 @@ class TestStackedEngine:
         monkeypatch.setattr(
             pipeline_mod, "row_cosines", lambda a, b: held.append(len(a)) or real(a, b)
         )
-        for got, want in zip(pipeline_mod._run_group(configs), whole):
+        for got, want in zip(run_group(configs), whole):
             assert_same_result(got, want)
         assert held == parts * bb.n_steps
         assert run_batch(configs) == traces
@@ -712,7 +718,7 @@ class TestStackedEngine:
 
     def test_tiny_budget_splits_the_group_without_changing_bytes(self, monkeypatch):
         configs = [small_config(w_override=w) for w in (None, 0.0, 1.0, 0.25, None)]
-        whole = pipeline_mod._run_group(configs)
+        whole = run_group(configs)
         sizes = []
         real = pipeline_mod._run_stack
 
@@ -726,7 +732,7 @@ class TestStackedEngine:
         for budget, want in [(1, [1] * 5), (2 * case_bytes, [2, 2, 1])]:
             sizes.clear()
             monkeypatch.setattr(pipeline_mod, "_STACK_BYTES", budget)
-            split = pipeline_mod._run_group(configs)
+            split = run_group(configs)
             assert sizes == want
             for got, ref in zip(split, whole):
                 assert_same_result(got, ref)
