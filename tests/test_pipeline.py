@@ -19,7 +19,7 @@ from synattn import (
     run_edit,
 )
 import synattn.attention as attention_mod
-from synattn.attention import ROLES
+from synattn.attention import WV
 from synattn.cli import main, parse_config_text, render_config, write_trace
 import synattn.pipeline as pipeline_mod
 
@@ -313,7 +313,7 @@ class TestRunEdit:
 
         def poisoned(bb):
             weights = real(bb)
-            weights[2, ROLES.index("wv"), 0, 0] = np.nan
+            weights[2, WV, 0, 0] = np.nan
             return weights
 
         monkeypatch.setattr(pipeline_mod, "init_backbone", poisoned)
