@@ -224,8 +224,8 @@ class BackboneConfig:
     blocks, of which {0, 2, 5} share attention, denoised over 10 steps.
     ``d_model`` is derived as ``num_heads * head_dim``, the one value it
     may be given. The rotary arrays (see :mod:`synattn.rope`) ``pair_freqs``,
-    ``pair_axes``, ``channel_pairs`` and ``channel_signs`` are built once,
-    read-only, and are not fields.
+    ``pair_axes`` and ``channel_pairs`` are built once, read-only, and are
+    not fields.
     """
 
     d_model: int | None = None
@@ -294,13 +294,10 @@ class BackboneConfig:
             for d in self.axis_dims
         ])
         axes = np.repeat(np.arange(len(self.axis_dims)), [d // 2 for d in self.axis_dims])
-        # Channel c of a token vector belongs to its head's pair (c % head_dim) // 2;
-        # the pair's first channel takes -sin in the interleaved table, its second +sin.
-        channels = np.arange(d_model)
-        channel_pairs = channels % self.head_dim // 2
-        channel_signs = np.where(channels % 2, 1.0, -1.0)
+        # Channel c of a token vector belongs to its head's pair (c % head_dim) // 2.
+        channel_pairs = np.arange(d_model) % self.head_dim // 2
         for name, value in (("pair_freqs", freqs), ("pair_axes", axes),
-                            ("channel_pairs", channel_pairs), ("channel_signs", channel_signs)):
+                            ("channel_pairs", channel_pairs)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

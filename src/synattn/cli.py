@@ -59,7 +59,6 @@ __all__ = [
     "write_trace",
     "parse_trace",
     "write_matrix",
-    "parse_matrix",
     "nearest_rank_percentile",
     "compute_stats",
     "write_stats",
@@ -290,22 +289,24 @@ def parse_trace(text: str) -> EditingTrace:
     (finite ratios whose sum overflows). A malformed number is refused
     naming its line and field.
     """
+    # every line of the file, a config echo unprefixed and any other line
+    # blank, so the config grammar names the file's own line numbers
     config_lines = []
     header_blocks = None
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
+        echo = stripped.startswith("# config:")
+        config_lines.append(stripped[len("# config:") :].strip() if echo else "")
+        if echo or not stripped:
             continue
-        if stripped.startswith("# config:"):
-            config_lines.append(stripped[len("# config:") :].strip())
-        elif stripped.startswith("# blocks per step:"):
+        if stripped.startswith("# blocks per step:"):
             if header_blocks is not None:
                 raise ConfigError(f"line {lineno}: second '# blocks per step' header")
             header_blocks = (lineno, stripped[len("# blocks per step:") :].strip())
         elif not stripped.startswith("#"):
             records.append((lineno, stripped))
-    if not config_lines:
+    if not any(config_lines):
         raise ConfigError("trace file has no config echo")
     config = parse_config_text("\n".join(config_lines))
     n_blocks = config.backbone.n_blocks
@@ -372,30 +373,6 @@ def write_matrix(m: np.ndarray, tag: str = "matrix", comments: tuple[str, ...] =
     row_format = " ".join(["%.17g"] * m.shape[1])
     lines += [row_format % tuple(row) for row in m.tolist()]
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    rows = []
-    shape = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if shape is None and len(parts) == 3 and parts[1].isdigit():
-                shape = tuple(_parse_number(int, n, f"line {lineno}") for n in parts[1:])
-            continue
-        row = [_parse_number(float, x, f"line {lineno}") for x in stripped.split()]
-        if rows and len(row) != len(rows[0]):
-            raise ConfigError(
-                f"line {lineno}: {len(row)} values, the first row has {len(rows[0])}"
-            )
-        rows.append(row)
-    m = np.array(rows, dtype=np.float64)
-    if shape is not None and m.shape != shape:
-        raise ConfigError(f"matrix body {m.shape} does not match header {shape}")
-    return m
 
 
 # ----------------------------------------------------------------------
@@ -576,7 +553,13 @@ def cmd_run(config_paths: list[str], out_dir: str, jobs: int = 1) -> int:
 
 def cmd_stats(trace_paths: list[str], out_path: str) -> int:
     """Aggregate m_mean across trace files into per-timestep statistics."""
-    traces = [parse_trace(Path(p).read_text()) for p in trace_paths]
+    traces = []
+    for path in trace_paths:
+        text = Path(path).read_text()
+        try:
+            traces.append(parse_trace(text))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     rows = compute_stats(traces)
     Path(out_path).write_text(write_stats(rows, len(traces)))
     return 0

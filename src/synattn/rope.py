@@ -45,9 +45,9 @@ class RotaryTable(NamedTuple):
     """The rotation of every row, channel-interleaved: each ``(..., n, d_model)``.
 
     Channels ``2k`` and ``2k + 1`` of a row hold pair ``k``'s angle: ``cos``
-    holds its cosine in both, ``sin`` holds ``-sin`` in the first and
-    ``+sin`` in the second, so that a rotation is ``x * cos + swap(x) * sin``
-    with ``swap`` exchanging each pair's channels. The one head's
+    holds its cosine in both and ``sin`` its sine in both, so that a
+    rotation is ``x * cos + swap(x) * sin`` with ``swap`` turning each pair
+    ``(x, y)`` into ``(-y, x)``. The one head's
     ``head_dim // 2`` angles repeat once per head. The leading axes are those
     of the weight: none for a scalar ``w``, ``(B,)`` for one weight per
     stacked case.
@@ -78,9 +78,8 @@ def rotary_table(positions, w, config: BackboneConfig) -> RotaryTable:
     if not np.all(np.isfinite(w)):
         raise ValueError(f"w contains non-finite values: {w}")
     angles = (w[..., None, None] * positions)[..., config.pair_axes] * config.pair_freqs
-    sin = np.sin(angles).take(config.channel_pairs, axis=-1)
-    sin *= config.channel_signs  # exact: a sign flip
-    return RotaryTable(np.cos(angles).take(config.channel_pairs, axis=-1), sin)
+    pairs = config.channel_pairs
+    return RotaryTable(np.cos(angles).take(pairs, axis=-1), np.sin(angles).take(pairs, axis=-1))
 
 
 def apply_rotary(
@@ -89,14 +88,15 @@ def apply_rotary(
     """Rotate every channel pair of each row of ``(..., n, d_model)`` tokens.
 
     Computes ``tokens * cos + swap(tokens) * sin`` (RoFormer's efficient
-    form), into ``out`` when given (``tokens`` itself included) or else one
-    new array. Pair ``(x, y)`` becomes ``(x cos + y (-sin), y cos + x sin)``,
-    the bytes of ``(x cos - y sin, x sin + y cos)``: IEEE ``a - b`` is
-    ``a + (-b)`` and the sum commutes, signed zeros included. The table's
-    leading axes broadcast against the tokens' own.
+    form, arXiv:2104.09864 eq. 34), the sign in the swap, into ``out`` when
+    given (``tokens`` itself included) or else one new array. Pair
+    ``(x, y)`` becomes ``(x cos + (-y) sin, y cos + x sin)``, the bytes of
+    ``(x cos - y sin, x sin + y cos)``: IEEE ``a - b`` is ``a + (-b)``,
+    ``(-y) sin`` is ``-(y sin)`` and the sum commutes, signed zeros
+    included. The table's leading axes broadcast against the tokens' own.
     """
     swapped = np.empty_like(tokens)
-    swapped[..., 0::2] = tokens[..., 1::2]
+    np.negative(tokens[..., 1::2], out=swapped[..., 0::2])
     swapped[..., 1::2] = tokens[..., 0::2]
     swapped *= table.sin
     out = np.multiply(tokens, table.cos, out=out)

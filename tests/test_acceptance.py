@@ -26,7 +26,7 @@ from synattn import (
     rotary_table,
 )
 from synattn.attention import ROLES, WK, WQ, WV, joint_attention
-from synattn.cli import PROBE_BUMP_SCALE, main, parse_config_text, parse_matrix, parse_trace
+from synattn.cli import PROBE_BUMP_SCALE, main, parse_config_text, parse_trace
 from synattn.rope import apply_rotary
 
 FULL = BackboneConfig(num_heads=1, head_dim=128, axis_dims=(16, 56, 56))  # one head of 128
@@ -320,14 +320,16 @@ def test_criterion_10_attention_map_contracts(tmp_path):
             ) == 0
             emitted.append(out)
     worst = 0.0
+    grids = {}
     for path in emitted:
-        grid = parse_matrix(path.read_text())
-        worst = max(worst, abs(float(grid.sum()) - 1.0))
+        assert path.read_text().startswith("# map 4 4\n")
+        grids[path.name] = np.loadtxt(path, ndmin=2)
+        worst = max(worst, abs(float(grids[path.name].sum()) - 1.0))
     assert worst <= 1e-9
 
     config = parse_config_text(cfg.read_text())
-    on = parse_matrix((tmp_path / "map_constant-field_1.txt").read_text())
-    off = parse_matrix((tmp_path / "map_constant-field_0.txt").read_text())
+    on = grids["map_constant-field_1.txt"]
+    off = grids["map_constant-field_0.txt"]
     assert np.unravel_index(np.argmax(on), on.shape) == (1, 2)
     assert np.unravel_index(np.argmax(off), off.shape) != (1, 2)
     for w, grid in ((1.0, on), (0.0, off)):

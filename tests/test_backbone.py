@@ -35,6 +35,7 @@ from synattn.backbone import (
     WEIGHT_SCALE,
     _CHUNK,
     _draw_streams,
+    usable_cores,
 )
 
 CFG = BackboneConfig()
@@ -176,6 +177,13 @@ class TestGenerators:
     def test_derive_seed_is_order_sensitive(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
         assert derive_seed(1, 2) == derive_seed(1, 2)
+
+    def test_usable_cores_without_affinity(self, monkeypatch):
+        # platforms without an affinity call, such as macOS, count every CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert usable_cores() == os.cpu_count()
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1
 
 
 class TestInitBackbone:
@@ -356,7 +364,7 @@ class TestConfigValidation:
         # the rotary arrays are read-only and no fields: the repr, == and
         # hash see the fields alone, even beside a changed array
         a, b = BackboneConfig(), BackboneConfig()
-        derived = ("pair_freqs", "pair_axes", "channel_pairs", "channel_signs")
+        derived = ("pair_freqs", "pair_axes", "channel_pairs")
         assert not set(derived) & {f.name for f in fields(a)}
         for name in derived:
             assert not getattr(a, name).flags.writeable

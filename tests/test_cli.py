@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -43,7 +44,6 @@ from synattn.cli import (
     main,
     nearest_rank_percentile,
     parse_config_text,
-    parse_matrix,
     parse_trace,
     render_config,
     write_matrix,
@@ -313,26 +313,16 @@ class TestTraceSerialization:
         assert len(body) == 3
 
     def test_matrix_round_trip(self):
-        rng = np.random.default_rng(90)
-        m = rng.normal(size=(5, 7)) * 1e3
-        got = parse_matrix(write_matrix(m))
-        assert np.array_equal(got, m)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("# matrix 2 2\n1 2\n3 x\n", "line 3: expected number, got 'x'"),
-            ("# matrix 2 2\n1 2\n3\n", "line 3: 1 values, the first row has 2"),
-            ("# matrix 2 x\n1 2\n", "line 1: expected integer, got 'x'"),
-            ("# matrix ² 2\n1 2\n3 4\n", "line 1: expected integer, got '²'"),
-            ("# matrix 2 2\n1 2\n", r"matrix body \(1, 2\) does not match header \(2, 2\)"),
-        ],
-        ids=["bad-number", "ragged-row", "bad-header-columns", "bad-header-rows",
-             "body-off-header"],
-    )
-    def test_malformed_matrix_row_names_its_line(self, text, message):
-        with pytest.raises(ConfigError, match=message):
-            parse_matrix(text)
+        # numpy reads the written text back bit for bit, edge values and
+        # one-row and one-column matrices included
+        edges = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-309, 1e300]
+        wide = np.random.default_rng(90).normal(size=(5, len(edges))) * 1e3
+        wide[2] = edges
+        for m in (wide, np.array([edges]), np.array([edges]).T, np.array([[-0.0]])):
+            text = write_matrix(m)
+            assert text.partition("\n")[0] == f"# matrix {m.shape[0]} {m.shape[1]}"
+            got = np.loadtxt(io.StringIO(text), ndmin=2)
+            assert got.view(np.uint64).tolist() == m.view(np.uint64).tolist()
 
     def test_matrix_rows_print_each_float_as_format_17g(self):
         rows = [
@@ -400,6 +390,20 @@ class TestTraceConsistency:
             parse_trace(text)
 
     @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("blocks = 1\n", "blocks = 1\n# config: seed = 3\n", "line 10: key 'seed' given twice"),
+            ("grid = 4x4\n", "grid 4x4\n", "line 8: expected 'key = value', got 'grid 4x4'"),
+            ("blocks = 1\n", "blocks = 1\n# config: foo = 1\n", "line 10: unknown key 'foo'"),
+        ],
+        ids=["repeated-key", "no-equals", "unknown-key"],
+    )
+    def test_config_echo_fault_names_its_file_line(self, old, new, message):
+        # the config grammar counts the trace file's lines, not the echo's
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_trace(self.TEXT.replace(f"# config: {old}", f"# config: {new}"))
+
+    @pytest.mark.parametrize(
         "col, field", [(0, "timestep: expected integer"), (4, "block 0 s_img: expected number")]
     )
     def test_malformed_number_names_line_and_field(self, col, field):
@@ -457,7 +461,7 @@ class TestTraceConsistency:
         path = tmp_path / "t.txt"
         path.write_text(text)
         assert main(["stats", str(path), "--out", str(tmp_path / "s.txt")]) == 1
-        assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: line {lineno}: {message}\n"
         assert not (tmp_path / "s.txt").exists()
 
     # w_one's override is 1; the adaptive schedule starts at 1, and its third
@@ -647,9 +651,9 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg_file), "--out", str(out)]) == 0
         trace = parse_trace((out / "trace.txt").read_text())
         assert len(trace.steps) == 10
-        src = parse_matrix((out / "src_final.txt").read_text())
-        tgt = parse_matrix((out / "tgt_final.txt").read_text())
-        assert src.shape == tgt.shape == (16, 64)
+        for name in ("src_final.txt", "tgt_final.txt"):
+            assert (out / name).read_text().startswith("# matrix 16 64\n")
+            assert np.loadtxt(out / name, ndmin=2).shape == (16, 64)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["tool"] == "synattn"
         assert manifest["config"]["src_prompt"] == "a standing dog"
@@ -942,6 +946,18 @@ class TestStatsCommand:
             assert float(fields[3]) == p20
             assert float(fields[4]) == p80
 
+    def test_parse_fault_names_its_trace(self, tmp_path, capsys):
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        text = write_trace(fabricated_trace([1.0, 0.9]))
+        paths[0].write_text(text)
+        text, lineno = mutate_record(text, 0, 0, "7")
+        paths[1].write_text(text)
+        assert main(["stats", *map(str, paths), "--out", str(tmp_path / "s.txt")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {paths[1]}: line {lineno}: timestep 7, expected 2 "
+            "(timesteps run from 2 down to 1)\n"
+        )
+
     def test_mismatched_lengths_exit_one(self, tmp_path):
         a = tmp_path / "a.txt"
         a.write_text(write_trace(fabricated_trace([1.0, 1.0])))
@@ -960,7 +976,8 @@ class TestMapCommand:
             ["map", "--config", str(cfg_file), "--cell", "1,2", "--w", "0.7",
              "--out", str(out)]
         ) == 0
-        grid = parse_matrix(out.read_text())
+        assert out.read_text().startswith("# map 4 4\n")
+        grid = np.loadtxt(out, ndmin=2)
         assert grid.shape == (4, 4)
         assert abs(grid.sum() - 1.0) <= 1e-9
 
@@ -974,7 +991,8 @@ class TestMapCommand:
                 ["map", "--config", str(cfg_file), "--cell", "1,2", "--w", w,
                  "--out", str(out), "--probe", "constant-field"]
             ) == 0
-            maps[w] = parse_matrix(out.read_text())
+            assert out.read_text().startswith("# map 4 4\n")
+            maps[w] = np.loadtxt(out, ndmin=2)
         on = np.unravel_index(np.argmax(maps["1"]), (4, 4))
         off = np.unravel_index(np.argmax(maps["0"]), (4, 4))
         assert on == (1, 2)
